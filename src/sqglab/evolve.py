@@ -319,8 +319,9 @@ def lifespan_experiment(
 
     For each epsilon the run stops at norm doubling or t_end.  The time
     derivative of each corrected energy equals a known multilinear form on
-    the state, so the derivative magnitudes are evaluated exactly (no finite
-    differences) and their log-log slopes against epsilon are fitted.
+    the state (the quadratic term inserted into the last correction), so the
+    derivative magnitudes are evaluated exactly (no finite differences) and
+    their log-log slopes against epsilon are fitted.
     Expected slopes: 3 (bare energy), 4 (cubic correction removed), 6 (full
     chain).
     """

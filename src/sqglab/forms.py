@@ -23,8 +23,10 @@ The operators implemented here drive the corrected-energy construction:
 Along the truncated flow f' = -(Kf)' rotation + N(f), the time derivative
 of the quadratic Sobolev energy is an exact cubic form, and each division /
 re-extension round pushes the derivative of the corrected energy up one
-degree: cubic -> quartic -> sextic.  ``build_chain`` packages the whole
-ladder; the identities it relies on hold exactly for the truncated dynamics
+degree: cubic -> quartic -> sextic.  ``build_chain`` packages the cubic,
+quartic and quintic corrections; the derivative of each corrected energy is
+evaluated by inserting N(f) into the last correction, so the sextic table
+is never built.  The identities hold exactly for the truncated dynamics
 because extensions drop merged modes beyond n_max, mirroring the Galerkin
 product.
 """
@@ -41,16 +43,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dispersion import dispersion, dispersion_float, smoothing_symbol_float
-from .field import SpectralField, sobolev_energy
+from .field import SpectralField, nonlinearity, sobolev_energy
 
 #: Largest arity supported by the table representation.
 MAX_ARITY = 6
 
 #: Guard against accidentally huge tables ((2K)^(p-1) candidate rows).
 MAX_TABLE_ROWS = 40_000_000
-
-#: Float prefilter margin before exact confirmation of a resonant denominator.
-FLOAT_MARGIN = 1e-6
 
 
 class ResonanceError(ValueError):
@@ -102,7 +101,6 @@ class TupleSpace:
         self.idx = idx
         self.mode_values = self.modes[idx]
         self.count = idx.shape[0]
-        self._lamsum_exact = None
         self._lamsum_float = None
         self._resonant = None
         self._degenerate = None
@@ -159,13 +157,17 @@ class TupleSpace:
         return self._degenerate
 
     def _compute_lamsum(self):
+        # the exact sum depends only on the sorted tuple: form it once per orbit
         per_mode = [dispersion(int(n)) for n in self.modes]
+        ordered = np.sort(self.idx, axis=1)
+        _, first, inverse = np.unique(
+            self.ravel_keys(ordered), return_index=True, return_inverse=True
+        )
         exact = [
-            sum((per_mode[i] for i in row), Fraction(0)) for row in self.idx
+            sum((per_mode[i] for i in row), Fraction(0)) for row in ordered[first]
         ]
-        self._lamsum_exact = exact
-        self._lamsum_float = np.array([float(q) for q in exact])
-        self._resonant = np.array([q == 0 for q in exact], dtype=bool)
+        self._lamsum_float = np.array([float(q) for q in exact])[inverse]
+        self._resonant = np.array([q == 0 for q in exact], dtype=bool)[inverse]
 
     @property
     def frequency_sum(self) -> np.ndarray:
@@ -497,16 +499,19 @@ class CorrectedEnergy:
     """The H^s energy with its normal-form corrections and exact derivatives.
 
     ``corrections`` holds the three subtracted forms (cubic, quartic,
-    quintic); ``derivatives`` the forms equal to d/dt of each successive
-    corrected energy along the truncated flow (cubic, quartic, quintic,
-    sextic).  All evaluations are real on admissible fields up to round-off.
+    quintic); ``energy_derivative`` the cubic form D3 equal to d/dt of the
+    bare energy.  The derivatives of the corrected energies (quartic,
+    quintic, sextic) are not stored: along the truncated flow they equal
+    -p C(N(f), f, ..., f) for the last subtracted p-linear correction C, and
+    are evaluated that way.  All evaluations are real on admissible fields
+    up to round-off.
     """
 
     m: int
     n_max: int
     s: float
     corrections: tuple
-    derivatives: tuple
+    energy_derivative: MultilinearForm
 
     def base(self, f: SpectralField) -> float:
         return sobolev_energy(f, self.s)
@@ -521,16 +526,21 @@ class CorrectedEnergy:
             out[i + 1] = value
         return out
 
+    def _derivatives(self, f: SpectralField) -> list:
+        inserted = nonlinearity(f)
+        values = [evaluate_diagonal(self.energy_derivative, f)]
+        for form in self.corrections:
+            values.append(-form.p * evaluate(form, [inserted] + [f] * (form.p - 1)))
+        return values
+
     def derivative_values(self, f: SpectralField) -> np.ndarray:
         """d/dt of each level at state f: [cubic, quartic, quintic, sextic]."""
-        return np.array(
-            [evaluate_diagonal(form, f).real for form in self.derivatives]
-        )
+        return np.array([value.real for value in self._derivatives(f)])
 
     def imaginary_defect(self, f: SpectralField) -> float:
         """Largest imaginary part among all evaluations (reality check)."""
         values = [evaluate_diagonal(form, f) for form in self.corrections]
-        values += [evaluate_diagonal(form, f) for form in self.derivatives]
+        values += self._derivatives(f)
         return float(max(abs(v.imag) for v in values))
 
 
@@ -541,12 +551,14 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
 
         C3 = i * divide(D3)            D4 = -insert-quadratic(C3)
         C4 = i * divide(D4 - P(D4))    D5 = -insert-quadratic(C4)
-        C5 = i * divide(D5)            D6 = -insert-quadratic(C5)
+        C5 = i * divide(D5)
 
     and d/dt (E - C3 - ... - Ck) = D_{k+1} on the diagonal, exactly for the
-    truncated dynamics.  The degenerate projection P removes the only zero
+    truncated dynamics, where D_{k+1}(f) = -p Ck(N(f), f, ..., f) with p the
+    arity of Ck.  The degenerate projection P removes the only zero
     denominators (arity 4); its diagonal value vanishes because D4 is odd,
-    so subtracting it changes no recorded energy.
+    so subtracting it changes no recorded energy.  D4 and D5 are built only
+    as inputs of C4 and C5; the sextic D6 is evaluated by insertion alone.
     """
     d3 = build_energy_form(m, n_max, s)
     c3 = normal_form_divide(d3).scaled(1j, label="cubic-correction")
@@ -561,13 +573,12 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
     c4 = normal_form_divide(d4_free).scaled(1j, label="quartic-correction")
     d5 = nonlinearity_extension(c4).scaled(-1.0, label="quintic-derivative")
     c5 = normal_form_divide(d5).scaled(1j, label="quintic-correction")
-    d6 = nonlinearity_extension(c5).scaled(-1.0, label="sextic-derivative")
     return CorrectedEnergy(
         m=m,
         n_max=n_max,
         s=float(s),
         corrections=(c3, c4, c5),
-        derivatives=(d3.scaled(1.0, label="cubic-derivative"), d4, d5, d6),
+        energy_derivative=d3,
     )
 
 
@@ -603,6 +614,11 @@ def load_form(path) -> MultilinearForm:
         blob = handle.read()
     if header.get("format") != _FORM_MAGIC:
         raise ValueError(f"{path} is not a form table")
+    if len(blob) != 16 * header["count"]:
+        raise ValueError(
+            f"{path}: table holds {len(blob)} bytes, expected "
+            f"{16 * header['count']} for {header['count']} values"
+        )
     space = tuple_space(header["m"], header["n_max"], header["arity"])
     digest = hashlib.sha256(np.ascontiguousarray(space.idx).tobytes()).hexdigest()
     if digest != header["tuple_sha256"] or space.count != header["count"]:
@@ -617,11 +633,15 @@ def load_form(path) -> MultilinearForm:
     )
 
 
-_CHAIN_STAGES = ("c3", "c4", "c5", "d3", "d4", "d5", "d6")
+#: Version of the cached chain layout: bump when the stored stages change.
+_CHAIN_LAYOUT = 2
+
+_CHAIN_STAGES = ("c3", "c4", "c5")
 
 
 def _chain_paths(directory, m: int, n_max: int, s: float) -> dict:
-    stem = f"chain_m{m}_N{n_max}_s{s:.6g}"
+    # float.hex is exact, so no two Sobolev indices share a file
+    stem = f"chain-v{_CHAIN_LAYOUT}_m{m}_N{n_max}_s{float(s).hex()}"
     return {
         stage: os.path.join(directory, f"{stem}_{stage}.form")
         for stage in _CHAIN_STAGES
@@ -629,23 +649,23 @@ def _chain_paths(directory, m: int, n_max: int, s: float) -> dict:
 
 
 def cached_chain(m: int, n_max: int, s: float, cache_dir=None) -> CorrectedEnergy:
-    """build_chain with an optional on-disk table cache."""
+    """build_chain with an optional on-disk cache of the three corrections.
+
+    The cubic energy derivative is cheap and rebuilt on load.
+    """
     if cache_dir is None:
         return build_chain(m, n_max, s)
     paths = _chain_paths(cache_dir, m, n_max, s)
     if all(os.path.exists(p) for p in paths.values()):
-        loaded = {stage: load_form(p) for stage, p in paths.items()}
         return CorrectedEnergy(
             m=m,
             n_max=n_max,
             s=float(s),
-            corrections=(loaded["c3"], loaded["c4"], loaded["c5"]),
-            derivatives=(loaded["d3"], loaded["d4"], loaded["d5"], loaded["d6"]),
+            corrections=tuple(load_form(p) for p in paths.values()),
+            energy_derivative=build_energy_form(m, n_max, s),
         )
     chain = build_chain(m, n_max, s)
     os.makedirs(cache_dir, exist_ok=True)
-    for stage, form in zip(
-        _CHAIN_STAGES, (*chain.corrections, *chain.derivatives)
-    ):
+    for stage, form in zip(_CHAIN_STAGES, chain.corrections):
         save_form(form, paths[stage])
     return chain

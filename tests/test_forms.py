@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import convolve_fields, random_field
+from sqglab import evolve as ev
 from sqglab import forms as fm
 from sqglab.field import SpectralField, differentiate, smooth
 
@@ -25,6 +26,11 @@ def random_form(m, n_max, p, rng, parity=None):
     projected = 0.5 * (form.values + sign * form.values[neg_rows])
     return fm.MultilinearForm(space, projected, parity=parity, label="random",
                               symmetric=True)
+
+
+def extension_derivatives(chain):
+    """D4, D5, D6 as tables: minus the quadratic term inserted into C3, C4, C5."""
+    return [fm.nonlinearity_extension(c).scaled(-1.0) for c in chain.corrections]
 
 
 def minus_transport_derivative(f):
@@ -204,10 +210,22 @@ class TestEnergyForm:
 class TestChain:
     def test_parity_ladder(self):
         chain = fm.build_chain(3, 12, 2.0)
+        derivatives = (chain.energy_derivative, *extension_derivatives(chain))
         assert [c.parity for c in chain.corrections] == ["even", "even", "even"]
-        assert [d.parity for d in chain.derivatives] == ["odd", "odd", "odd", "odd"]
-        for form in chain.corrections + chain.derivatives:
+        assert [d.parity for d in derivatives] == ["odd", "odd", "odd", "odd"]
+        for form in chain.corrections + derivatives:
             assert fm.parity_defect(form) < 1e-10
+
+    def test_insertion_matches_extension_tables(self, rng):
+        chain = fm.build_chain(3, 12, 2.0)
+        tables = extension_derivatives(chain)
+        for _ in range(5):
+            f = random_field(3, 12, rng, scale=0.05, decay=3.0)
+            values = chain.derivative_values(f)
+            assert values[0] == fm.evaluate_diagonal(chain.energy_derivative, f).real
+            for value, table in zip(values[1:], tables):
+                expected = fm.evaluate_diagonal(table, f).real
+                assert value == pytest.approx(expected, rel=1e-12)
 
     def test_levels_real_and_finite(self, rng):
         chain = fm.build_chain(3, 12, 2.0)
@@ -215,6 +233,14 @@ class TestChain:
         levels = chain.levels(f)
         assert np.all(np.isfinite(levels))
         assert chain.imaginary_defect(f) <= 1e-10
+
+    def test_lifespan_experiment_builds_no_sextic_space(self, monkeypatch):
+        monkeypatch.setattr(fm, "_SPACE_CACHE", {})
+        monkeypatch.setattr(ev, "_CHAIN_CACHE", {})
+        cfg = ev.SimConfig(m=3, n_max=12, s=2.0, dt=0.02, t_end=0.2,
+                           diagnostics_stride=5)
+        ev.lifespan_experiment([0.1, 0.05], cfg)
+        assert sorted(p for _, _, p in fm._SPACE_CACHE) == [3, 4, 5]
 
 
 class TestPersistence:
@@ -227,12 +253,32 @@ class TestPersistence:
         assert loaded.parity == form.parity
         assert loaded.space is form.space
 
-    def test_cached_chain_matches_fresh_build(self, tmp_path):
+    @pytest.mark.parametrize("cut", [3, 16])
+    def test_truncated_table_rejected(self, tmp_path, rng, cut):
+        path = tmp_path / "table.form"
+        fm.save_form(random_form(3, 12, 4, rng), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="bytes, expected"):
+            fm.load_form(path)
+
+    def test_cached_chain_matches_fresh_build(self, tmp_path, monkeypatch):
         fresh = fm.build_chain(3, 12, 2.0)
-        saved = fm.cached_chain(3, 12, 2.0, cache_dir=tmp_path)
+        fm.cached_chain(3, 12, 2.0, cache_dir=tmp_path)
+        assert len(list(tmp_path.iterdir())) == 3
+
+        def no_build(*args):
+            raise AssertionError("cache hit expected")
+
+        monkeypatch.setattr(fm, "build_chain", no_build)
         reloaded = fm.cached_chain(3, 12, 2.0, cache_dir=tmp_path)
-        for a, b in zip(fresh.corrections + fresh.derivatives,
-                        reloaded.corrections + reloaded.derivatives):
+        for a, b in zip(fresh.corrections + (fresh.energy_derivative,),
+                        reloaded.corrections + (reloaded.energy_derivative,)):
             assert np.array_equal(a.values, b.values)
-        assert len(list(tmp_path.iterdir())) == 7
-        del saved
+
+    def test_nearby_sobolev_index_builds_fresh(self, tmp_path):
+        fm.cached_chain(3, 12, 2.0, cache_dir=tmp_path)
+        near = fm.cached_chain(3, 12, 2.0000001, cache_dir=tmp_path)
+        fresh = fm.build_chain(3, 12, 2.0000001)
+        for a, b in zip(near.corrections, fresh.corrections):
+            assert np.array_equal(a.values, b.values)
+        assert len(list(tmp_path.iterdir())) == 6
