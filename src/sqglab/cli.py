@@ -6,7 +6,8 @@ and the wall time.  Data outputs are byte-deterministic for a fixed
 (subcommand, config, seed, version): floats are printed with 17 significant
 digits and exact rationals as "p/q" strings.  Files are written atomically
 (temp file + rename).  The SQGLAB_THREADS environment variable sets the
-number of enumeration worker threads used by the resonance searches.
+number of worker threads used by the resonance searches; each search is a
+single pass over the tuples, so the threads cover all of it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -91,6 +93,25 @@ _EVOLVE_DEFAULTS = {
 }
 
 
+#: Relative slack allowed when t_end/dt is checked to be a whole number, so
+#: that decimal inputs such as t_end=0.3, dt=0.1 (ratio 2.9999999999999996) pass.
+_STEP_RTOL = 1e-9
+
+
+def _finite_real(value) -> bool:
+    """True for a finite JSON number; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _integer(value) -> bool:
+    return _finite_real(value) and isinstance(value, int)
+
+
 def validate_config(path: str, extra_defaults: dict | None = None) -> dict:
     """Load a JSON run config, fill defaults, and check every range.
 
@@ -116,30 +137,34 @@ def validate_config(path: str, extra_defaults: dict | None = None) -> dict:
         if not ok:
             problems.append(f"{name}: {message}")
 
-    check("m", isinstance(cfg["m"], int) and cfg["m"] >= 3, "must be an integer >= 3")
-    if isinstance(cfg["m"], int) and cfg["m"] >= 3:
+    m_ok = _integer(cfg["m"]) and cfg["m"] >= 3
+    check("m", m_ok, "must be an integer >= 3")
+    if m_ok:
         check(
             "n_max",
-            isinstance(cfg["n_max"], int)
+            _integer(cfg["n_max"])
             and cfg["n_max"] >= cfg["m"]
             and cfg["n_max"] % cfg["m"] == 0,
             f"must be a positive multiple of m={cfg['m']}",
         )
-    check("s", isinstance(cfg["s"], (int, float)) and cfg["s"] >= 0, "must be >= 0")
-    dt_ok = isinstance(cfg["dt"], (int, float)) and not isinstance(cfg["dt"], bool) and cfg["dt"] > 0
-    check("dt", dt_ok, "must be > 0")
-    check(
-        "t_end",
-        isinstance(cfg["t_end"], (int, float))
-        and (not dt_ok or cfg["t_end"] >= cfg["dt"]),
-        "must be at least dt",
-    )
+    check("s", _finite_real(cfg["s"]) and cfg["s"] >= 0, "must be a finite number >= 0")
+    dt_ok = _finite_real(cfg["dt"]) and cfg["dt"] > 0
+    check("dt", dt_ok, "must be a finite number > 0")
+    t_end_ok = _finite_real(cfg["t_end"]) and (not dt_ok or cfg["t_end"] >= cfg["dt"])
+    check("t_end", t_end_ok, "must be a finite number >= dt")
+    if dt_ok and t_end_ok:
+        steps = cfg["t_end"] / cfg["dt"]
+        check(
+            "t_end",
+            math.isfinite(steps) and abs(steps - round(steps)) <= _STEP_RTOL * steps,
+            f"must be a whole number of steps of dt={cfg['dt']}",
+        )
     check(
         "epsilon",
-        isinstance(cfg["epsilon"], (int, float)) and cfg["epsilon"] > 0,
-        "must be > 0",
+        _finite_real(cfg["epsilon"]) and cfg["epsilon"] > 0,
+        "must be a finite number > 0",
     )
-    check("seed", isinstance(cfg["seed"], int), "must be an integer")
+    check("seed", _integer(cfg["seed"]) and cfg["seed"] >= 0, "must be an integer >= 0")
     check(
         "initial_profile",
         cfg["initial_profile"] in ("single_mode", "random_band"),
@@ -147,7 +172,7 @@ def validate_config(path: str, extra_defaults: dict | None = None) -> dict:
     )
     check(
         "diagnostics_stride",
-        isinstance(cfg["diagnostics_stride"], int) and cfg["diagnostics_stride"] >= 1,
+        _integer(cfg["diagnostics_stride"]) and cfg["diagnostics_stride"] >= 1,
         "must be an integer >= 1",
     )
     check("linear_only", isinstance(cfg["linear_only"], bool), "must be a boolean")
@@ -161,7 +186,7 @@ def validate_config(path: str, extra_defaults: dict | None = None) -> dict:
         ok = (
             isinstance(eps, list)
             and len(eps) >= 2
-            and all(isinstance(e, (int, float)) and e > 0 for e in eps)
+            and all(_finite_real(e) and e > 0 for e in eps)
             and all(b < a for a, b in zip(eps, eps[1:]))
         )
         check("eps_list", ok, "must be a strictly decreasing list of >= 2 amplitudes")

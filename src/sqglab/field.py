@@ -236,25 +236,17 @@ class _QuadraticTerm:
         self.sigma = smoothing_symbol_float(self.modes)
         self.deriv = 1j * self.modes
 
-    def _samples(self, half: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(half * self.grid, n=self.grid)
-
     def full_product_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
         """rfft-layout spectrum of the quadratic term before truncation."""
-        nhalf = self.grid // 2 + 1
-        base = np.zeros(nhalf, dtype=np.complex128)
-        base[self.modes] = coeffs
-        smoothed = np.zeros(nhalf, dtype=np.complex128)
-        smoothed[self.modes] = coeffs * self.sigma
-        derived = np.zeros(nhalf, dtype=np.complex128)
-        derived[self.modes] = coeffs * self.deriv
-        smoothed_derived = np.zeros(nhalf, dtype=np.complex128)
-        smoothed_derived[self.modes] = coeffs * self.sigma * self.deriv
-
-        product = (
-            2.0 * self._samples(smoothed) * self._samples(derived)
-            - self._samples(base) * self._samples(smoothed_derived)
+        spectra = np.zeros((4, self.grid // 2 + 1), dtype=np.complex128)
+        spectra[0, self.modes] = coeffs
+        spectra[1, self.modes] = coeffs * self.sigma
+        spectra[2, self.modes] = coeffs * self.deriv
+        spectra[3, self.modes] = coeffs * self.sigma * self.deriv
+        base, smoothed, derived, smoothed_derived = np.fft.irfft(
+            spectra * self.grid, n=self.grid, axis=-1
         )
+        product = 2.0 * smoothed * derived - base * smoothed_derived
         return np.fft.rfft(product) / self.grid
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:

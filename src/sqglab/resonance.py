@@ -23,13 +23,18 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dispersion import MIN_MODE, dispersion, dispersion_float
 
-#: Margin added to float pre-filters before exact confirmation.
+#: Margin added to float pre-filters before exact confirmation.  For
+#: |n| < 2**26, n*n - 1 and n*n - 4 are exact, so ``dispersion_float`` errs
+#: by at most u*|lam(n)| <= u*8/5 (u = 2**-53).  Summing p <= 6 such terms
+#: adds at most (p-1)*u*p*8/5, so a float sum is within 36*u*8/5 < 1e-14 of
+#: the exact one.  A row at the exact minimum (or at zero) therefore lies
+#: within 2e-14 of the float minimum (or of zero); 1e-6 covers that with room.
 FLOAT_MARGIN = 1e-6
 
 #: Environment variable selecting the number of enumeration worker threads.
@@ -151,44 +156,52 @@ def _degenerate_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class _ChunkStats:
-    """Reduction state for one enumeration pass (merge is associative)."""
+    """Reduction state of the scan; ``merge`` is associative.
+
+    Besides the counts and the float minima (overall, and per min |n_j| when
+    ``by_min`` is tracked) it carries the candidate rows: the nondegenerate
+    rows whose float sum lies within FLOAT_MARGIN of the minimum, or for
+    p = 4 of the minimum for the row's own min |n_j|, with their float sums
+    (and min |n_j|).  A chunk's minima are never below the merged ones, so
+    filtering again after each merge leaves exactly the rows within the
+    margin of the global minima.
+    """
 
     def __init__(self, p: int, bound: int, track_by_min: bool):
         self.count = 0
         self.degenerate = 0
         self.min_float = np.inf
         self.by_min = np.full(bound + 1, np.inf) if track_by_min else None
-        self.zero_candidates: list[np.ndarray] = []
+        self.rows = np.empty((0, p), dtype=np.int64)
+        self.sums = np.empty(0)
+        self.mins = np.empty(0, dtype=np.int64) if track_by_min else None
+
+    def _keep_near(self):
+        floor = self.min_float if self.by_min is None else self.by_min[self.mins]
+        near = self.sums <= floor + FLOAT_MARGIN
+        self.rows, self.sums = self.rows[near], self.sums[near]
+        if self.mins is not None:
+            self.mins = self.mins[near]
 
     def merge(self, other: "_ChunkStats"):
         self.count += other.count
         self.degenerate += other.degenerate
         self.min_float = min(self.min_float, other.min_float)
+        self.rows = np.concatenate([self.rows, other.rows])
+        self.sums = np.concatenate([self.sums, other.sums])
         if self.by_min is not None:
             np.minimum(self.by_min, other.by_min, out=self.by_min)
-        self.zero_candidates.extend(other.zero_candidates)
+            self.mins = np.concatenate([self.mins, other.mins])
+        self._keep_near()
 
 
-def _enumerate_chunks(p: int, bound: int) -> Iterable[tuple]:
-    """Yield (lead_value, free-slot grids) covering all ordered tuples once.
+def _chunk_rows(lead: int, flat: list, bound: int, p: int) -> np.ndarray:
+    """Materialize the valid ordered tuples with leading entry ``lead``, (rows, p).
 
-    The leading entry is fixed per chunk; slots 2..p-1 run over the full
-    mode set and the last slot is determined by the zero-sum constraint.
+    Slots 2..p-1 run over ``flat`` (the raveled grid of the full mode set)
+    and the last slot is determined by the zero-sum constraint.
     """
-    values = _mode_values(bound)
-    free = p - 2
-    grids = np.meshgrid(*([values] * free), indexing="ij") if free else []
-    flat = [g.ravel() for g in grids]
-    for lead in values:
-        yield int(lead), flat
-
-
-def _chunk_rows(lead: int, flat: list, bound: int, p: int) -> np.ndarray | None:
-    """Materialize the valid ordered tuples of one chunk, (rows, p)."""
-    if p == 2:
-        return None
-    size = flat[0].shape[0] if flat else 1
-    rows = np.empty((size, p), dtype=np.int64)
+    rows = np.empty((flat[0].shape[0], p), dtype=np.int64)
     rows[:, 0] = lead
     for j, col in enumerate(flat):
         rows[:, j + 1] = col
@@ -198,91 +211,76 @@ def _chunk_rows(lead: int, flat: list, bound: int, p: int) -> np.ndarray | None:
     return rows[keep]
 
 
-def _scan(p: int, bound: int, zero_margin: float, track_by_min: bool) -> _ChunkStats:
-    def work(args) -> _ChunkStats:
-        lead, flat = args
+def _scan(p: int, bound: int, track_by_min: bool) -> _ChunkStats:
+    """The one pass over all ordered tuples, one chunk per leading mode.
+
+    Returns the merged counts, float minima and candidate rows.  Chunks run
+    on ``SQGLAB_THREADS`` worker threads and are merged in a fixed order.
+    """
+    values = _mode_values(bound)
+    flat = [g.ravel() for g in np.meshgrid(*([values] * (p - 2)), indexing="ij")]
+
+    def work(lead: int) -> _ChunkStats:
         stats = _ChunkStats(p, bound, track_by_min)
         rows = _chunk_rows(lead, flat, bound, p)
-        if rows is None or rows.shape[0] == 0:
-            return stats
         stats.count = rows.shape[0]
-        sums = np.abs(dispersion_float(rows).sum(axis=1))
         if p % 2 == 0:
-            deg = _degenerate_rows(rows)
-            stats.degenerate = int(np.count_nonzero(deg))
-            live = ~deg
-        else:
-            live = np.ones(rows.shape[0], dtype=bool)
-        live_sums = sums[live]
-        if live_sums.size:
-            stats.min_float = float(live_sums.min())
-            if track_by_min:
-                mins = np.abs(rows[live]).min(axis=1)
-                np.minimum.at(stats.by_min, mins, live_sums)
-            near = live_sums <= zero_margin
-            if np.any(near):
-                stats.zero_candidates.append(rows[live][near])
+            degenerate = _degenerate_rows(rows)
+            stats.degenerate = int(np.count_nonzero(degenerate))
+            rows = rows[~degenerate]
+        if rows.shape[0] == 0:
+            return stats
+        stats.rows = rows
+        stats.sums = np.abs(dispersion_float(rows).sum(axis=1))
+        stats.min_float = float(stats.sums.min())
+        if track_by_min:
+            stats.mins = np.abs(rows).min(axis=1)
+            np.minimum.at(stats.by_min, stats.mins, stats.sums)
+        stats._keep_near()
         return stats
 
-    chunks = list(_enumerate_chunks(p, bound))
+    leads = [int(lead) for lead in values]
     total = _ChunkStats(p, bound, track_by_min)
     workers = _num_threads()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for stats in pool.map(work, chunks):
+            for stats in pool.map(work, leads):
                 total.merge(stats)
     else:
-        for chunk in chunks:
-            total.merge(work(chunk))
+        for lead in leads:
+            total.merge(work(lead))
     return total
 
 
-def _collect_candidates(p: int, bound: int, threshold, by_min_threshold=None):
-    """Second pass: gather nondegenerate rows under float thresholds."""
-    global_rows = []
-    by_min_rows: dict[int, list] = {}
-    for lead, flat in _enumerate_chunks(p, bound):
-        rows = _chunk_rows(lead, flat, bound, p)
-        if rows is None or rows.shape[0] == 0:
-            continue
-        sums = np.abs(dispersion_float(rows).sum(axis=1))
-        if p % 2 == 0:
-            live = ~_degenerate_rows(rows)
-        else:
-            live = np.ones(rows.shape[0], dtype=bool)
-        near = live & (sums <= threshold)
-        if np.any(near):
-            global_rows.append(rows[near])
-        if by_min_threshold is not None:
-            mins = np.abs(rows).min(axis=1)
-            near_local = live & (sums <= by_min_threshold[mins])
-            if np.any(near_local):
-                for row in rows[near_local]:
-                    by_min_rows.setdefault(int(np.abs(row).min()), []).append(row)
-    merged = np.concatenate(global_rows) if global_rows else np.empty((0, p), np.int64)
-    return merged, by_min_rows
+def _search(p: int, bound: int, track_by_min: bool):
+    """Scan once and confirm the candidates exactly.
 
-
-def _exact_min(rows: np.ndarray) -> tuple[Fraction, tuple] | None:
-    """Exact minimum of |frequency sum| over rows, deterministic argmin."""
-    best: Fraction | None = None
-    best_tuple = None
-    for row in rows:
-        value = abs(sum((dispersion(int(n)) for n in row), Fraction(0)))
-        rep = canonical_tuple(row)
-        if best is None or value < best or (value == best and rep < best_tuple):
-            best, best_tuple = value, rep
-    if best is None:
-        return None
-    return best, best_tuple
-
-
-def _exact_zeros(rows: np.ndarray) -> list[tuple]:
-    zeros = set()
-    for row in rows:
-        if sum((dispersion(int(n)) for n in row), Fraction(0)) == 0:
-            zeros.add(canonical_tuple(row))
-    return sorted(zeros)
+    Returns the report (without ``scaling_by_min``), the scan state and the
+    exact |frequency sum| of each of its candidate rows.  Every minimum is
+    >= 0, so the rows within FLOAT_MARGIN of zero, which hold every exact
+    resonance, are among those within FLOAT_MARGIN of the minimum.
+    """
+    stats = _scan(p, bound, track_by_min)
+    exact = [
+        abs(sum((dispersion(int(n)) for n in row), Fraction(0))) for row in stats.rows
+    ]
+    near = stats.sums <= stats.min_float + FLOAT_MARGIN
+    ranked = [
+        (value, canonical_tuple(row))
+        for value, row, ok in zip(exact, stats.rows, near)
+        if ok
+    ]
+    min_value, argmin = min(ranked, default=(None, None))
+    report = ResonanceReport(
+        p=p,
+        bound=bound,
+        min_value=min_value,
+        argmin=argmin,
+        degenerate_count=stats.degenerate,
+        exact_zero_tuples=sorted({rep for value, rep in ranked if value == 0}),
+        tuples_scanned=stats.count,
+    )
+    return report, stats, exact
 
 
 #: Proven lower bounds for the nondegenerate frequency-sum minimum.
@@ -301,52 +299,22 @@ def min_denominator(p: int, bound: int) -> ResonanceReport:
     if bound < 9:
         raise ValueError(f"bound {bound} < 9 is too small to be informative")
 
-    track = p == 4
-    stats = _scan(p, bound, zero_margin=FLOAT_MARGIN, track_by_min=track)
+    report, stats, exact = _search(p, bound, track_by_min=p == 4)
     if stats.count == 0:
         raise ValueError(f"no admissible tuples with p={p}, bound={bound}")
 
-    zero_rows = (
-        np.concatenate(stats.zero_candidates)
-        if stats.zero_candidates
-        else np.empty((0, p), np.int64)
-    )
-    exact_zeros = _exact_zeros(zero_rows)
-
-    by_min_threshold = None
-    if track:
-        by_min_threshold = stats.by_min + FLOAT_MARGIN
-    candidates, by_min_rows = _collect_candidates(
-        p, bound, stats.min_float + FLOAT_MARGIN, by_min_threshold
-    )
-    exact = _exact_min(candidates)
-    assert exact is not None
-    min_value, argmin = exact
-
-    scaling = None
-    if track:
-        scaling = {}
-        for v, rows in by_min_rows.items():
-            result = _exact_min(np.asarray(rows))
-            if result is not None:
-                scaling[v] = result[0]
+    if p == 4:
+        scaling: dict[int, Fraction] = {}
+        for v, value in zip(stats.mins.tolist(), exact):
+            scaling[v] = min(value, scaling.get(v, value))
+        report.scaling_by_min = scaling
 
     known = KNOWN_LOWER_BOUNDS.get(p)
-    if known is not None and not exact_zeros and min_value < known:
+    if known is not None and not report.exact_zero_tuples and report.min_value < known:
         raise AssertionError(
-            f"p={p} minimum {min_value} violates the proven bound {known}"
+            f"p={p} minimum {report.min_value} violates the proven bound {known}"
         )
-
-    return ResonanceReport(
-        p=p,
-        bound=bound,
-        min_value=min_value,
-        argmin=argmin,
-        degenerate_count=stats.degenerate,
-        exact_zero_tuples=exact_zeros,
-        scaling_by_min=scaling,
-        tuples_scanned=stats.count,
-    )
+    return report
 
 
 def search_resonances_p6(bound: int = 20) -> ResonanceReport:
@@ -355,28 +323,9 @@ def search_resonances_p6(bound: int = 20) -> ResonanceReport:
     An empty ``exact_zero_tuples`` list is evidence for non-existence within
     the searched radius, nothing more.
     """
-    p = 6
     if bound < 9:
         raise ValueError(f"bound {bound} < 9 is too small to be informative")
-    stats = _scan(p, bound, zero_margin=FLOAT_MARGIN, track_by_min=False)
-    zero_rows = (
-        np.concatenate(stats.zero_candidates)
-        if stats.zero_candidates
-        else np.empty((0, p), np.int64)
-    )
-    exact_zeros = _exact_zeros(zero_rows)
-    candidates, _ = _collect_candidates(p, bound, stats.min_float + FLOAT_MARGIN)
-    exact = _exact_min(candidates)
-    min_value, argmin = exact if exact is not None else (None, None)
-    return ResonanceReport(
-        p=p,
-        bound=bound,
-        min_value=min_value,
-        argmin=argmin,
-        degenerate_count=stats.degenerate,
-        exact_zero_tuples=exact_zeros,
-        tuples_scanned=stats.count,
-    )
+    return _search(6, bound, track_by_min=False)[0]
 
 
 def certify(report: ResonanceReport, path) -> None:

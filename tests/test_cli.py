@@ -46,6 +46,30 @@ class TestValidateConfig:
         with pytest.raises(cli.ConfigError, match="typo_field"):
             cli.validate_config(path)
 
+    @pytest.mark.parametrize(
+        "field,overrides",
+        [
+            ("t_end", {"t_end": float("inf")}),
+            ("s", {"s": float("inf")}),
+            ("epsilon", {"epsilon": True}),
+            ("seed", {"seed": True}),
+            ("seed", {"seed": -1}),
+            ("diagnostics_stride", {"diagnostics_stride": True}),
+            ("t_end", {"dt": 0.3, "t_end": 1.0}),
+        ],
+    )
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, field, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "traj.csv"
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f" {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_end,dt", [(20.0, 0.01), (0.3, 0.1), (0.7, 0.1)])
+    def test_decimal_step_ratio_accepted(self, tmp_path, t_end, dt):
+        path = write_config(tmp_path / "cfg.json", t_end=t_end, dt=dt)
+        assert cli.validate_config(path)["t_end"] == t_end
+
     def test_eps_list_checked(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", eps_list=[0.05, 0.1])
         with pytest.raises(cli.ConfigError, match="eps_list"):

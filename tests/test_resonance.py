@@ -85,8 +85,14 @@ def brute_force_min(p, bound):
     return best, degenerate, scanned
 
 
+def search(p, bound):
+    if p == 6:
+        return rs.search_resonances_p6(bound)
+    return rs.min_denominator(p, bound)
+
+
 class TestSearches:
-    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("p", [3, 4, 5])
     def test_matches_unpruned_enumeration(self, p):
         report = rs.min_denominator(p, 10)
         oracle_min, oracle_degenerate, oracle_scanned = brute_force_min(p, 10)
@@ -124,11 +130,26 @@ class TestSearches:
         with pytest.raises(ValueError):
             rs.min_denominator(3, 8)
 
-    def test_threaded_run_matches_serial(self, monkeypatch):
-        serial = rs.min_denominator(4, 16)
+    @pytest.mark.parametrize("p,bound", [(4, 16), (6, 12)])
+    def test_threaded_run_matches_serial(self, monkeypatch, p, bound):
+        serial = search(p, bound)
         monkeypatch.setenv(rs.THREADS_ENV, "3")
-        threaded = rs.min_denominator(4, 16)
+        threaded = search(p, bound)
         assert serial.to_dict() == threaded.to_dict()
+
+    @pytest.mark.parametrize("p,bound", [(4, 12), (6, 9)])
+    def test_each_chunk_enumerated_once(self, monkeypatch, p, bound):
+        calls = []
+        chunk_rows = rs._chunk_rows
+
+        def counted(lead, *args):
+            calls.append(lead)
+            return chunk_rows(lead, *args)
+
+        monkeypatch.setattr(rs, "_chunk_rows", counted)
+        search(p, bound)
+        assert len(calls) == 2 * (bound - 2)
+        assert sorted(calls) == [int(n) for n in rs._mode_values(bound)]
 
 
 def degenerate_sextuple_count(bound):
