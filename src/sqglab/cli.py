@@ -5,9 +5,7 @@ the subcommand, a SHA-256 of the configuration, the tool version, the seed
 and the wall time.  Data outputs are byte-deterministic for a fixed
 (subcommand, config, seed, version): floats are printed with 17 significant
 digits and exact rationals as "p/q" strings.  Files are written atomically
-(temp file + rename).  The SQGLAB_THREADS environment variable sets the
-number of worker threads used by the resonance searches; each search is a
-single pass over the tuples, so the threads cover all of it.
+(temp file + rename).
 """
 
 from __future__ import annotations

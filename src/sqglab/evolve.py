@@ -18,6 +18,7 @@ exponents of the corrected-energy derivatives (expected 3, 4 and 6).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -63,6 +64,9 @@ class SimConfig:
     corrected_energies: bool = True
 
     def __post_init__(self):
+        for name in ("s", "dt", "t_end", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.m < 3:
             raise ValueError("m must be >= 3")
         if self.n_max < self.m or self.n_max % self.m != 0:

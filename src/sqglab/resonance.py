@@ -14,16 +14,21 @@ reach of exact search:
 Every decision is made in exact rational arithmetic.  Floats appear only as
 a pre-filter: candidates within 1e-6 of the float threshold are re-evaluated
 exactly before anything is concluded.
+
+The searches meet in the middle (Horowitz & Sahni, J. ACM 21(2), 1974): a
+p-tuple is a left and a right half with opposite momenta (integer sums).
+Each set of halves is enumerated once, grouped by momentum and sorted by
+float frequency sum, and binary search builds only the tuples whose sum
+lies in a window around zero.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,18 +40,12 @@ from .dispersion import MIN_MODE, dispersion, dispersion_float
 #: adds at most (p-1)*u*p*8/5, so a float sum is within 36*u*8/5 < 1e-14 of
 #: the exact one.  A row at the exact minimum (or at zero) therefore lies
 #: within 2e-14 of the float minimum (or of zero); 1e-6 covers that with room.
+#: The split search adds two float half sums, A_left + A_right: still p
+#: terms summed in some order, so the bound holds.  Its built window has
+#: width w >= m + 1e-6 (m the float minimum), a row at the exact minimum has
+#: |A_left + A_right| <= m + 2e-14, and rounding the window ends
+#: -A_left -/+ w errs by < 1e-14, so binary search cannot leave that row out.
 FLOAT_MARGIN = 1e-6
-
-#: Environment variable selecting the number of enumeration worker threads.
-THREADS_ENV = "SQGLAB_THREADS"
-
-
-def _num_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def check_tuple(entries: Sequence[int]) -> tuple:
@@ -140,130 +139,126 @@ class ResonanceReport:
         )
 
 
-def _mode_values(bound: int) -> np.ndarray:
-    """All admissible modes with |n| <= bound, ascending."""
-    pos = np.arange(MIN_MODE, bound + 1, dtype=np.int64)
-    return np.concatenate([-pos[::-1], pos])
-
-
 def _degenerate_rows(rows: np.ndarray) -> np.ndarray:
     ordered = np.sort(rows, axis=1)
-    half = rows.shape[1] // 2
-    ok = np.ones(rows.shape[0], dtype=bool)
-    for i in range(half):
-        ok &= ordered[:, i] == -ordered[:, -1 - i]
-    return ok
+    return (ordered == -ordered[:, ::-1]).all(axis=1)
+
+
+class _Halves(NamedTuple):
+    """All ordered k-tuples of modes 3 <= |n| <= bound, sorted by (momentum,
+    float frequency sum); ``groups`` maps each momentum to its rows' slice."""
+
+    rows: np.ndarray
+    sums: np.ndarray
+    groups: dict
+
+
+def _half_tuples(bound: int, k: int) -> _Halves:
+    pos = np.arange(MIN_MODE, bound + 1, dtype=np.int64)
+    values = np.concatenate([-pos[::-1], pos])
+    rows = np.stack([g.ravel() for g in np.meshgrid(*([values] * k), indexing="ij")], axis=1)
+    momentum = rows.sum(axis=1)
+    sums = dispersion_float(rows).sum(axis=1)
+    order = np.lexsort((sums, momentum))
+    momenta, starts = np.unique(momentum[order], return_index=True)
+    ends = starts[1:].tolist() + [rows.shape[0]]
+    groups = {s: slice(a, b) for s, a, b in zip(momenta.tolist(), starts.tolist(), ends)}
+    return _Halves(rows[order], sums[order], groups)
 
 
 class _ChunkStats:
-    """Reduction state of the scan; ``merge`` is associative.
+    """Reduction state of one window, fed one momentum bucket at a time.
 
-    Besides the counts and the float minima (overall, and per min |n_j| when
-    ``by_min`` is tracked) it carries the candidate rows: the nondegenerate
-    rows whose float sum lies within FLOAT_MARGIN of the minimum, or for
-    p = 4 of the minimum for the row's own min |n_j|, with their float sums
-    (and min |n_j|).  A chunk's minima are never below the merged ones, so
-    filtering again after each merge leaves exactly the rows within the
-    margin of the global minima.
+    Besides the degenerate count and the float minima (overall, and for
+    p = 4 per min |n_j|) it keeps the candidate rows and their float sums:
+    the nondegenerate rows within FLOAT_MARGIN of the minimum (for p = 4, of
+    the minimum for the row's own min |n_j|).  Minima only fall, so filtering
+    after each bucket keeps exactly those rows, in memory bounded by the
+    largest bucket.
     """
 
-    def __init__(self, p: int, bound: int, track_by_min: bool):
-        self.count = 0
+    def __init__(self, p: int, bound: int):
         self.degenerate = 0
         self.min_float = np.inf
-        self.by_min = np.full(bound + 1, np.inf) if track_by_min else None
+        self.by_min = np.full(bound + 1, np.inf) if p == 4 else None
         self.rows = np.empty((0, p), dtype=np.int64)
         self.sums = np.empty(0)
-        self.mins = np.empty(0, dtype=np.int64) if track_by_min else None
 
-    def _keep_near(self):
-        floor = self.min_float if self.by_min is None else self.by_min[self.mins]
+    def add(self, rows: np.ndarray, sums: np.ndarray):
+        """Fold in one bucket's rows and their float |frequency sums|."""
+        if rows.shape[1] % 2 == 0:
+            degenerate = _degenerate_rows(rows)
+            self.degenerate += int(np.count_nonzero(degenerate))
+            rows, sums = rows[~degenerate], sums[~degenerate]
+        self.min_float = min(self.min_float, float(sums.min(initial=np.inf)))
+        self.rows = np.concatenate([self.rows, rows])
+        self.sums = np.concatenate([self.sums, sums])
+        floor = self.min_float
+        if self.by_min is not None:
+            mins = np.abs(self.rows).min(axis=1)
+            np.minimum.at(self.by_min, mins, self.sums)
+            floor = self.by_min[mins]
         near = self.sums <= floor + FLOAT_MARGIN
         self.rows, self.sums = self.rows[near], self.sums[near]
-        if self.mins is not None:
-            self.mins = self.mins[near]
-
-    def merge(self, other: "_ChunkStats"):
-        self.count += other.count
-        self.degenerate += other.degenerate
-        self.min_float = min(self.min_float, other.min_float)
-        self.rows = np.concatenate([self.rows, other.rows])
-        self.sums = np.concatenate([self.sums, other.sums])
-        if self.by_min is not None:
-            np.minimum(self.by_min, other.by_min, out=self.by_min)
-            self.mins = np.concatenate([self.mins, other.mins])
-        self._keep_near()
 
 
-def _chunk_rows(lead: int, flat: list, bound: int, p: int) -> np.ndarray:
-    """Materialize the valid ordered tuples with leading entry ``lead``, (rows, p).
-
-    Slots 2..p-1 run over ``flat`` (the raveled grid of the full mode set)
-    and the last slot is determined by the zero-sum constraint.
-    """
-    rows = np.empty((flat[0].shape[0], p), dtype=np.int64)
-    rows[:, 0] = lead
-    for j, col in enumerate(flat):
-        rows[:, j + 1] = col
-    rows[:, -1] = -rows[:, :-1].sum(axis=1)
-    last = rows[:, -1]
-    keep = (np.abs(last) >= MIN_MODE) & (np.abs(last) <= bound)
-    return rows[keep]
+def _runs(left: _Halves, right: _Halves, width: float):
+    """Per momentum S: the slices of the left halves at S and the right ones
+    at -S, their float sums a and b, and for each left half the run lo:hi of
+    right halves with b in [-a - width, -a + width]."""
+    for momentum, lsl in left.groups.items():
+        rsl = right.groups.get(-momentum)
+        if rsl is not None:
+            a, b = left.sums[lsl], right.sums[rsl]
+            lo = np.searchsorted(b, -a - width, side="left")
+            yield lsl, rsl, a, b, lo, np.searchsorted(b, -a + width, side="right")
 
 
-def _scan(p: int, bound: int, track_by_min: bool) -> _ChunkStats:
-    """The one pass over all ordered tuples, one chunk per leading mode.
-
-    Returns the merged counts, float minima and candidate rows.  Chunks run
-    on ``SQGLAB_THREADS`` worker threads and are merged in a fixed order.
-    """
-    values = _mode_values(bound)
-    flat = [g.ravel() for g in np.meshgrid(*([values] * (p - 2)), indexing="ij")]
-
-    def work(lead: int) -> _ChunkStats:
-        stats = _ChunkStats(p, bound, track_by_min)
-        rows = _chunk_rows(lead, flat, bound, p)
-        stats.count = rows.shape[0]
-        if p % 2 == 0:
-            degenerate = _degenerate_rows(rows)
-            stats.degenerate = int(np.count_nonzero(degenerate))
-            rows = rows[~degenerate]
-        if rows.shape[0] == 0:
-            return stats
-        stats.rows = rows
-        stats.sums = np.abs(dispersion_float(rows).sum(axis=1))
-        stats.min_float = float(stats.sums.min())
-        if track_by_min:
-            stats.mins = np.abs(rows).min(axis=1)
-            np.minimum.at(stats.by_min, stats.mins, stats.sums)
-        stats._keep_near()
-        return stats
-
-    leads = [int(lead) for lead in values]
-    total = _ChunkStats(p, bound, track_by_min)
-    workers = _num_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for stats in pool.map(work, leads):
-                total.merge(stats)
-    else:
-        for lead in leads:
-            total.merge(work(lead))
-    return total
+def _nearest_outside(left: _Halves, right: _Halves, width: float) -> float:
+    """Smallest float |frequency sum| outside the window; for each left half
+    it lies next to its run, at right half lo - 1 or hi."""
+    best = np.inf
+    for _, _, a, b, lo, hi in _runs(left, right, width):
+        for j in (lo - 1, hi):
+            ok = (j >= 0) & (j < b.shape[0])
+            best = min(best, float(np.abs(a[ok] + b[j[ok]]).min(initial=np.inf)))
+    return best
 
 
-def _search(p: int, bound: int, track_by_min: bool):
-    """Scan once and confirm the candidates exactly.
+def _window(left: _Halves, right: _Halves, width: float, p: int, bound: int) -> _ChunkStats:
+    """Build and reduce the tuples whose float |frequency sum| is <= ``width``."""
+    stats = _ChunkStats(p, bound)
+    for lsl, rsl, a, b, lo, hi in _runs(left, right, width):
+        counts = hi - lo
+        li = np.repeat(np.arange(a.shape[0]), counts)
+        # the k-th row of left half i pairs it with right half lo[i] + k
+        ri = np.arange(li.shape[0]) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        rows = np.concatenate([left.rows[lsl][li], right.rows[rsl][ri]], axis=1)
+        stats.add(rows, np.abs(a[li] + b[ri]))
+    return stats
 
-    Returns the report (without ``scaling_by_min``), the scan state and the
-    exact |frequency sum| of each of its candidate rows.  Every minimum is
-    >= 0, so the rows within FLOAT_MARGIN of zero, which hold every exact
+
+def _search(p: int, bound: int):
+    """Split search over all ordered p-tuples, then exact confirmation.
+
+    Halves are p // 2 and p - p // 2 entries long; ``tuples_scanned`` is the
+    size of the unbounded window, sum over S of c_left(S) * c_right(-S).
+    Degenerate tuples (exact sum 0) lie in the window of width FLOAT_MARGIN,
+    so the nondegenerate float minimum is at most the smallest sum m outside
+    it, and only the window of width m + FLOAT_MARGIN is built (for p = 4,
+    which needs every per-min minimum, the unbounded one).
+
+    Returns the report (without ``scaling_by_min``), the window state and
+    the exact |frequency sum| of each candidate row.  Every minimum is >= 0,
+    so the rows within FLOAT_MARGIN of zero, which hold every exact
     resonance, are among those within FLOAT_MARGIN of the minimum.
     """
-    stats = _scan(p, bound, track_by_min)
-    exact = [
-        abs(sum((dispersion(int(n)) for n in row), Fraction(0))) for row in stats.rows
-    ]
+    left, right = _half_tuples(bound, p // 2), _half_tuples(bound, p - p // 2)
+    width = np.inf if p == 4 else _nearest_outside(left, right, FLOAT_MARGIN)
+    stats = _window(left, right, width + FLOAT_MARGIN, p, bound)
+    scanned = sum(int((hi - lo).sum()) for *_, lo, hi in _runs(left, right, np.inf))
+
+    exact = [abs(lambda_sum(row)) for row in stats.rows]
     near = stats.sums <= stats.min_float + FLOAT_MARGIN
     ranked = [
         (value, canonical_tuple(row))
@@ -278,7 +273,7 @@ def _search(p: int, bound: int, track_by_min: bool):
         argmin=argmin,
         degenerate_count=stats.degenerate,
         exact_zero_tuples=sorted({rep for value, rep in ranked if value == 0}),
-        tuples_scanned=stats.count,
+        tuples_scanned=scanned,
     )
     return report, stats, exact
 
@@ -299,13 +294,13 @@ def min_denominator(p: int, bound: int) -> ResonanceReport:
     if bound < 9:
         raise ValueError(f"bound {bound} < 9 is too small to be informative")
 
-    report, stats, exact = _search(p, bound, track_by_min=p == 4)
-    if stats.count == 0:
+    report, stats, exact = _search(p, bound)
+    if report.tuples_scanned == 0:
         raise ValueError(f"no admissible tuples with p={p}, bound={bound}")
 
     if p == 4:
         scaling: dict[int, Fraction] = {}
-        for v, value in zip(stats.mins.tolist(), exact):
+        for v, value in zip(np.abs(stats.rows).min(axis=1).tolist(), exact):
             scaling[v] = min(value, scaling.get(v, value))
         report.scaling_by_min = scaling
 
@@ -325,7 +320,7 @@ def search_resonances_p6(bound: int = 20) -> ResonanceReport:
     """
     if bound < 9:
         raise ValueError(f"bound {bound} < 9 is too small to be informative")
-    return _search(6, bound, track_by_min=False)[0]
+    return _search(6, bound)[0]
 
 
 def certify(report: ResonanceReport, path) -> None:

@@ -5,6 +5,8 @@ finite differences of the recorded energies along a trajectory must match
 the multilinear derivative forms with second-order accuracy in dt.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,12 @@ class TestConfig:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             ev.SimConfig(**bad)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["s", "dt", "t_end", "epsilon"])
+    def test_rejects_non_finite_naming_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ev.SimConfig(**{name: value})
 
 
 class TestInitialData:

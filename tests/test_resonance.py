@@ -6,13 +6,17 @@ degenerate tuples.
 """
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sqglab import resonance as rs
 from sqglab.dispersion import dispersion
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 class TestLambdaSum:
@@ -130,26 +134,50 @@ class TestSearches:
         with pytest.raises(ValueError):
             rs.min_denominator(3, 8)
 
-    @pytest.mark.parametrize("p,bound", [(4, 16), (6, 12)])
-    def test_threaded_run_matches_serial(self, monkeypatch, p, bound):
-        serial = search(p, bound)
-        monkeypatch.setenv(rs.THREADS_ENV, "3")
-        threaded = search(p, bound)
-        assert serial.to_dict() == threaded.to_dict()
+    @pytest.mark.parametrize("p,bound,share", [(4, 12, 1.0), (6, 12, 0.1)])
+    def test_each_half_built_once(self, monkeypatch, p, bound, share):
+        """One build per half; p = 4 builds each tuple once, p = 6 few."""
+        builds, built = [], []
+        half_tuples, degenerate_rows = rs._half_tuples, rs._degenerate_rows
 
-    @pytest.mark.parametrize("p,bound", [(4, 12), (6, 9)])
-    def test_each_chunk_enumerated_once(self, monkeypatch, p, bound):
-        calls = []
-        chunk_rows = rs._chunk_rows
+        def counted_halves(bound, k):
+            builds.append(k)
+            return half_tuples(bound, k)
 
-        def counted(lead, *args):
-            calls.append(lead)
-            return chunk_rows(lead, *args)
+        def counted_rows(rows):
+            built.append(rows.shape[0])
+            return degenerate_rows(rows)
 
-        monkeypatch.setattr(rs, "_chunk_rows", counted)
-        search(p, bound)
-        assert len(calls) == 2 * (bound - 2)
-        assert sorted(calls) == [int(n) for n in rs._mode_values(bound)]
+        monkeypatch.setattr(rs, "_half_tuples", counted_halves)
+        monkeypatch.setattr(rs, "_degenerate_rows", counted_rows)
+        report = search(p, bound)
+        assert sorted(builds) == [p // 2, p - p // 2]
+        assert sum(built) <= share * report.tuples_scanned
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_matches_reference_certificate(self, p):
+        reference = REFERENCE / f"p{p}_b9.json"
+        assert search(p, 9).to_dict() == json.loads(reference.read_text())
+
+    def test_window_reaches_past_empty_band(self, monkeypatch):
+        """Every quintic sum exceeds 9/35, so the band of width FLOAT_MARGIN
+        is empty and only the nearest partners outside it locate the minimum."""
+        widths = []
+        window = rs._window
+
+        def recorded(left, right, width, *args):
+            widths.append(width)
+            return window(left, right, width, *args)
+
+        monkeypatch.setattr(rs, "_window", recorded)
+        report = rs.min_denominator(5, 10)
+        band = rs._runs(rs._half_tuples(10, 2), rs._half_tuples(10, 3), rs.FLOAT_MARGIN)
+        assert sum(int((hi - lo).sum()) for *_, lo, hi in band) == 0
+        assert len(widths) == 1 and widths[0] > rs.KNOWN_LOWER_BOUNDS[5]
+        oracle_min, oracle_degenerate, oracle_scanned = brute_force_min(5, 10)
+        assert report.min_value == oracle_min
+        assert report.degenerate_count == oracle_degenerate
+        assert report.tuples_scanned == oracle_scanned
 
 
 def degenerate_sextuple_count(bound):
