@@ -6,16 +6,22 @@ and the wall time.  Data outputs are byte-deterministic for a fixed
 (subcommand, config, seed, version): floats are printed with 17 significant
 digits and exact rationals as "p/q" strings.  Files are written atomically
 (temp file + rename).
+
+A run config (``evolve``, ``normalform``) is a JSON object.  The CLI loads
+it, rejects unknown keys and fills in the defaults of ``evolve.SimConfig``;
+every rule on the values lives in ``evolve.config_problems``, which
+``SimConfig`` enforces for library callers too.  Exit code 2 means a bad
+config or bad arguments, naming each offending field; 1 means the run failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -76,138 +82,35 @@ def emit_manifest(
     return path
 
 
-_EVOLVE_DEFAULTS = {
-    "m": 3,
-    "n_max": 24,
-    "s": 3.0,
-    "dt": 0.01,
-    "t_end": 10.0,
-    "epsilon": 0.1,
-    "seed": 0,
-    "initial_profile": "random_band",
-    "diagnostics_stride": 10,
-    "linear_only": False,
-    "corrected_energies": True,
-}
+def validate_config(path: str, extra_defaults: dict | None = None) -> tuple:
+    """Load a JSON run config and fill in the defaults of ``SimConfig``.
 
-
-#: Relative slack allowed when t_end/dt is checked to be a whole number, so
-#: that decimal inputs such as t_end=0.3, dt=0.1 (ratio 2.9999999999999996) pass.
-_STEP_RTOL = 1e-9
-
-
-def _finite_real(value) -> bool:
-    """True for a finite JSON number; booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _integer(value) -> bool:
-    return _finite_real(value) and isinstance(value, int)
-
-
-def validate_config(path: str, extra_defaults: dict | None = None) -> dict:
-    """Load a JSON run config, fill defaults, and check every range.
-
-    Raises ConfigError naming each violated field.  Returns the normalized
-    config dictionary.
+    ``extra_defaults`` are the subcommand's own fields.  Raises ConfigError
+    naming each violated field.  Returns the ``SimConfig`` and a dict of the
+    other fields: ``initial_state`` (None when not given) and the extras.
     """
     try:
         with open(path) as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be a JSON object")
 
-    defaults = dict(_EVOLVE_DEFAULTS)
-    if extra_defaults:
-        defaults.update(extra_defaults)
-    known = set(defaults) | {"initial_state"}
-    problems = [f"{key}: unknown field" for key in raw if key not in known]
-    cfg = {**defaults, **raw}
-
-    def check(name, ok, message):
-        if not ok:
-            problems.append(f"{name}: {message}")
-
-    m_ok = _integer(cfg["m"]) and cfg["m"] >= 3
-    check("m", m_ok, "must be an integer >= 3")
-    if m_ok:
-        check(
-            "n_max",
-            _integer(cfg["n_max"])
-            and cfg["n_max"] >= cfg["m"]
-            and cfg["n_max"] % cfg["m"] == 0,
-            f"must be a positive multiple of m={cfg['m']}",
-        )
-    check("s", _finite_real(cfg["s"]) and cfg["s"] >= 0, "must be a finite number >= 0")
-    dt_ok = _finite_real(cfg["dt"]) and cfg["dt"] > 0
-    check("dt", dt_ok, "must be a finite number > 0")
-    t_end_ok = _finite_real(cfg["t_end"]) and (not dt_ok or cfg["t_end"] >= cfg["dt"])
-    check("t_end", t_end_ok, "must be a finite number >= dt")
-    if dt_ok and t_end_ok:
-        steps = cfg["t_end"] / cfg["dt"]
-        check(
-            "t_end",
-            math.isfinite(steps) and abs(steps - round(steps)) <= _STEP_RTOL * steps,
-            f"must be a whole number of steps of dt={cfg['dt']}",
-        )
-    check(
-        "epsilon",
-        _finite_real(cfg["epsilon"]) and cfg["epsilon"] > 0,
-        "must be a finite number > 0",
-    )
-    check("seed", _integer(cfg["seed"]) and cfg["seed"] >= 0, "must be an integer >= 0")
-    check(
-        "initial_profile",
-        cfg["initial_profile"] in ("single_mode", "random_band"),
-        "must be single_mode or random_band",
-    )
-    check(
-        "diagnostics_stride",
-        _integer(cfg["diagnostics_stride"]) and cfg["diagnostics_stride"] >= 1,
-        "must be an integer >= 1",
-    )
-    check("linear_only", isinstance(cfg["linear_only"], bool), "must be a boolean")
-    check(
-        "corrected_energies",
-        isinstance(cfg["corrected_energies"], bool),
-        "must be a boolean",
-    )
-    if "eps_list" in defaults:
-        eps = cfg["eps_list"]
-        ok = (
-            isinstance(eps, list)
-            and len(eps) >= 2
-            and all(_finite_real(e) and e > 0 for e in eps)
-            and all(b < a for a, b in zip(eps, eps[1:]))
-        )
-        check("eps_list", ok, "must be a strictly decreasing list of >= 2 amplitudes")
-
+    defaults = {f.name: f.default for f in dataclasses.fields(evolve.SimConfig)}
+    extras = {"initial_state": None, **(extra_defaults or {})}
+    unknown = raw.keys() - defaults.keys() - extras.keys()
+    problems = [f"{key}: unknown field" for key in unknown]
+    values = {name: raw.get(name, default) for name, default in defaults.items()}
+    extras = {name: raw.get(name, default) for name, default in extras.items()}
+    problems += evolve.config_problems(values)
+    if "eps_list" in extras:
+        problems += evolve.amplitude_problems(extras["eps_list"])
+    if not isinstance(extras["initial_state"], (str, type(None))):
+        problems.append("initial_state: must be a file path")
     if problems:
         raise ConfigError(f"invalid config {path}: " + "; ".join(sorted(problems)))
-    return cfg
-
-
-def _sim_config(cfg: dict) -> evolve.SimConfig:
-    return evolve.SimConfig(
-        m=cfg["m"],
-        n_max=cfg["n_max"],
-        s=float(cfg["s"]),
-        dt=float(cfg["dt"]),
-        t_end=float(cfg["t_end"]),
-        epsilon=float(cfg["epsilon"]),
-        seed=cfg["seed"],
-        initial_profile=cfg["initial_profile"],
-        diagnostics_stride=cfg["diagnostics_stride"],
-        linear_only=cfg["linear_only"],
-        corrected_energies=cfg["corrected_energies"],
-    )
+    return evolve.SimConfig(**values), extras
 
 
 def _trajectory_rows(trajectory: evolve.Trajectory, prefix: tuple = ()) -> list:
@@ -263,15 +166,15 @@ def cmd_resonance(args) -> int:
 
 def cmd_evolve(args) -> int:
     started = time.monotonic()
-    cfg = validate_config(args.config)
+    sim, extras = validate_config(args.config)
     initial = None
-    if cfg.get("initial_state"):
+    if extras["initial_state"]:
         try:
-            with open(cfg["initial_state"]) as handle:
+            with open(extras["initial_state"]) as handle:
                 initial = SpectralField.from_dict(json.load(handle))
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             raise ConfigError(f"initial_state: {exc}") from exc
-    trajectory = evolve.run(_sim_config(cfg), initial=initial)
+    trajectory = evolve.run(sim, initial=initial)
     _write_csv(args.out, _TRAJ_HEADER, _trajectory_rows(trajectory))
     outputs = [args.out]
     if args.state_out:
@@ -279,18 +182,19 @@ def cmd_evolve(args) -> int:
         outputs.append(args.state_out)
     with open(args.config, "rb") as handle:
         config_bytes = handle.read()
-    emit_manifest(args.out, "evolve", config_bytes, outputs, cfg["seed"], started)
+    emit_manifest(args.out, "evolve", config_bytes, outputs, sim.seed, started)
     return 0
 
 
 def cmd_normalform(args) -> int:
     started = time.monotonic()
-    cfg = validate_config(args.config, extra_defaults={"eps_list": [0.1, 0.05, 0.025]})
-    sim = _sim_config(cfg)
+    sim, extras = validate_config(
+        args.config, extra_defaults={"eps_list": [0.1, 0.05, 0.025]}
+    )
 
     series_path = f"{args.out_prefix}.series.csv"
     slopes_path = f"{args.out_prefix}.slopes.json"
-    report = evolve.lifespan_experiment(cfg["eps_list"], sim, keep_trajectories=True)
+    report = evolve.lifespan_experiment(extras["eps_list"], sim, keep_trajectories=True)
     rows = []
     for eps, trajectory in zip(report.epsilons, report.trajectories):
         rows.extend(_trajectory_rows(trajectory, prefix=(_fmt(eps),)))
@@ -303,7 +207,7 @@ def cmd_normalform(args) -> int:
         "normalform",
         config_bytes,
         [series_path, slopes_path],
-        cfg["seed"],
+        sim.seed,
         started,
     )
     return 0
@@ -311,9 +215,12 @@ def cmd_normalform(args) -> int:
 
 def cmd_waves(args) -> int:
     started = time.monotonic()
-    branch = waves.continue_branch(
-        args.m, args.xi_max, args.steps, num_harmonics=args.harmonics
-    )
+    try:
+        branch = waves.continue_branch(
+            args.m, args.xi_max, args.steps, num_harmonics=args.harmonics
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     header = ["xi", "v", "residual", "decay_c"] + [
         f"a_{k}" for k in range(1, branch.num_harmonics + 1)
     ]

@@ -19,6 +19,7 @@ exponents of the corrected-energy derivatives (expected 3, 4 and 6).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -47,9 +48,93 @@ class InstabilityError(RuntimeError):
         super().__init__(f"integration unstable after t={last_time:g}")
 
 
+#: Relative slack allowed when t_end/dt is checked to be a whole number, so
+#: that decimal inputs such as t_end=0.3, dt=0.1 (ratio 2.9999999999999996) pass.
+_STEP_RTOL = 1e-9
+
+
+def _finite_real(value) -> bool:
+    """True for a finite real number; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _integer(value) -> bool:
+    return _finite_real(value) and isinstance(value, numbers.Integral)
+
+
+def config_problems(values) -> list:
+    """Every rule of a run config that ``values`` (one value per field of
+    ``SimConfig``) violates, each as ``"<field>: <rule>"``."""
+    problems = []
+
+    def check(name, ok, rule):
+        if not ok:
+            problems.append(f"{name}: {rule}")
+
+    m, n_max, s, dt, t_end = (values[k] for k in ("m", "n_max", "s", "dt", "t_end"))
+    m_ok = _integer(m) and m >= 3
+    check("m", m_ok, "must be an integer >= 3")
+    if m_ok:
+        check(
+            "n_max",
+            _integer(n_max) and n_max >= m and n_max % m == 0,
+            f"must be a positive multiple of m={m}",
+        )
+    check("s", _finite_real(s) and s >= 0, "must be a finite number >= 0")
+    dt_ok = _finite_real(dt) and dt > 0
+    check("dt", dt_ok, "must be a finite number > 0")
+    t_end_ok = _finite_real(t_end) and (not dt_ok or t_end >= dt)
+    check("t_end", t_end_ok, "must be a finite number >= dt")
+    if dt_ok and t_end_ok:
+        steps = t_end / dt
+        check(
+            "t_end",
+            math.isfinite(steps) and abs(steps - round(steps)) <= _STEP_RTOL * steps,
+            f"must be a whole number of steps of dt={dt}",
+        )
+    epsilon, seed, stride = (
+        values[k] for k in ("epsilon", "seed", "diagnostics_stride")
+    )
+    check("epsilon", _finite_real(epsilon) and epsilon > 0, "must be a finite number > 0")
+    check("seed", _integer(seed) and seed >= 0, "must be an integer >= 0")
+    check(
+        "initial_profile",
+        values["initial_profile"] in ("single_mode", "random_band"),
+        "must be single_mode or random_band",
+    )
+    check(
+        "diagnostics_stride", _integer(stride) and stride >= 1, "must be an integer >= 1"
+    )
+    for name in ("linear_only", "corrected_energies"):
+        check(name, isinstance(values[name], bool), "must be a boolean")
+    return problems
+
+
+def amplitude_problems(eps_list) -> list:
+    """The rule on the amplitudes of a lifespan sweep, as ``config_problems``."""
+    ok = (
+        isinstance(eps_list, list)
+        and len(eps_list) >= 2
+        and all(_finite_real(e) and e > 0 for e in eps_list)
+        and all(b < a for a, b in zip(eps_list, eps_list[1:]))
+    )
+    rule = "must be a strictly decreasing list of >= 2 amplitudes"
+    return [] if ok else [f"eps_list: {rule}"]
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one truncated run.  Values are dimensionless."""
+    """Parameters of one truncated run.  Values are dimensionless.
+
+    Raises ValueError naming every field that breaks a rule of
+    ``config_problems``; stores ``s``, ``dt``, ``t_end`` and ``epsilon`` as
+    floats.
+    """
 
     m: int = 3
     n_max: int = 24
@@ -64,25 +149,11 @@ class SimConfig:
     corrected_energies: bool = True
 
     def __post_init__(self):
+        problems = config_problems(vars(self))
+        if problems:
+            raise ValueError("; ".join(sorted(problems)))
         for name in ("s", "dt", "t_end", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.m < 3:
-            raise ValueError("m must be >= 3")
-        if self.n_max < self.m or self.n_max % self.m != 0:
-            raise ValueError("n_max must be a positive multiple of m")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least one step")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.s < 0:
-            raise ValueError("s must be >= 0")
-        if self.diagnostics_stride < 1:
-            raise ValueError("diagnostics_stride must be >= 1")
-        if self.initial_profile not in ("single_mode", "random_band"):
-            raise ValueError("initial_profile must be single_mode or random_band")
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 #: Diagnostic column order shared with the CLI CSV output.
@@ -151,13 +222,7 @@ def _rk4_step(coeffs, dt, half_phase, quad):
 
 def step(f: SpectralField, dt: float, linear_only: bool = False) -> SpectralField:
     """Advance one step of size dt; exact phases on the linear part."""
-    freq = dispersion_float(f.modes)
-    half_phase = np.exp(-0.5j * freq * dt)
-    quad = None if linear_only else _quadratic_term(f.m, f.n_max)
-    out = _rk4_step(f.coeffs, dt, half_phase, quad)
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise InstabilityError(0.0)
-    return f.with_coeffs(out)
+    return integrate(f, dt, 1, linear_only)
 
 
 def integrate(
@@ -329,11 +394,11 @@ def lifespan_experiment(
     Expected slopes: 3 (bare energy), 4 (cubic correction removed), 6 (full
     chain).
     """
+    eps_list = list(eps_list)
+    problems = amplitude_problems(eps_list)
+    if problems:
+        raise ValueError(problems[0])
     eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 2:
-        raise ValueError("need at least two amplitudes to fit slopes")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
 
     chain = diagnostic_chain(cfg.m, cfg.n_max, cfg.s)
     doubling: list[float | None] = []

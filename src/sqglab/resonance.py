@@ -256,7 +256,11 @@ def _search(p: int, bound: int):
     left, right = _half_tuples(bound, p // 2), _half_tuples(bound, p - p // 2)
     width = np.inf if p == 4 else _nearest_outside(left, right, FLOAT_MARGIN)
     stats = _window(left, right, width + FLOAT_MARGIN, p, bound)
-    scanned = sum(int((hi - lo).sum()) for *_, lo, hi in _runs(left, right, np.inf))
+    scanned = sum(
+        (lsl.stop - lsl.start) * (right.groups[-s].stop - right.groups[-s].start)
+        for s, lsl in left.groups.items()
+        if -s in right.groups
+    )
 
     exact = [abs(lambda_sum(row)) for row in stats.rows]
     near = stats.sums <= stats.min_float + FLOAT_MARGIN

@@ -18,6 +18,8 @@ the working harmonics, i.e. exact Galerkin (alias-free) arithmetic.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -279,10 +281,17 @@ def continue_branch(
     a partial branch is a valid result and records where the corrector gave
     up.
     """
+    problems = []
+    if not (isinstance(m, numbers.Integral) and m >= 3):
+        problems.append("m: must be an integer >= 3")
+    if not (math.isfinite(xi_max) and xi_max > 0):
+        problems.append("xi_max: must be a finite number > 0")
     if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if xi_max <= 0:
-        raise ValueError("xi_max must be positive")
+        problems.append("steps: must be >= 1")
+    if num_harmonics is not None and num_harmonics < 1:
+        problems.append("num_harmonics: must be >= 1")
+    if problems:
+        raise ValueError("; ".join(problems))
     if num_harmonics is None:
         num_harmonics = default_harmonics(m)
     provenance = {

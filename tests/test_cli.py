@@ -1,11 +1,22 @@
 """CLI contracts: config validation, file outputs, manifests, determinism."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqglab import cli
+from sqglab.evolve import SimConfig
+
+#: JSON values, NaN and the infinities included (json writes them), nested
+#: one level deep.
+JSON_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON = JSON_LEAF | st.lists(JSON_LEAF, max_size=3) | st.dictionaries(
+    st.text(max_size=3), JSON_LEAF, max_size=2
+)
 
 
 def write_config(path, **overrides):
@@ -20,10 +31,11 @@ class TestValidateConfig:
     def test_defaults_filled(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"m": 3, "n_max": 12}))
-        cfg = cli.validate_config(path)
-        assert cfg["dt"] == 0.01
-        assert cfg["initial_profile"] == "random_band"
-        assert cfg["seed"] == 0
+        cfg, extras = cli.validate_config(path)
+        assert cfg.dt == 0.01
+        assert cfg.initial_profile == "random_band"
+        assert cfg.seed == 0
+        assert extras == {"initial_state": None}
 
     def test_symmetry_order_too_small(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", m=2, n_max=12)
@@ -68,12 +80,35 @@ class TestValidateConfig:
     @pytest.mark.parametrize("t_end,dt", [(20.0, 0.01), (0.3, 0.1), (0.7, 0.1)])
     def test_decimal_step_ratio_accepted(self, tmp_path, t_end, dt):
         path = write_config(tmp_path / "cfg.json", t_end=t_end, dt=dt)
-        assert cli.validate_config(path)["t_end"] == t_end
+        assert cli.validate_config(path)[0].t_end == t_end
 
     def test_eps_list_checked(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", eps_list=[0.05, 0.1])
         with pytest.raises(cli.ConfigError, match="eps_list"):
             cli.validate_config(path, extra_defaults={"eps_list": [0.1, 0.05]})
+
+    @pytest.mark.parametrize("value", [1, True, ["a.json"], {"path": "a.json"}])
+    def test_initial_state_must_be_a_path(self, tmp_path, value):
+        path = write_config(tmp_path / "cfg.json", initial_state=value)
+        with pytest.raises(cli.ConfigError, match="initial_state: must be a file path"):
+            cli.validate_config(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_json_object_loads_or_raises_config_error(self, tmp_path_factory, data):
+        extra = data.draw(st.sampled_from([None, {"eps_list": [0.1, 0.05, 0.025]}]))
+        values = {f.name: st.just(f.default) | JSON for f in dataclasses.fields(SimConfig)}
+        for key in ["initial_state", "typo_field", *(extra or {})]:
+            values[key] = JSON
+        raw = data.draw(st.fixed_dictionaries({}, optional=values))
+        path = tmp_path_factory.getbasetemp() / "any_config.json"
+        path.write_text(json.dumps(raw))
+        try:
+            cfg, extras = cli.validate_config(path, extra_defaults=extra)
+        except cli.ConfigError:
+            return
+        assert isinstance(cfg, SimConfig)
+        assert set(extras) == {"initial_state"} | set(extra or {})
 
 
 class TestDispersionCommand:
@@ -194,6 +229,25 @@ class TestWavesCommand:
         assert len(lines) == 4
         branch = json.loads(dump.read_text())
         assert branch["m"] == 4 and len(branch["points"]) == 3
+
+    @pytest.mark.parametrize(
+        "field,argv",
+        [
+            ("xi_max", ["--m", "3", "--xi-max", "nan", "--steps", "2"]),
+            ("xi_max", ["--m", "3", "--xi-max", "inf", "--steps", "2"]),
+            ("num_harmonics", ["--m", "3", "--xi-max", "0.05", "--steps", "2",
+                               "--harmonics", "0"]),
+            ("num_harmonics", ["--m", "3", "--xi-max", "0.05", "--steps", "2",
+                               "--harmonics", "-3"]),
+            ("m", ["--m", "2", "--xi-max", "0.05", "--steps", "2"]),
+            ("steps", ["--m", "3", "--xi-max", "0.05", "--steps", "0"]),
+        ],
+    )
+    def test_bad_argument_exits_2_naming_field(self, tmp_path, capsys, field, argv):
+        out = tmp_path / "branch.csv"
+        assert cli.main(["waves", *argv, "--out", str(out)]) == 2
+        assert f" {field}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNormalformCommand:

@@ -5,10 +5,13 @@ finite differences of the recorded energies along a trajectory must match
 the multilinear derivative forms with second-order accuracy in dt.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqglab import evolve as ev
 from sqglab.dispersion import dispersion_float
@@ -43,8 +46,59 @@ class TestConfig:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("name", ["s", "dt", "t_end", "epsilon"])
     def test_rejects_non_finite_naming_field(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name}: must be a finite"):
             ev.SimConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "kwargs,named",
+        [
+            (dict(n_max=12, epsilon=True, seed=True, dt=0.3, t_end=1.0),
+             ["epsilon", "seed", "t_end"]),
+            (dict(dt=-1.0, epsilon=0.0), ["dt", "epsilon"]),
+            (dict(m="3"), ["m"]),
+            (dict(m=3.0, n_max=12.0), ["m"]),
+            (dict(n_max=12.0), ["n_max"]),
+            (dict(diagnostics_stride=2.0), ["diagnostics_stride"]),
+            (dict(s=10**400), ["s"]),
+            (dict(linear_only="no", corrected_energies=1),
+             ["corrected_energies", "linear_only"]),
+        ],
+    )
+    def test_rejects_naming_every_field(self, kwargs, named):
+        with pytest.raises(ValueError) as info:
+            ev.SimConfig(**kwargs)
+        assert [part.split(":")[0] for part in str(info.value).split("; ")] == named
+
+    def test_real_fields_stored_as_float(self):
+        cfg = ev.SimConfig(n_max=12, s=3, dt=1, t_end=4, epsilon=1)
+        assert all(type(v) is float for v in (cfg.s, cfg.dt, cfg.t_end, cfg.epsilon))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                f.name: st.one_of(
+                    st.integers(-5, 30),
+                    st.integers(min_value=2**1024),
+                    st.floats(),
+                    st.booleans(),
+                    st.sampled_from(["single_mode", "random_band"]),
+                    st.text(max_size=3),
+                    st.none(),
+                    st.lists(st.integers(), max_size=2),
+                )
+                for f in dataclasses.fields(ev.SimConfig)
+            },
+        )
+    )
+    def test_any_values_build_or_name_a_field(self, kwargs):
+        try:
+            ev.SimConfig(**kwargs)
+        except ValueError as exc:
+            names = {f.name for f in dataclasses.fields(ev.SimConfig)}
+            for part in str(exc).split("; "):
+                assert part.split(": ")[0] in names, str(exc)
 
 
 class TestInitialData:
