@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.fft
 
 from .dispersion import smoothing_symbol_float
 
@@ -167,11 +166,29 @@ def min_grid_size(n_max: int) -> int:
     return 2 * n_max + 1
 
 
+def next_smooth(n: int) -> int:
+    """Smallest integer >= n whose only prime factors are 2, 3 and 5.
+
+    These are the sizes pocketfft transforms fastest; for n >= 1 the result
+    equals ``scipy.fft.next_fast_len(n, real=True)``.
+    """
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        part = odd
+        while part < best:  # part runs over 5^a * 3^b below the best so far
+            quotient = -(-n // part)
+            best = min(best, part << (quotient - 1).bit_length())
+            part *= 3
+        odd *= 5
+    return best
+
+
 def _dealias_grid_size(n_max: int) -> int:
     # Quadratic products carry modes up to 2*n_max; a grid of >= 3*n_max + 1
     # points keeps every alias image of those modes outside |n| <= n_max, so
     # the truncated product is exact.
-    return scipy.fft.next_fast_len(3 * n_max + 1, real=True)
+    return next_smooth(3 * n_max + 1)
 
 
 def _half_spectrum(f: SpectralField, grid_size: int) -> np.ndarray:

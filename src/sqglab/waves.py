@@ -13,7 +13,11 @@ amplitude xi of the fundamental (pinned), marching xi away from zero with
 the previous point as predictor and a damped Newton corrector.
 
 All products are short real convolutions of cosine/sine series truncated to
-the working harmonics, i.e. exact Galerkin (alias-free) arithmetic.
+the working harmonics, i.e. exact Galerkin (alias-free) arithmetic.  The
+Newton Jacobian is assembled in closed form (``jacobian_matrix``): in each
+slot the Jacobian of a sine-cosine product is a Toeplitz plus a Hankel
+matrix in the other factor's coefficients.  ``jacobian_apply`` is the
+matrix-free directional derivative it reproduces column by column.
 """
 
 from __future__ import annotations
@@ -181,6 +185,67 @@ def jacobian_apply(
     )
 
 
+def _shifted_gathers(v: np.ndarray):
+    """v[n-c], v[c-n] and v[n+c] for n, c = 1..k, zero off harmonics 1..k.
+
+    Rows are the output harmonic n, columns the perturbed harmonic c.
+    """
+    k = v.shape[0]
+    padded = np.zeros(2 * k + 1)
+    padded[1 : k + 1] = v
+    n = np.arange(1, k + 1)[:, None]
+    c = n.T
+    return padded[np.maximum(n - c, 0)], padded[np.maximum(c - n, 0)], padded[n + c]
+
+
+def _sin_factor_jacobian(sin_scale: np.ndarray, cos_coeffs: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_sin_cos_product(a, b)`` in a, where a_c = sin_scale[c] * w_c.
+
+    Column c is ``_sin_cos_product(sin_scale * e_c, cos_coeffs)``: output n
+    gets h*b_{n-c} + h*b_{c-n} - h*b_{c+n} with h = 0.5*sin_scale[c].
+    """
+    half = 0.5 * sin_scale
+    toeplitz, hankel_low, hankel_high = _shifted_gathers(cos_coeffs)
+    return half * toeplitz + half * hankel_low - half * hankel_high
+
+
+def _cos_factor_jacobian(sin_coeffs: np.ndarray, cos_scale: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_sin_cos_product(a, b)`` in b, where b_c = cos_scale[c] * w_c.
+
+    Column c is ``_sin_cos_product(sin_coeffs, cos_scale * e_c)``: output n
+    gets h_{n-c}*s - h_{c-n}*s + h_{n+c}*s with h = 0.5*a and s = cos_scale[c].
+    """
+    toeplitz, hankel_low, hankel_high = _shifted_gathers(0.5 * sin_coeffs)
+    return toeplitz * cos_scale - hankel_low * cos_scale + hankel_high * cos_scale
+
+
+def jacobian_matrix(cos_coeffs: np.ndarray, speed: float, m: int) -> np.ndarray:
+    """The k x k u-Jacobian of ``residual``, assembled in closed form.
+
+    Column c equals ``jacobian_apply(cos_coeffs, speed, m, e_c)`` bit for
+    bit: with one factor a basis vector, every entry of a sine-cosine product
+    has at most two nonzero terms, whose IEEE sum does not depend on order.
+    Each term keeps the product order (0.5*a_j)*b_k, and the five parts
+    combine left to right as in ``jacobian_apply``.
+    """
+    cos_coeffs = np.asarray(cos_coeffs, dtype=np.float64)
+    k = cos_coeffs.shape[0]
+    modes = m * np.arange(1, k + 1)
+    freq = dispersion_float(modes)
+    sig = smoothing_symbol_float(modes)
+    du = -modes * cos_coeffs
+    ku = sig * cos_coeffs
+    kdu = -freq * cos_coeffs
+    linear = np.diag(freq - speed * modes)
+    return (
+        linear
+        + 2.0 * _sin_factor_jacobian(-modes, ku)
+        + 2.0 * _cos_factor_jacobian(du, sig)
+        - _cos_factor_jacobian(kdu, np.ones(k))
+        - _sin_factor_jacobian(-freq, cos_coeffs)
+    )
+
+
 def speed_derivative(cos_coeffs: np.ndarray, m: int) -> np.ndarray:
     """Derivative of ``residual`` in the speed: the sine series of u'."""
     cos_coeffs = np.asarray(cos_coeffs, dtype=np.float64)
@@ -204,9 +269,11 @@ def newton_solve(
     """Solve for the wave with pinned fundamental amplitude xi.
 
     Unknowns are the higher cosine coefficients and the speed; equations are
-    the sine components of the residual.  Full Newton steps with backtracking
-    halving when the residual norm fails to decrease.  Raises NewtonError
-    after ``max_iter`` iterations without reaching ``tol``.
+    the sine components of the residual.  The Jacobian is columns 2..k of
+    ``jacobian_matrix`` (the fundamental is pinned) followed by
+    ``speed_derivative``.  Full Newton steps with backtracking halving when
+    the residual norm fails to decrease.  Raises NewtonError after
+    ``max_iter`` iterations without reaching ``tol``.
     """
     if num_harmonics is None:
         num_harmonics = default_harmonics(m)
@@ -235,12 +302,9 @@ def newton_solve(
             return WavePoint(
                 m=m, xi=xi, speed=speed, cosine_coeffs=coeffs, residual_norm=res_norm
             )
-        jac = np.empty((k, k))
-        for col in range(1, k):
-            basis = np.zeros(k)
-            basis[col] = 1.0
-            jac[:, col - 1] = jacobian_apply(coeffs, speed, m, basis)
-        jac[:, k - 1] = speed_derivative(coeffs, m)
+        jac = np.column_stack(
+            (jacobian_matrix(coeffs, speed, m)[:, 1:], speed_derivative(coeffs, m))
+        )
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:

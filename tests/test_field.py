@@ -1,9 +1,16 @@
 """Spectral field invariants, operators, and the dealiased quadratic term."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
+
+import sqglab
 
 from conftest import brute_nonlinearity, l2_pairing, random_field
 from sqglab.field import (
@@ -12,6 +19,7 @@ from sqglab.field import (
     differentiate,
     hs_norm,
     mean_drift,
+    next_smooth,
     nonlinearity,
     reflect,
     smooth,
@@ -159,6 +167,30 @@ class TestSampling:
             analyze(np.cos(4 * alpha), 3, 24)
         with pytest.raises(ValueError):
             analyze(1.0 + np.cos(3 * alpha), 3, 24)  # nonzero mean
+
+
+class TestGridSize:
+    def test_next_smooth_matches_scipy(self):
+        sizes = [next_smooth(n) for n in range(1, 20001)]
+        expected = [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
+        assert sizes == expected
+
+    def test_cli_import_loads_no_scipy(self):
+        # SciPy is a test-only dependency: the runtime must never import it
+        src = str(Path(sqglab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, sqglab.cli; "
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout.strip() == "[]"
 
 
 class TestQuadraticTerm:

@@ -54,7 +54,33 @@ class TestResidual:
         assert np.allclose(samples, -samples[::-1][np.r_[-1, 0:511]], atol=1e-14)
 
 
+def jacobian_by_columns(cos_coeffs, speed, m):
+    """The u-Jacobian of ``residual`` built from ``jacobian_apply``, one column each."""
+    k = cos_coeffs.shape[0]
+    jac = np.empty((k, k))
+    for col in range(k):
+        basis = np.zeros(k)
+        basis[col] = 1.0
+        jac[:, col] = wv.jacobian_apply(cos_coeffs, speed, m, basis)
+    return jac
+
+
 class TestJacobian:
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 16, 64])
+    def test_matrix_equals_column_build(self, m, k, rng):
+        for _ in range(3):
+            c = 10.0 ** rng.uniform(-3, 0) * rng.normal(size=k)
+            v = rng.normal()
+            assert np.array_equal(
+                wv.jacobian_matrix(c, v, m), jacobian_by_columns(c, v, m)
+            )
+        zero = np.zeros(k)
+        v_m = float(wv.bifurcation_speed(m))
+        assert np.array_equal(
+            wv.jacobian_matrix(zero, v_m, m), jacobian_by_columns(zero, v_m, m)
+        )
+
     def test_matches_finite_differences(self, rng):
         m, k = 3, 12
         c = 0.05 * rng.normal(size=k)
@@ -75,13 +101,9 @@ class TestJacobian:
 
     def test_kernel_is_one_dimensional_at_bifurcation(self):
         m, k = 3, 16
-        jac = np.empty((k, k))
-        for col in range(k):
-            basis = np.zeros(k)
-            basis[col] = 1.0
-            jac[:, col] = wv.jacobian_apply(
-                np.zeros(k), float(wv.bifurcation_speed(m)), m, basis
-            )
+        v_m = float(wv.bifurcation_speed(m))
+        jac = jacobian_by_columns(np.zeros(k), v_m, m)
+        assert np.array_equal(wv.jacobian_matrix(np.zeros(k), v_m, m), jac)
         singular_values = np.linalg.svd(jac, compute_uv=False)
         assert singular_values[-1] == pytest.approx(0.0, abs=1e-14)
         assert singular_values[-2] > 1.0
@@ -133,6 +155,15 @@ class TestBranch:
         v_coarse = wv.newton_solve(3, 0.03, num_harmonics=21).speed
         v_fine = wv.newton_solve(3, 0.03, num_harmonics=42).speed
         assert abs(v_coarse - v_fine) < 1e-10
+
+    def test_closed_form_jacobian_leaves_branch_unchanged(self, monkeypatch):
+        fast = wv.continue_branch(3, 0.12, 24, num_harmonics=32)
+        monkeypatch.setattr(wv, "jacobian_matrix", jacobian_by_columns)
+        slow = wv.continue_branch(3, 0.12, 24, num_harmonics=32)
+        assert len(fast.points) == len(slow.points) == 24
+        for a, b in zip(fast.points, slow.points):
+            assert (a.xi, a.speed, a.residual_norm) == (b.xi, b.speed, b.residual_norm)
+            assert np.array_equal(a.cosine_coeffs, b.cosine_coeffs)
 
     def test_partial_branch_on_failure(self):
         branch = wv.continue_branch(3, 0.2, 10, max_iter=1)
