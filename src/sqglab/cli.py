@@ -194,7 +194,7 @@ def cmd_normalform(args) -> int:
 
     series_path = f"{args.out_prefix}.series.csv"
     slopes_path = f"{args.out_prefix}.slopes.json"
-    report = evolve.lifespan_experiment(extras["eps_list"], sim, keep_trajectories=True)
+    report = evolve.lifespan_experiment(extras["eps_list"], sim)
     rows = []
     for eps, trajectory in zip(report.epsilons, report.trajectories):
         rows.extend(_trajectory_rows(trajectory, prefix=(_fmt(eps),)))

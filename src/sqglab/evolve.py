@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -176,8 +176,11 @@ class Trajectory:
     times: np.ndarray
     states: list
     table: dict
-    stopped_early: bool = False
     stop_time: float | None = None
+
+    @property
+    def stopped_early(self) -> bool:
+        return self.stop_time is not None
 
     def column(self, name: str) -> np.ndarray:
         return self.table[name]
@@ -323,7 +326,6 @@ def run(
 
     norm = record(0.0, f)
     if stop_norm is not None and norm >= stop_norm:
-        trajectory.stopped_early = True
         trajectory.stop_time = 0.0
         return finish()
 
@@ -341,7 +343,6 @@ def run(
         if k % cfg.diagnostics_stride == 0 or k == n_steps:
             norm = record(t, state)
             if stop_norm is not None and norm >= stop_norm:
-                trajectory.stopped_early = True
                 trajectory.stop_time = t
                 break
     return finish()
@@ -356,7 +357,7 @@ class LifespanReport:
     derivative_means: dict
     slopes: dict
     config: SimConfig
-    trajectories: list = field(default_factory=list)
+    trajectories: list
 
     def to_dict(self) -> dict:
         return {
@@ -381,9 +382,7 @@ class LifespanReport:
 DERIVATIVE_KEYS = ("base", "minus_c3", "full_chain")
 
 
-def lifespan_experiment(
-    eps_list: Sequence[float], cfg: SimConfig, keep_trajectories: bool = False
-) -> LifespanReport:
+def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanReport:
     """Sweep decreasing amplitudes; measure corrected-derivative scaling.
 
     For each epsilon the run stops at norm doubling or t_end.  The time
@@ -401,15 +400,12 @@ def lifespan_experiment(
     eps_list = [float(e) for e in eps_list]
 
     chain = diagnostic_chain(cfg.m, cfg.n_max, cfg.s)
-    doubling: list[float | None] = []
-    kept: list[Trajectory] = []
+    trajectories: list[Trajectory] = []
     means: dict[str, list[float]] = {key: [] for key in DERIVATIVE_KEYS}
     for eps in eps_list:
         run_cfg = replace(cfg, epsilon=eps)
         trajectory = run(run_cfg, chain=chain, stop_norm=2.0 * eps)
-        doubling.append(trajectory.stop_time)
-        if keep_trajectories:
-            kept.append(trajectory)
+        trajectories.append(trajectory)
         derivs = np.array(
             [chain.derivative_values(state) for state in trajectory.states]
         )
@@ -425,9 +421,9 @@ def lifespan_experiment(
     }
     return LifespanReport(
         epsilons=eps_list,
-        doubling_times=doubling,
+        doubling_times=[t.stop_time for t in trajectories],
         derivative_means=means,
         slopes=slopes,
         config=cfg,
-        trajectories=kept,
+        trajectories=trajectories,
     )

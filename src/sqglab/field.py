@@ -103,13 +103,6 @@ class SpectralField:
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.m, self.n_max, coeffs)
 
-    def isclose(self, other: "SpectralField", rtol: float = 1e-12, atol: float = 0.0) -> bool:
-        return (
-            self.m == other.m
-            and self.n_max == other.n_max
-            and np.allclose(self.coeffs, other.coeffs, rtol=rtol, atol=atol)
-        )
-
     def to_dict(self) -> dict:
         """JSON-ready form: positive modes only, exact doubles."""
         return {

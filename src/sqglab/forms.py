@@ -8,7 +8,10 @@ zero-sum mode tuples:
 
 every n_j on the m-fold lattice with 3 <= |n_j| <= n_max.  Forms are stored
 as dense value tables over the ordered admissible tuples, symmetrized over
-slot permutations so that parity and evaluation are canonical.
+slot permutations so that parity and evaluation are canonical.  Each tuple
+space groups its tuples into permutation orbits once; symmetrization averages
+over them, and the exact frequency sum and total degeneracy that decide
+resonance come from ``sqglab.resonance``, once per orbit.
 
 The operators implemented here drive the corrected-energy construction:
 
@@ -37,13 +40,13 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dispersion import dispersion, dispersion_float, smoothing_symbol_float
+from .dispersion import dispersion_float, smoothing_symbol_float
 from .field import SpectralField, nonlinearity, sobolev_energy
+from .resonance import is_totally_degenerate, lambda_sum
 
 #: Largest arity supported by the table representation.
 MAX_ARITY = 6
@@ -62,14 +65,28 @@ class ResonanceError(ValueError):
         )
 
 
+class Orbits(NamedTuple):
+    """Permutation orbits of a TupleSpace, one entry per sorted tuple.
+
+    ``inverse`` maps each row to its orbit and ``counts`` gives orbit sizes;
+    ``frequency_sum`` and ``degenerate`` are decided once per orbit by
+    ``sqglab.resonance`` in exact arithmetic (the sum rounded once to double).
+    """
+
+    inverse: np.ndarray
+    counts: np.ndarray
+    frequency_sum: np.ndarray
+    degenerate: np.ndarray
+
+
 class TupleSpace:
     """All ordered admissible zero-sum p-tuples for a fixed lattice.
 
     Modes are the nonzero multiples of m with |n| <= n_max, listed
     ascending; ``idx`` holds mode indices per tuple slot, ``mode_values``
     the actual modes.  Instances are immutable and cached per
-    (m, n_max, p); derived per-tuple data (frequency sums, degeneracy) is
-    computed lazily.
+    (m, n_max, p); the orbit table, and with it the per-tuple frequency sums
+    and degeneracy, is built lazily.
     """
 
     def __init__(self, m: int, n_max: int, p: int):
@@ -101,9 +118,7 @@ class TupleSpace:
         self.idx = idx
         self.mode_values = self.modes[idx]
         self.count = idx.shape[0]
-        self._lamsum_float = None
-        self._resonant = None
-        self._degenerate = None
+        self._orbits = None
         self._sorted_keys = None
         self._sorted_order = None
 
@@ -143,45 +158,42 @@ class TupleSpace:
     # -- derived per-tuple data ---------------------------------------------
 
     @property
-    def degenerate(self) -> np.ndarray:
-        """Mask of totally degenerate tuples (all-false for odd arity)."""
-        if self._degenerate is None:
-            if self.p % 2 != 0:
-                self._degenerate = np.zeros(self.count, dtype=bool)
-            else:
-                ordered = np.sort(self.mode_values, axis=1)
-                ok = np.ones(self.count, dtype=bool)
-                for i in range(self.p // 2):
-                    ok &= ordered[:, i] == -ordered[:, -1 - i]
-                self._degenerate = ok
-        return self._degenerate
-
-    def _compute_lamsum(self):
-        # the exact sum depends only on the sorted tuple: form it once per orbit
-        per_mode = [dispersion(int(n)) for n in self.modes]
-        ordered = np.sort(self.idx, axis=1)
-        _, first, inverse = np.unique(
-            self.ravel_keys(ordered), return_index=True, return_inverse=True
-        )
-        exact = [
-            sum((per_mode[i] for i in row), Fraction(0)) for row in ordered[first]
-        ]
-        self._lamsum_float = np.array([float(q) for q in exact])[inverse]
-        self._resonant = np.array([q == 0 for q in exact], dtype=bool)[inverse]
+    def orbits(self) -> Orbits:
+        """The permutation orbits of the tuples, with their exact facts."""
+        if self._orbits is None:
+            _, first, inverse, counts = np.unique(
+                self.ravel_keys(np.sort(self.idx, axis=1)),
+                return_index=True,
+                return_inverse=True,
+                return_counts=True,
+            )
+            reps = self.mode_values[first]
+            self._orbits = Orbits(
+                inverse,
+                counts,
+                np.array([float(lambda_sum(row)) for row in reps]),
+                np.array([is_totally_degenerate(row) for row in reps], dtype=bool),
+            )
+        return self._orbits
 
     @property
     def frequency_sum(self) -> np.ndarray:
         """Per-tuple frequency sum, exact rationals rounded once to double."""
-        if self._lamsum_float is None:
-            self._compute_lamsum()
-        return self._lamsum_float
+        return self.orbits.frequency_sum[self.orbits.inverse]
 
     @property
     def resonant(self) -> np.ndarray:
-        """Mask of tuples whose frequency sum is exactly zero."""
-        if self._resonant is None:
-            self._compute_lamsum()
-        return self._resonant
+        """Mask of tuples whose frequency sum is exactly zero.
+
+        The common denominator of p <= 6 terms (n^2 - 1)/(n^2 - 4) with int64
+        modes is below 2^756, so a nonzero exact sum cannot round to 0.
+        """
+        return self.frequency_sum == 0
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Mask of totally degenerate tuples (all-false for odd arity)."""
+        return self.orbits.degenerate[self.orbits.inverse]
 
     def dense_values(self, values: np.ndarray) -> np.ndarray:
         """Flat lookup table over all index combinations (missing -> 0)."""
@@ -266,37 +278,29 @@ def make_form(
     multiplier: Callable,
     parity: str = "none",
     label: str = "",
-    symmetrize_table: bool = True,
 ) -> MultilinearForm:
     """Build a form from a vectorized multiplier on mode tuples.
 
     ``multiplier`` receives the (count, p) array of mode values and returns
-    the per-tuple complex values.  Tables are symmetrized by default so the
-    stored multiplier is canonical.
+    the per-tuple complex values.  The table is symmetrized so the stored
+    multiplier is canonical.
     """
     space = tuple_space(m, n_max, p)
     values = np.asarray(multiplier(space.mode_values), dtype=np.complex128)
-    form = MultilinearForm(space, values, parity=parity, label=label)
-    return symmetrize(form) if symmetrize_table else form
+    return symmetrize(MultilinearForm(space, values, parity=parity, label=label))
 
 
 def symmetrize(form: MultilinearForm) -> MultilinearForm:
     """Average the value table over the permutation orbit of each tuple."""
     if form.symmetric:
         return form
-    space = form.space
-    ordered = np.sort(space.mode_values, axis=1)
-    keys = ordered[:, 0].astype(np.int64)
-    span = int(2 * space.n_max + 1)
-    for j in range(1, space.p):
-        keys = keys * span + ordered[:, j]
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    sums = np.zeros(counts.shape[0], dtype=np.complex128)
-    np.add.at(sums, inverse, form.values)
-    means = sums / counts
+    orbits = form.space.orbits
+    sums = np.zeros(orbits.counts.shape[0], dtype=np.complex128)
+    np.add.at(sums, orbits.inverse, form.values)
+    means = sums / orbits.counts
     return MultilinearForm(
-        space,
-        means[inverse],
+        form.space,
+        means[orbits.inverse],
         parity=form.parity,
         label=form.label,
         symmetric=True,
@@ -563,12 +567,8 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
     d3 = build_energy_form(m, n_max, s)
     c3 = normal_form_divide(d3).scaled(1j, label="cubic-correction")
     d4 = nonlinearity_extension(c3).scaled(-1.0, label="quartic-derivative")
-    d4_free = MultilinearForm(
-        d4.space,
-        np.where(d4.space.degenerate, 0.0, d4.values),
-        parity=d4.parity,
-        label="quartic-derivative-nonresonant",
-        symmetric=True,
+    d4_free = d4.plus(
+        degenerate_projection(d4).scaled(-1.0), label="quartic-derivative-nonresonant"
     )
     c4 = normal_form_divide(d4_free).scaled(1j, label="quartic-correction")
     d5 = nonlinearity_extension(c4).scaled(-1.0, label="quintic-derivative")

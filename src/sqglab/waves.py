@@ -136,6 +136,18 @@ def _sin_cos_product(sin_coeffs: np.ndarray, cos_coeffs: np.ndarray) -> np.ndarr
     return out[1:]
 
 
+def _symbols(cos_coeffs: np.ndarray, m: int) -> tuple:
+    """u, its modes, lam and sigma there, then u', K u and (K u)'.
+
+    u and K u are cosine series; u' and (K u)' are sine series.
+    """
+    u = np.asarray(cos_coeffs, dtype=np.float64)
+    modes = m * np.arange(1, u.shape[0] + 1)
+    freq = dispersion_float(modes)
+    sig = smoothing_symbol_float(modes)
+    return u, modes, freq, sig, -modes * u, sig * u, -freq * u
+
+
 def residual(cos_coeffs: np.ndarray, speed: float, m: int) -> np.ndarray:
     """Sine coefficients of -(Ku)' + v u' + 2 u' (Ku) - u (Ku)'.
 
@@ -143,79 +155,68 @@ def residual(cos_coeffs: np.ndarray, speed: float, m: int) -> np.ndarray:
     are odd*even products and the linear part differentiates an even
     function, so only sine modes are ever populated.
     """
-    cos_coeffs = np.asarray(cos_coeffs, dtype=np.float64)
-    k = cos_coeffs.shape[0]
-    modes = m * np.arange(1, k + 1)
-    freq = dispersion_float(modes)
-    sig = smoothing_symbol_float(modes)
-    du = -modes * cos_coeffs                 # u' sine coefficients
-    ku = sig * cos_coeffs                    # K u cosine coefficients
-    kdu = -freq * cos_coeffs                 # (K u)' sine coefficients
-    linear = freq * cos_coeffs - speed * modes * cos_coeffs
-    return (
-        linear
-        + 2.0 * _sin_cos_product(du, ku)
-        - _sin_cos_product(kdu, cos_coeffs)
-    )
+    u, modes, freq, _, du, ku, kdu = _symbols(cos_coeffs, m)
+    linear = freq * u - speed * modes * u
+    return linear + 2.0 * _sin_cos_product(du, ku) - _sin_cos_product(kdu, u)
 
 
 def jacobian_apply(
     cos_coeffs: np.ndarray, speed: float, m: int, w: np.ndarray
 ) -> np.ndarray:
     """Directional derivative of ``residual`` in u along the cosine series w."""
-    cos_coeffs = np.asarray(cos_coeffs, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    k = cos_coeffs.shape[0]
-    modes = m * np.arange(1, k + 1)
-    freq = dispersion_float(modes)
-    sig = smoothing_symbol_float(modes)
-    du = -modes * cos_coeffs
-    ku = sig * cos_coeffs
-    kdu = -freq * cos_coeffs
-    dw = -modes * w
-    kw = sig * w
-    kdw = -freq * w
+    u, modes, freq, _, du, ku, kdu = _symbols(cos_coeffs, m)
+    w, _, _, _, dw, kw, kdw = _symbols(w, m)
     linear = freq * w - speed * modes * w
     return (
         linear
         + 2.0 * _sin_cos_product(dw, ku)
         + 2.0 * _sin_cos_product(du, kw)
         - _sin_cos_product(kdu, w)
-        - _sin_cos_product(kdw, cos_coeffs)
+        - _sin_cos_product(kdw, u)
     )
 
 
-def _shifted_gathers(v: np.ndarray):
-    """v[n-c], v[c-n] and v[n+c] for n, c = 1..k, zero off harmonics 1..k.
+def _shift_indices(k: int) -> tuple:
+    """Where v[n-c], v[c-n] and v[n+c] sit in a zero-padded v, for n, c = 1..k.
 
-    Rows are the output harmonic n, columns the perturbed harmonic c.
+    Rows are the output harmonic n, columns the perturbed harmonic c; the
+    padding (index 0 and k+1..2k) supplies the zeros off harmonics 1..k.
     """
+    n = np.arange(1, k + 1)[:, None]
+    c = n.T
+    return np.maximum(n - c, 0), np.maximum(c - n, 0), n + c
+
+
+def _shifted_gathers(v: np.ndarray, shifts: tuple):
+    """v[n-c], v[c-n] and v[n+c] at the indices of ``_shift_indices``."""
     k = v.shape[0]
     padded = np.zeros(2 * k + 1)
     padded[1 : k + 1] = v
-    n = np.arange(1, k + 1)[:, None]
-    c = n.T
-    return padded[np.maximum(n - c, 0)], padded[np.maximum(c - n, 0)], padded[n + c]
+    return tuple(padded[index] for index in shifts)
 
 
-def _sin_factor_jacobian(sin_scale: np.ndarray, cos_coeffs: np.ndarray) -> np.ndarray:
+def _sin_factor_jacobian(
+    sin_scale: np.ndarray, cos_coeffs: np.ndarray, shifts: tuple
+) -> np.ndarray:
     """Jacobian of ``_sin_cos_product(a, b)`` in a, where a_c = sin_scale[c] * w_c.
 
     Column c is ``_sin_cos_product(sin_scale * e_c, cos_coeffs)``: output n
     gets h*b_{n-c} + h*b_{c-n} - h*b_{c+n} with h = 0.5*sin_scale[c].
     """
     half = 0.5 * sin_scale
-    toeplitz, hankel_low, hankel_high = _shifted_gathers(cos_coeffs)
+    toeplitz, hankel_low, hankel_high = _shifted_gathers(cos_coeffs, shifts)
     return half * toeplitz + half * hankel_low - half * hankel_high
 
 
-def _cos_factor_jacobian(sin_coeffs: np.ndarray, cos_scale: np.ndarray) -> np.ndarray:
+def _cos_factor_jacobian(
+    sin_coeffs: np.ndarray, cos_scale: np.ndarray, shifts: tuple
+) -> np.ndarray:
     """Jacobian of ``_sin_cos_product(a, b)`` in b, where b_c = cos_scale[c] * w_c.
 
     Column c is ``_sin_cos_product(sin_coeffs, cos_scale * e_c)``: output n
     gets h_{n-c}*s - h_{c-n}*s + h_{n+c}*s with h = 0.5*a and s = cos_scale[c].
     """
-    toeplitz, hankel_low, hankel_high = _shifted_gathers(0.5 * sin_coeffs)
+    toeplitz, hankel_low, hankel_high = _shifted_gathers(0.5 * sin_coeffs, shifts)
     return toeplitz * cos_scale - hankel_low * cos_scale + hankel_high * cos_scale
 
 
@@ -228,21 +229,15 @@ def jacobian_matrix(cos_coeffs: np.ndarray, speed: float, m: int) -> np.ndarray:
     Each term keeps the product order (0.5*a_j)*b_k, and the five parts
     combine left to right as in ``jacobian_apply``.
     """
-    cos_coeffs = np.asarray(cos_coeffs, dtype=np.float64)
-    k = cos_coeffs.shape[0]
-    modes = m * np.arange(1, k + 1)
-    freq = dispersion_float(modes)
-    sig = smoothing_symbol_float(modes)
-    du = -modes * cos_coeffs
-    ku = sig * cos_coeffs
-    kdu = -freq * cos_coeffs
+    u, modes, freq, sig, du, ku, kdu = _symbols(cos_coeffs, m)
+    shifts = _shift_indices(u.shape[0])
     linear = np.diag(freq - speed * modes)
     return (
         linear
-        + 2.0 * _sin_factor_jacobian(-modes, ku)
-        + 2.0 * _cos_factor_jacobian(du, sig)
-        - _cos_factor_jacobian(kdu, np.ones(k))
-        - _sin_factor_jacobian(-freq, cos_coeffs)
+        + 2.0 * _sin_factor_jacobian(-modes, ku, shifts)
+        + 2.0 * _cos_factor_jacobian(du, sig, shifts)
+        - _cos_factor_jacobian(kdu, np.ones(u.shape[0]), shifts)
+        - _sin_factor_jacobian(-freq, u, shifts)
     )
 
 

@@ -175,6 +175,7 @@ class TestRun:
                            diagnostics_stride=100, corrected_energies=False)
         trajectory = ev.run(cfg)
         assert np.max(trajectory.column("hs_norm")) <= 0.2
+        assert not trajectory.stopped_early and trajectory.stop_time is None
 
     def test_stop_norm(self):
         cfg = ev.SimConfig(**CHEAP, dt=0.01, t_end=1.0, epsilon=0.1,
@@ -234,6 +235,7 @@ class TestLifespanExperiment:
         assert report.slopes["full_chain"] == pytest.approx(6.0, abs=0.8)
         doubled = [t for t in report.doubling_times if t is not None]
         assert doubled == sorted(doubled)
+        assert [t.stop_time for t in report.trajectories] == report.doubling_times
         payload = report.to_dict()
         assert set(payload["slopes"]) == {"base", "minus_c3", "full_chain"}
 

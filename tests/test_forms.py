@@ -7,10 +7,13 @@ slot by slot, independently of the table-level pair-merging code.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import convolve_fields, random_field
 from sqglab import evolve as ev
 from sqglab import forms as fm
+from sqglab import resonance as rs
 from sqglab.field import SpectralField, differentiate, smooth
 
 
@@ -37,6 +40,70 @@ def minus_transport_derivative(f):
     """-(d/da K f) as a field: the factor inserted by the division identity."""
     g = differentiate(smooth(f))
     return g.with_coeffs(-g.coeffs)
+
+
+def brute_force_symmetrize(space, values):
+    """Orbit means by a dict over sorted tuples, summed in row order."""
+    groups = {}
+    for row, mode_row in enumerate(space.mode_values):
+        groups.setdefault(tuple(sorted(int(n) for n in mode_row)), []).append(row)
+    sums, counts, orbit_of_row = [], [], np.empty(space.count, dtype=np.int64)
+    for orbit, rows in enumerate(groups.values()):
+        total = 0j
+        for row in rows:
+            total += complex(values[row])
+        sums.append(total)
+        counts.append(len(rows))
+        orbit_of_row[rows] = orbit
+    return (np.array(sums) / np.array(counts))[orbit_of_row], orbit_of_row
+
+
+SPACES = [(3, 12, p) for p in (3, 4, 5, 6)] + [(4, 16, p) for p in (3, 4, 5)]
+
+
+class TestTupleSpace:
+    @pytest.mark.parametrize("m,n_max,p", SPACES)
+    def test_exact_facts_row_by_row(self, m, n_max, p):
+        space = fm.tuple_space(m, n_max, p)
+        frequency_sum, resonant = space.frequency_sum, space.resonant
+        degenerate = space.degenerate
+        for i, row in enumerate(space.mode_values):
+            exact = rs.lambda_sum(row)
+            assert frequency_sum[i] == float(exact)
+            assert resonant[i] == (exact == 0)
+            assert degenerate[i] == rs.is_totally_degenerate(row)
+
+    @pytest.mark.parametrize("m,n_max,p", SPACES)
+    def test_symmetrize_equals_brute_force_mean(self, m, n_max, p, rng):
+        space = fm.tuple_space(m, n_max, p)
+        values = rng.normal(size=space.count) + 1j * rng.normal(size=space.count)
+        form = fm.symmetrize(fm.MultilinearForm(space, values))
+        expected, _ = brute_force_symmetrize(space, values)
+        assert np.array_equal(form.values, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        space_key=st.sampled_from([(3, 12, 3), (3, 12, 4), (3, 12, 5), (4, 16, 4)]),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.integers(0, 12),
+    )
+    def test_symmetrize_constant_on_orbits_and_idempotent(self, space_key, seed, spread):
+        space = fm.tuple_space(*space_key)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-spread, spread, size=space.count)
+        values = scale * (rng.normal(size=space.count) + 1j * rng.normal(size=space.count))
+        once = fm.symmetrize(fm.MultilinearForm(space, values))
+        _, orbit_of_row = brute_force_symmetrize(space, values)
+        first = {}
+        for row, orbit in enumerate(orbit_of_row):
+            first.setdefault(orbit, row)
+        leaders = np.array([first[orbit] for orbit in orbit_of_row])
+        assert np.array_equal(once.values, once.values[leaders])
+        # the mean of c equal values is exact up to c rounding steps
+        again = fm.symmetrize(fm.MultilinearForm(space, once.values))
+        counts = np.bincount(orbit_of_row)[orbit_of_row]
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(again.values - once.values) <= counts * eps * np.abs(once.values))
 
 
 class TestEvaluate:
