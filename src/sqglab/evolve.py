@@ -14,6 +14,17 @@ is bounded (|lam| <= 8/5) so there is no stiffness to fight.
 corrected energies, the norm, and the conservation residuals;
 ``lifespan_experiment`` sweeps the initial amplitude and fits the growth
 exponents of the corrected-energy derivatives (expected 3, 4 and 6).
+
+Both go through one recording loop that integrates a batch of runs in
+lockstep: the runs of a sweep differ only in amplitude, so their states form
+one (B, K) array stepped with a shared dt, and each RK4 step costs four
+batched quadratic-term calls whatever B is.  ``run`` is the batch of one.
+Every row is computed bit for bit as it would be alone, so a sweep records
+exactly what running its amplitudes one after another would.  A run leaves
+the batch when its norm reaches its stop norm at a recorded time; a blow-up
+drops the failing run and every later amplitude (a sequential sweep would
+never have started them), and once the earlier runs finish the first
+failing run's error is raised.
 """
 
 from __future__ import annotations
@@ -40,12 +51,33 @@ BLOWUP_FACTOR = 1e3
 
 
 class InstabilityError(RuntimeError):
-    """The integration produced a non-finite or blown-up state."""
+    """The integration produced a non-finite or blown-up state.
 
-    def __init__(self, last_time: float, trajectory: "Trajectory | None" = None):
+    ``last_time`` is the last valid time (the last recorded one for ``run``),
+    ``trajectory`` the record up to it.  The message names the failing step,
+    the amplitude when known, and the ratio of the H^s norm to the blow-up
+    threshold (``ratio`` is NaN for a non-finite state).
+    """
+
+    def __init__(
+        self,
+        last_time: float,
+        trajectory: "Trajectory | None" = None,
+        *,
+        step: int,
+        epsilon: float | None = None,
+        ratio: float = math.nan,
+    ):
         self.last_time = last_time
         self.trajectory = trajectory
-        super().__init__(f"integration unstable after t={last_time:g}")
+        where = f"step {step}" if epsilon is None else f"step {step}, epsilon={epsilon:g}"
+        if math.isnan(ratio):
+            what = "the state is not finite"
+        else:
+            what = f"the H^s norm is {ratio:.4g} times the blow-up threshold"
+        super().__init__(
+            f"integration unstable at {where}: {what} (last valid t={last_time:g})"
+        )
 
 
 #: Relative slack allowed when t_end/dt is checked to be a whole number, so
@@ -239,7 +271,7 @@ def integrate(
     for k in range(n_steps):
         coeffs = _rk4_step(coeffs, dt, half_phase, quad)
         if not np.all(np.isfinite(coeffs.view(np.float64))):
-            raise InstabilityError(k * dt)
+            raise InstabilityError(k * dt, step=k + 1)
     return f.with_coeffs(coeffs)
 
 
@@ -281,27 +313,47 @@ def run(
                 f"does not match config (m={cfg.m}, n_max={cfg.n_max})"
             )
         f = initial
-    freq = dispersion_float(f.modes)
-    half_phase = np.exp(-0.5j * freq * cfg.dt)
+    return _lockstep([cfg], [f], chain, [stop_norm])[0]
+
+
+def _lockstep(
+    configs: Sequence[SimConfig],
+    initials: Sequence[SpectralField],
+    chain: forms.CorrectedEnergy | None,
+    stop_norms: Sequence[float | None],
+) -> list:
+    """Run each (config, initial state, stop norm) as ``run`` does, together.
+
+    The configs differ at most in ``epsilon``.  Returns the trajectories in
+    order; raises the first failing run's InstabilityError after the earlier
+    runs are complete.
+    """
+    cfg = configs[0]
+    modes = initials[0].modes
+    half_phase = np.exp(-0.5j * dispersion_float(modes) * cfg.dt)
     quad = None if cfg.linear_only else _quadratic_term(cfg.m, cfg.n_max)
+    n = modes.astype(np.float64)
+    weights = (1.0 + n * n) ** cfg.s
+
+    def norms(coeffs: np.ndarray) -> np.ndarray:
+        # hs_norm of each row, reduced as hs_norm reduces a single state
+        return np.sqrt(2.0 * np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    blowup_norm = BLOWUP_FACTOR * max(cfg.epsilon, hs_norm(f, cfg.s))
-    times: list[float] = []
-    states: list[SpectralField] = []
-    rows: list[np.ndarray] = []
-    trajectory = Trajectory(cfg, np.empty(0), states, {})
+    times = [[] for _ in configs]
+    rows = [[] for _ in configs]
+    trajectories = [Trajectory(c, np.empty(0), [], {}) for c in configs]
 
-    def record(t: float, state: SpectralField) -> float:
-        norm = hs_norm(state, cfg.s)
+    def record(i: int, t: float, state: SpectralField, norm: float) -> bool:
+        """Record run i at time t; True when it has reached its stop norm."""
         if chain is not None:
             levels = chain.levels(state)
         else:
             base = 0.5 * norm * norm
             levels = np.array([base, np.nan, np.nan, np.nan])
-        times.append(t)
-        states.append(state)
-        rows.append(
+        times[i].append(t)
+        trajectories[i].states.append(state)
+        rows[i].append(
             np.array(
                 [
                     levels[0],
@@ -314,38 +366,76 @@ def run(
                 ]
             )
         )
-        return norm
+        if stop_norms[i] is not None and norm >= stop_norms[i]:
+            trajectories[i].stop_time = t
+            return True
+        return False
 
-    def finish() -> Trajectory:
-        trajectory.times = np.array(times)
-        data = np.array(rows) if rows else np.empty((0, len(DIAGNOSTIC_COLUMNS)))
+    def finish(i: int) -> Trajectory:
+        trajectory = trajectories[i]
+        trajectory.times = np.array(times[i])
+        data = np.array(rows[i])
         trajectory.table = {
-            name: data[:, i] for i, name in enumerate(DIAGNOSTIC_COLUMNS)
+            name: data[:, j] for j, name in enumerate(DIAGNOSTIC_COLUMNS)
         }
         return trajectory
 
-    norm = record(0.0, f)
-    if stop_norm is not None and norm >= stop_norm:
-        trajectory.stop_time = 0.0
-        return finish()
+    # ``active`` lists the runs still integrating, in sweep order; row r of
+    # ``coeffs`` and ``blowup`` belongs to run active[r].
+    active, blowup = [], []
+    for i, (c, f) in enumerate(zip(configs, initials)):
+        norm = hs_norm(f, c.s)
+        if not record(i, 0.0, f, norm):
+            active.append(i)
+            blowup.append(BLOWUP_FACTOR * max(c.epsilon, norm))
+    blowup = np.array(blowup)
+    coeffs = np.array([initials[i].coeffs for i in active])
+    failure = None
 
-    coeffs = f.coeffs
     for k in range(1, n_steps + 1):
-        coeffs = _rk4_step(coeffs, cfg.dt, half_phase, quad)
-        t = k * cfg.dt
-        bad = not np.all(np.isfinite(coeffs.view(np.float64)))
-        if not bad:
-            state = f.with_coeffs(coeffs)
-            if hs_norm(state, cfg.s) > blowup_norm:
-                bad = True
-        if bad:
-            raise InstabilityError(times[-1], finish())
+        if not active:
+            break
+        if len(active) == 1:
+            # A batch of one steps as its bare row.  NumPy multiplies a (1, 1)
+            # array by a length-1 one without FMA, so that batch would not
+            # round like its row; and at this size broadcasting costs more
+            # than the arithmetic.
+            coeffs = _rk4_step(coeffs[0], cfg.dt, half_phase, quad)[None, :]
+        else:
+            coeffs = _rk4_step(coeffs, cfg.dt, half_phase, quad)
+        norm = norms(coeffs)
+        # a non-finite state has an infinite or NaN norm, so it fails here too
+        if not (norm <= blowup).all():
+            finite = np.all(np.isfinite(coeffs.view(np.float64)), axis=-1)
+            bad = ~finite | (norm > blowup)
+            if bad.any():
+                # runs from the first failing one on leave; the earlier go on
+                r = int(np.argmax(bad))
+                i = active[r]
+                ratio = norm[r] / blowup[r] if finite[r] else math.nan
+                failure = InstabilityError(
+                    times[i][-1],
+                    finish(i),
+                    step=k,
+                    epsilon=configs[i].epsilon,
+                    ratio=float(ratio),
+                )
+                active, coeffs = active[:r], coeffs[:r]
+                norm, blowup = norm[:r], blowup[:r]
         if k % cfg.diagnostics_stride == 0 or k == n_steps:
-            norm = record(t, state)
-            if stop_norm is not None and norm >= stop_norm:
-                trajectory.stop_time = t
-                break
-    return finish()
+            t = k * cfg.dt
+            stopped = [
+                record(i, t, initials[i].with_coeffs(row), float(value))
+                for i, row, value in zip(active, coeffs, norm)
+            ]
+            if any(stopped):
+                going = ~np.array(stopped)
+                active = [i for i, done in zip(active, stopped) if not done]
+                coeffs, blowup = coeffs[going], blowup[going]
+
+    if failure is not None:
+        raise failure
+    return [finish(i) for i in range(len(configs))]
 
 
 @dataclass
@@ -381,6 +471,10 @@ class LifespanReport:
 #: Keys of the three measured derivative magnitudes, by correction depth.
 DERIVATIVE_KEYS = ("base", "minus_c3", "full_chain")
 
+#: The levels (0 = bare energy) whose derivatives those keys measure; the
+#: quintic derivative of E - C3 - C4 enters no slope and is not evaluated.
+_MEASURED_LEVELS = (0, 1, 3)
+
 
 def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanReport:
     """Sweep decreasing amplitudes; measure corrected-derivative scaling.
@@ -400,19 +494,24 @@ def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanRe
     eps_list = [float(e) for e in eps_list]
 
     chain = diagnostic_chain(cfg.m, cfg.n_max, cfg.s)
-    trajectories: list[Trajectory] = []
+    configs = [replace(cfg, epsilon=eps) for eps in eps_list]
+    trajectories = _lockstep(
+        configs,
+        [initial_state(c) for c in configs],
+        chain,
+        [2.0 * eps for eps in eps_list],
+    )
     means: dict[str, list[float]] = {key: [] for key in DERIVATIVE_KEYS}
-    for eps in eps_list:
-        run_cfg = replace(cfg, epsilon=eps)
-        trajectory = run(run_cfg, chain=chain, stop_norm=2.0 * eps)
-        trajectories.append(trajectory)
+    for trajectory in trajectories:
         derivs = np.array(
-            [chain.derivative_values(state) for state in trajectory.states]
+            [
+                [value.real for value in chain._derivatives(state, _MEASURED_LEVELS)]
+                for state in trajectory.states
+            ]
         )
         magnitudes = np.mean(np.abs(derivs), axis=0)
-        means["base"].append(magnitudes[0])
-        means["minus_c3"].append(magnitudes[1])
-        means["full_chain"].append(magnitudes[3])
+        for key, magnitude in zip(DERIVATIVE_KEYS, magnitudes):
+            means[key].append(magnitude)
 
     log_eps = np.log(eps_list)
     slopes = {

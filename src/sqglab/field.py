@@ -235,7 +235,9 @@ class _QuadraticTerm:
 
     Precomputes the dealiased grid and the diagonal symbols; ``__call__``
     maps a positive-mode coefficient array to the coefficient array of the
-    truncated quadratic term.  Stateless between calls.
+    truncated quadratic term.  Both methods take a batch of shape (..., K)
+    and treat each row independently, bit for bit as a call on that row
+    alone.  Stateless between calls.
     """
 
     def __init__(self, m: int, n_max: int):
@@ -243,24 +245,32 @@ class _QuadraticTerm:
         self.n_max = n_max
         self.grid = _dealias_grid_size(n_max)
         self.modes = m * np.arange(1, n_max // m + 1)
-        self.sigma = smoothing_symbol_float(self.modes)
+        # the stored modes m, 2m, ..., n_max as a slice of the rfft layout
+        self.stored = slice(m, n_max + 1, m)
+        # complex, as the product with a complex array casts it anyway
+        self.sigma = smoothing_symbol_float(self.modes).astype(np.complex128)
         self.deriv = 1j * self.modes
 
     def full_product_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
         """rfft-layout spectrum of the quadratic term before truncation."""
-        spectra = np.zeros((4, self.grid // 2 + 1), dtype=np.complex128)
-        spectra[0, self.modes] = coeffs
-        spectra[1, self.modes] = coeffs * self.sigma
-        spectra[2, self.modes] = coeffs * self.deriv
-        spectra[3, self.modes] = coeffs * self.sigma * self.deriv
-        base, smoothed, derived, smoothed_derived = np.fft.irfft(
-            spectra * self.grid, n=self.grid, axis=-1
+        spectra = np.zeros(
+            coeffs.shape[:-1] + (4, self.grid // 2 + 1), dtype=np.complex128
         )
+        smoothed = coeffs * self.sigma
+        spectra[..., 0, self.stored] = coeffs
+        spectra[..., 1, self.stored] = smoothed
+        spectra[..., 2, self.stored] = coeffs * self.deriv
+        spectra[..., 3, self.stored] = smoothed * self.deriv
+        spectra *= self.grid
+        samples = np.fft.irfft(spectra, n=self.grid, axis=-1)
+        base, smoothed, derived, smoothed_derived = np.swapaxes(samples, 0, -2)
         product = 2.0 * smoothed * derived - base * smoothed_derived
-        return np.fft.rfft(product) / self.grid
+        spectrum = np.fft.rfft(product, axis=-1)
+        spectrum /= self.grid
+        return spectrum
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.full_product_spectrum(coeffs)[self.modes]
+        return self.full_product_spectrum(coeffs)[..., self.modes]
 
 
 _QUADRATIC_CACHE: dict = {}

@@ -530,11 +530,18 @@ class CorrectedEnergy:
             out[i + 1] = value
         return out
 
-    def _derivatives(self, f: SpectralField) -> list:
+    def _derivatives(self, f: SpectralField, levels=(0, 1, 2, 3)) -> list:
+        """Complex d/dt of the numbered levels (0 = bare energy) at f."""
         inserted = nonlinearity(f)
-        values = [evaluate_diagonal(self.energy_derivative, f)]
-        for form in self.corrections:
-            values.append(-form.p * evaluate(form, [inserted] + [f] * (form.p - 1)))
+        values = []
+        for level in levels:
+            if level == 0:
+                values.append(evaluate_diagonal(self.energy_derivative, f))
+            else:
+                form = self.corrections[level - 1]
+                values.append(
+                    -form.p * evaluate(form, [inserted] + [f] * (form.p - 1))
+                )
         return values
 
     def derivative_values(self, f: SpectralField) -> np.ndarray:

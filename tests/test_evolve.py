@@ -7,6 +7,7 @@ the multilinear derivative forms with second-order accuracy in dt.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from sqglab import evolve as ev
 from sqglab.dispersion import dispersion_float
-from sqglab.field import SpectralField, hs_norm, reflect
+from sqglab.field import SpectralField, _quadratic_term, hs_norm, reflect
 
 
 CHEAP = dict(m=3, n_max=12, s=2.0)
@@ -156,6 +157,46 @@ class TestStep:
             ev.run(cfg)
         assert info.value.last_time >= 0.0
         assert info.value.trajectory is not None
+        assert re.fullmatch(
+            r"integration unstable at step [1-9]\d*, epsilon=20: the H\^s norm is "
+            r"\d[\d.e+]* times the blow-up threshold \(last valid t=\d+\)",
+            str(info.value),
+        )
+        ratio = float(re.search(r"norm is (\S+) times", str(info.value)).group(1))
+        assert ratio > 1.0
+
+    def test_non_finite_state_named(self):
+        f = ev.initial_state(ev.SimConfig(**CHEAP, epsilon=20.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ev.InstabilityError) as info:
+            ev.integrate(f, 1.0, 50)
+        assert re.fullmatch(
+            r"integration unstable at step [1-9]\d*: the state is not finite "
+            r"\(last valid t=\d+\)",
+            str(info.value),
+        )
+
+    # ``run`` steps a batch of one as its bare row: NumPy multiplies a (1, 1)
+    # array by a length-1 one without FMA, so that batch would round
+    # differently from its row
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(3, 7),
+        harmonics=st.integers(1, 13).filter(lambda k: k % 4),
+        batch=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_step_matches_rows(self, m, harmonics, batch, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=(batch, harmonics)) + 1j * rng.normal(size=(batch, harmonics))
+        coeffs *= 10.0 ** rng.uniform(-4, 0, size=(batch, 1))
+        dt = float(rng.uniform(0.001, 0.1))
+        modes = m * np.arange(1, harmonics + 1)
+        half_phase = np.exp(-0.5j * dispersion_float(modes) * dt)
+        quad = _quadratic_term(m, m * harmonics)
+        stepped = ev._rk4_step(coeffs, dt, half_phase, quad)
+        for row, single in zip(stepped, coeffs):
+            assert row.tobytes() == ev._rk4_step(single, dt, half_phase, quad).tobytes()
 
 
 class TestRun:
@@ -177,12 +218,34 @@ class TestRun:
         assert np.max(trajectory.column("hs_norm")) <= 0.2
         assert not trajectory.stopped_early and trajectory.stop_time is None
 
+    @pytest.mark.parametrize("n_max", [3, 12])
+    def test_states_match_integrate(self, n_max):
+        # n_max = m leaves one harmonic: the (1, 1) case of a batch of one
+        cfg = ev.SimConfig(m=3, n_max=n_max, s=2.0, dt=0.01, t_end=1.0, epsilon=0.5,
+                           diagnostics_stride=25, corrected_energies=False)
+        trajectory = ev.run(cfg)
+        for t, state in zip(trajectory.times, trajectory.states):
+            alone = ev.integrate(trajectory.states[0], cfg.dt, round(t / cfg.dt))
+            assert np.array_equal(state.coeffs, alone.coeffs)
+
     def test_stop_norm(self):
         cfg = ev.SimConfig(**CHEAP, dt=0.01, t_end=1.0, epsilon=0.1,
                            corrected_energies=False)
         trajectory = ev.run(cfg, stop_norm=0.05)  # already above at t = 0
         assert trajectory.stopped_early
         assert trajectory.stop_time == 0.0
+
+
+def assert_same_trajectory(a, b):
+    assert a.config == b.config
+    assert a.stop_time == b.stop_time
+    assert np.array_equal(a.times, b.times)
+    assert a.table.keys() == b.table.keys()
+    for name in a.table:
+        assert np.array_equal(a.table[name], b.table[name], equal_nan=True), name
+    assert len(a.states) == len(b.states)
+    for x, y in zip(a.states, b.states):
+        assert np.array_equal(x.coeffs, y.coeffs)
 
 
 def _centered_fd(values, times):
@@ -238,6 +301,56 @@ class TestLifespanExperiment:
         assert [t.stop_time for t in report.trajectories] == report.doubling_times
         payload = report.to_dict()
         assert set(payload["slopes"]) == {"base", "minus_c3", "full_chain"}
+
+    @pytest.mark.parametrize("n_max", [12, 15])
+    def test_sweep_records_what_sequential_runs_record(self, n_max):
+        # amplitudes 8 and 6 double at different times before t = 1, so the
+        # batch shrinks twice and the last run goes on alone to t_end
+        eps_list = [8.0, 6.0, 3.0]
+        cfg = ev.SimConfig(m=3, n_max=n_max, s=2.0, dt=0.02, t_end=10.0,
+                           diagnostics_stride=5)
+        chain = ev.diagnostic_chain(3, n_max, 2.0)
+        report = ev.lifespan_experiment(eps_list, cfg)
+        stops = [t.stop_time for t in report.trajectories]
+        assert 0.0 < stops[0] < stops[1] < 1.0 and stops[2] is None
+        for eps, swept in zip(eps_list, report.trajectories):
+            alone = ev.run(dataclasses.replace(cfg, epsilon=eps), chain=chain,
+                           stop_norm=2.0 * eps)
+            assert_same_trajectory(swept, alone)
+
+    @pytest.mark.parametrize(
+        "seed,stride,eps_list,failing_steps",
+        [
+            # the second amplitude blows up first, so the first is raised
+            (0, 7, [4.62, 4.5], [12, 11]),
+            # the first runs to t_end after the second has blown up
+            (1, 10, [5.0, 4.25, 4.0], [None, 16, 19]),
+        ],
+    )
+    def test_sweep_raises_first_failing_amplitude(self, seed, stride, eps_list,
+                                                  failing_steps):
+        cfg = ev.SimConfig(**CHEAP, dt=1.0, t_end=60.0, diagnostics_stride=stride,
+                           seed=seed)
+        chain = cheap_chain()
+        outcomes = []
+        for eps in eps_list:
+            try:
+                ev.run(dataclasses.replace(cfg, epsilon=eps), chain=chain,
+                       stop_norm=2.0 * eps)
+                outcomes.append(None)
+            except ev.InstabilityError as exc:
+                outcomes.append(exc)
+        steps = [
+            None if exc is None else int(re.search(r"step (\d+)", str(exc)).group(1))
+            for exc in outcomes
+        ]
+        assert steps == failing_steps
+        expected = next(exc for exc in outcomes if exc is not None)
+        with pytest.raises(ev.InstabilityError) as info:
+            ev.lifespan_experiment(eps_list, cfg)
+        assert str(info.value) == str(expected)
+        assert info.value.last_time == expected.last_time
+        assert_same_trajectory(info.value.trajectory, expected.trajectory)
 
     def test_requires_decreasing_amplitudes(self):
         cfg = ev.SimConfig(**CHEAP)

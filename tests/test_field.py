@@ -9,12 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqglab
 
 from conftest import brute_nonlinearity, l2_pairing, random_field
 from sqglab.field import (
     SpectralField,
+    _quadratic_term,
     analyze,
     differentiate,
     hs_norm,
@@ -72,6 +75,19 @@ class TestSerialization:
         g = SpectralField.from_dict(data)
         assert np.array_equal(f.coeffs, g.coeffs)
         assert (g.m, g.n_max) == (f.m, f.n_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(3, 7),
+        parts=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=2, max_size=16).filter(lambda xs: len(xs) % 2 == 0),
+    )
+    def test_round_trip_exact_property(self, m, parts):
+        coeffs = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+        f = SpectralField(m, m * coeffs.shape[0], coeffs)
+        g = SpectralField.from_dict(json.loads(json.dumps(f.to_dict())))
+        assert (g.m, g.n_max) == (f.m, f.n_max)
+        assert g.coeffs.tobytes() == f.coeffs.tobytes()  # signed zeros too
 
     def test_only_positive_modes_stored(self):
         f = SpectralField.from_modes(5, 20, {10: 1 - 1j})
@@ -230,6 +246,24 @@ class TestQuadraticTerm:
             _, zero_mode = brute_nonlinearity(f)
             assert abs(zero_mode) <= 1e-13
             assert mean_drift(f) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(3, 7),
+        harmonics=st.integers(1, 13).filter(lambda k: k % 4),
+        batch=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_rows_match_single_calls(self, m, harmonics, batch, seed):
+        op = _quadratic_term(m, m * harmonics)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=(batch, harmonics)) + 1j * rng.normal(size=(batch, harmonics))
+        coeffs *= 10.0 ** rng.uniform(-6, 2, size=(batch, 1))
+        term, spectrum = op(coeffs), op.full_product_spectrum(coeffs)
+        assert term.shape == coeffs.shape
+        for r, row in enumerate(coeffs):
+            assert term[r].tobytes() == op(row).tobytes()
+            assert spectrum[r].tobytes() == op.full_product_spectrum(row).tobytes()
 
     def test_symmetry_residual_structurally_zero(self, rng):
         f = random_field(3, 24, rng)

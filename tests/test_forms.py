@@ -5,6 +5,9 @@ brute-force convolution (conftest) and evaluate the lower-arity form
 slot by slot, independently of the table-level pair-merging code.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +193,23 @@ class TestDivision:
         assert fm.parity_defect(divided) < 1e-12
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        space_key=st.sampled_from([(3, 12, 3), (3, 24, 3), (4, 16, 3), (3, 12, 4),
+                                   (4, 16, 4), (3, 12, 5)]),
+        parity=st.sampled_from(["even", "odd"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parity_flip_property(self, space_key, parity, seed):
+        form = random_form(*space_key, np.random.default_rng(seed), parity=parity)
+        if form.p % 2 == 0:
+            form = form.plus(fm.degenerate_projection(form).scaled(-1.0))
+        assert form.parity == parity
+        divided = fm.normal_form_divide(form)
+        assert divided.parity == {"even": "odd", "odd": "even"}[parity]
+        assert fm.parity_defect(divided) < 1e-12
+
+
 class TestProjection:
     def test_idempotent(self, rng):
         form = random_form(3, 24, 4, rng)
@@ -319,6 +339,32 @@ class TestPersistence:
         assert np.array_equal(loaded.values, form.values)
         assert loaded.parity == form.parity
         assert loaded.space is form.space
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        space_key=st.sampled_from([(3, 12, 3), (3, 12, 4), (4, 16, 4), (3, 12, 5)]),
+        parity=st.sampled_from(["even", "odd", "none"]),
+        label=st.text(max_size=12),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.integers(0, 300),
+    )
+    def test_form_round_trip_property(self, space_key, parity, label, symmetric,
+                                      seed, spread):
+        space = fm.tuple_space(*space_key)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-spread, spread, size=space.count)
+        values = scale * (rng.normal(size=space.count) + 1j * rng.normal(size=space.count))
+        values[rng.random(space.count) < 0.1] = -0.0
+        form = fm.MultilinearForm(space, values, parity=parity, label=label,
+                                  symmetric=symmetric)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "table.form"
+            fm.save_form(form, path)
+            loaded = fm.load_form(path)
+        assert loaded.values.tobytes() == form.values.tobytes()
+        assert loaded.space is form.space
+        assert (loaded.parity, loaded.label, loaded.symmetric) == (parity, label, symmetric)
 
     @pytest.mark.parametrize("cut", [3, 16])
     def test_truncated_table_rejected(self, tmp_path, rng, cut):

@@ -7,11 +7,14 @@ degenerate tuples.
 
 import itertools
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqglab import resonance as rs
 from sqglab.dispersion import dispersion
@@ -221,6 +224,33 @@ class TestCertificates:
         loaded = rs.load_certificate(path)
         assert loaded.to_dict() == report.to_dict()
         assert loaded.min_value == report.min_value
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.builds(
+            rs.ResonanceReport,
+            p=st.integers(3, 6),
+            bound=st.integers(9, 10**6),
+            min_value=st.none() | st.fractions(min_value=0),
+            argmin=st.none() | st.tuples(*[st.integers(-10**6, 10**6)] * 4),
+            degenerate_count=st.integers(0, 10**12),
+            exact_zero_tuples=st.lists(st.lists(st.integers(-999, 999), min_size=3,
+                                                max_size=6).map(tuple), max_size=3),
+            scaling_by_min=st.none() | st.dictionaries(st.integers(1, 10**4),
+                                                       st.fractions(min_value=0),
+                                                       max_size=5),
+            tuples_scanned=st.integers(0, 10**15),
+        )
+    )
+    def test_round_trip_exact_property(self, report):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "report.json"
+            rs.certify(report, path)
+            loaded = rs.load_certificate(path)
+            again = Path(directory) / "again.json"
+            rs.certify(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
+        assert loaded == report
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
