@@ -255,23 +255,20 @@ def _rk4_step(coeffs, dt, half_phase, quad):
     )
 
 
-def step(f: SpectralField, dt: float, linear_only: bool = False) -> SpectralField:
-    """Advance one step of size dt; exact phases on the linear part."""
-    return integrate(f, dt, 1, linear_only)
-
-
 def integrate(
     f: SpectralField, dt: float, n_steps: int, linear_only: bool = False
 ) -> SpectralField:
-    """n_steps of ``step`` without recording anything."""
+    """n_steps of size dt without recording; exact phases on the linear part."""
     freq = dispersion_float(f.modes)
     half_phase = np.exp(-0.5j * freq * dt)
     quad = None if linear_only else _quadratic_term(f.m, f.n_max)
     coeffs = f.coeffs
-    for k in range(n_steps):
-        coeffs = _rk4_step(coeffs, dt, half_phase, quad)
-        if not np.all(np.isfinite(coeffs.view(np.float64))):
-            raise InstabilityError(k * dt, step=k + 1)
+    # a blown-up state overflows before it is caught below, and is reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            coeffs = _rk4_step(coeffs, dt, half_phase, quad)
+            if not np.all(np.isfinite(coeffs.view(np.float64))):
+                raise InstabilityError(k * dt, step=k + 1)
     return f.with_coeffs(coeffs)
 
 
@@ -392,46 +389,48 @@ def _lockstep(
     coeffs = np.array([initials[i].coeffs for i in active])
     failure = None
 
-    for k in range(1, n_steps + 1):
-        if not active:
-            break
-        if len(active) == 1:
-            # A batch of one steps as its bare row.  NumPy multiplies a (1, 1)
-            # array by a length-1 one without FMA, so that batch would not
-            # round like its row; and at this size broadcasting costs more
-            # than the arithmetic.
-            coeffs = _rk4_step(coeffs[0], cfg.dt, half_phase, quad)[None, :]
-        else:
-            coeffs = _rk4_step(coeffs, cfg.dt, half_phase, quad)
-        norm = norms(coeffs)
-        # a non-finite state has an infinite or NaN norm, so it fails here too
-        if not (norm <= blowup).all():
-            finite = np.all(np.isfinite(coeffs.view(np.float64)), axis=-1)
-            bad = ~finite | (norm > blowup)
-            if bad.any():
-                # runs from the first failing one on leave; the earlier go on
-                r = int(np.argmax(bad))
-                i = active[r]
-                ratio = norm[r] / blowup[r] if finite[r] else math.nan
-                failure = InstabilityError(
-                    times[i][-1],
-                    finish(i),
-                    step=k,
-                    epsilon=configs[i].epsilon,
-                    ratio=float(ratio),
-                )
-                active, coeffs = active[:r], coeffs[:r]
-                norm, blowup = norm[:r], blowup[:r]
-        if k % cfg.diagnostics_stride == 0 or k == n_steps:
-            t = k * cfg.dt
-            stopped = [
-                record(i, t, initials[i].with_coeffs(row), float(value))
-                for i, row, value in zip(active, coeffs, norm)
-            ]
-            if any(stopped):
-                going = ~np.array(stopped)
-                active = [i for i, done in zip(active, stopped) if not done]
-                coeffs, blowup = coeffs[going], blowup[going]
+    # a blown-up state overflows before the norm check below drops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            if not active:
+                break
+            if len(active) == 1:
+                # A batch of one steps as its bare row.  NumPy multiplies a (1, 1)
+                # array by a length-1 one without FMA, so that batch would not
+                # round like its row; and at this size broadcasting costs more
+                # than the arithmetic.
+                coeffs = _rk4_step(coeffs[0], cfg.dt, half_phase, quad)[None, :]
+            else:
+                coeffs = _rk4_step(coeffs, cfg.dt, half_phase, quad)
+            norm = norms(coeffs)
+            # a non-finite state has an infinite or NaN norm, so it fails here too
+            if not (norm <= blowup).all():
+                finite = np.all(np.isfinite(coeffs.view(np.float64)), axis=-1)
+                bad = ~finite | (norm > blowup)
+                if bad.any():
+                    # runs from the first failing one on leave; the earlier go on
+                    r = int(np.argmax(bad))
+                    i = active[r]
+                    ratio = norm[r] / blowup[r] if finite[r] else math.nan
+                    failure = InstabilityError(
+                        times[i][-1],
+                        finish(i),
+                        step=k,
+                        epsilon=configs[i].epsilon,
+                        ratio=float(ratio),
+                    )
+                    active, coeffs = active[:r], coeffs[:r]
+                    norm, blowup = norm[:r], blowup[:r]
+            if k % cfg.diagnostics_stride == 0 or k == n_steps:
+                t = k * cfg.dt
+                stopped = [
+                    record(i, t, initials[i].with_coeffs(row), float(value))
+                    for i, row, value in zip(active, coeffs, norm)
+                ]
+                if any(stopped):
+                    going = ~np.array(stopped)
+                    active = [i for i, done in zip(active, stopped) if not done]
+                    coeffs, blowup = coeffs[going], blowup[going]
 
     if failure is not None:
         raise failure

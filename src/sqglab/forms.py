@@ -18,10 +18,8 @@ The operators implemented here drive the corrected-energy construction:
   normal_form_divide   divide the multiplier by the frequency sum (flips
                        parity; rejects nonzero values on resonant tuples);
   degenerate_projection  restrict to totally degenerate tuples (even arity);
-  extend_stretching    arity p -> p+1 insertion of u * (d/da K u), the
-                       stretching half of the quadratic term;
-  extend_advection     symmetrized insertion of (d/da u) * (K u), the
-                       advection half.
+  nonlinearity_extension  arity p -> p+1 insertion of the quadratic term
+                       N(f) = 2 (Kf) f' - f (Kf)' into each slot.
 
 Along the truncated flow f' = -(Kf)' rotation + N(f), the time derivative
 of the quadratic Sobolev energy is an exact cubic form, and each division /
@@ -84,7 +82,8 @@ class TupleSpace:
 
     Modes are the nonzero multiples of m with |n| <= n_max, listed
     ascending; ``idx`` holds mode indices per tuple slot, ``mode_values``
-    the actual modes.  Instances are immutable and cached per
+    the actual modes, and ``keys`` the raveled index tuples, which ascend
+    strictly with the row number.  Instances are immutable and cached per
     (m, n_max, p); the orbit table, and with it the per-tuple frequency sums
     and degeneracy, is built lazily.
     """
@@ -118,9 +117,10 @@ class TupleSpace:
         self.idx = idx
         self.mode_values = self.modes[idx]
         self.count = idx.shape[0]
+        # the ij meshgrid lists the first p-1 slots in ascending raveled
+        # order and the last slot follows from them, so the keys ascend
+        self.keys = self.ravel_keys(idx)
         self._orbits = None
-        self._sorted_keys = None
-        self._sorted_order = None
 
     # -- lattice helpers ---------------------------------------------------
 
@@ -142,18 +142,13 @@ class TupleSpace:
 
     def rows_of(self, idx: np.ndarray) -> np.ndarray:
         """Row numbers of given tuples (index representation)."""
-        if self._sorted_keys is None:
-            keys = self.ravel_keys(self.idx)
-            order = np.argsort(keys)
-            self._sorted_keys = keys[order]
-            self._sorted_order = order
         wanted = self.ravel_keys(idx)
-        pos = np.searchsorted(self._sorted_keys, wanted)
-        if np.any(pos >= self._sorted_keys.shape[0]) or np.any(
-            self._sorted_keys[pos.clip(max=self._sorted_keys.shape[0] - 1)] != wanted
+        pos = np.searchsorted(self.keys, wanted)
+        if np.any(pos >= self.count) or np.any(
+            self.keys[pos.clip(max=self.count - 1)] != wanted
         ):
             raise KeyError("tuple not present in this space")
-        return self._sorted_order[pos]
+        return pos
 
     # -- derived per-tuple data ---------------------------------------------
 
@@ -199,7 +194,7 @@ class TupleSpace:
         """Flat lookup table over all index combinations (missing -> 0)."""
         size = self.modes.shape[0]
         dense = np.zeros(size**self.p, dtype=np.complex128)
-        dense[self.ravel_keys(self.idx)] = values
+        dense[self.keys] = values
         return dense
 
 
@@ -390,17 +385,17 @@ def degenerate_projection(form: MultilinearForm) -> MultilinearForm:
     )
 
 
-def _pair_extension(
-    form: MultilinearForm, weight: Callable, label: str
-) -> MultilinearForm:
-    """Common core of the arity-raising insertions.
+def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
+    """Arity p -> p+1 insertion of the full quadratic term 2 (Kf) f' - f (Kf)'.
 
     The output multiplier at a (p+1)-tuple sums, over ordered slot pairs
     (k, l), the input multiplier at the tuple with slots k, l merged into
-    mode n_k + n_l, times ``weight(n_k, n_l)``; merged modes off the lattice
-    (zero or beyond n_max) contribute nothing, matching the truncated
-    product.  Normalized by 1/(p+1) so that on equal arguments the result
-    agrees with the direct slot-by-slot insertion.
+    mode n_k + n_l, times i (2 n_k sigma(n_l) - lambda(n_l)); merged modes
+    off the lattice (zero or beyond n_max) contribute nothing, matching the
+    truncated product.  Normalized by 1/(p+1), so that on equal arguments
+    the result is p C(N(f), f, ..., f).  The advection and stretching halves
+    are accumulated apart and combined last.  The inserted factor is odd, so
+    the declared parity flips.
     """
     if form.p + 1 > MAX_ARITY:
         raise ValueError(f"extension beyond arity {MAX_ARITY} is not supported")
@@ -412,7 +407,8 @@ def _pair_extension(
     q = out_space.p
     mv = out_space.mode_values
     idx = out_space.idx
-    acc = np.zeros(out_space.count, dtype=np.complex128)
+    advection = np.zeros(out_space.count, dtype=np.complex128)
+    stretching = np.zeros(out_space.count, dtype=np.complex128)
     for k in range(q):
         for l in range(q):
             if l == k:
@@ -427,47 +423,13 @@ def _pair_extension(
                 flat = flat * size + idx[:, j]
             vals = dense[flat]
             vals[~valid] = 0.0
-            acc += vals * weight(mv[:, k], mv[:, l])
+            nk, nl = mv[:, k].astype(np.float64), mv[:, l]
+            advection += vals * (1j * nk * smoothing_symbol_float(nl))
+            stretching += vals * (1j * dispersion_float(nl))
     return MultilinearForm(
         out_space,
-        acc / q,
+        (advection / q) * 2.0 - stretching / q,
         parity=_PARITY_FLIP[form.parity],
-        label=label,
-        symmetric=True,
-    )
-
-
-def extend_stretching(form: MultilinearForm) -> MultilinearForm:
-    """Arity p -> p+1 insertion of u * (d/da K u) into each slot.
-
-    On equal arguments this equals summing the form with one argument
-    replaced by f * (d/da K f).  The inserted factor is the odd dispersion
-    frequency, so the declared parity flips.
-    """
-    return _pair_extension(
-        form,
-        lambda nk, nl: 1j * dispersion_float(nl),
-        label=f"stretch({form.label})",
-    )
-
-
-def extend_advection(form: MultilinearForm) -> MultilinearForm:
-    """Arity p -> p+1 symmetrized insertion of (d/da u) * (K u)."""
-    return _pair_extension(
-        form,
-        lambda nk, nl: 1j * nk.astype(np.float64) * smoothing_symbol_float(nl),
-        label=f"advect({form.label})",
-    )
-
-
-def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
-    """Insertion of the full quadratic term 2 (Kf) f' - f (Kf)'."""
-    two_adv = extend_advection(form).scaled(2.0)
-    stretch = extend_stretching(form)
-    return MultilinearForm(
-        two_adv.space,
-        two_adv.values - stretch.values,
-        parity=stretch.parity,
         label=f"insert-quadratic({form.label})",
         symmetric=True,
     )
@@ -638,41 +600,3 @@ def load_form(path) -> MultilinearForm:
         label=header["label"],
         symmetric=header["symmetric"],
     )
-
-
-#: Version of the cached chain layout: bump when the stored stages change.
-_CHAIN_LAYOUT = 2
-
-_CHAIN_STAGES = ("c3", "c4", "c5")
-
-
-def _chain_paths(directory, m: int, n_max: int, s: float) -> dict:
-    # float.hex is exact, so no two Sobolev indices share a file
-    stem = f"chain-v{_CHAIN_LAYOUT}_m{m}_N{n_max}_s{float(s).hex()}"
-    return {
-        stage: os.path.join(directory, f"{stem}_{stage}.form")
-        for stage in _CHAIN_STAGES
-    }
-
-
-def cached_chain(m: int, n_max: int, s: float, cache_dir=None) -> CorrectedEnergy:
-    """build_chain with an optional on-disk cache of the three corrections.
-
-    The cubic energy derivative is cheap and rebuilt on load.
-    """
-    if cache_dir is None:
-        return build_chain(m, n_max, s)
-    paths = _chain_paths(cache_dir, m, n_max, s)
-    if all(os.path.exists(p) for p in paths.values()):
-        return CorrectedEnergy(
-            m=m,
-            n_max=n_max,
-            s=float(s),
-            corrections=tuple(load_form(p) for p in paths.values()),
-            energy_derivative=build_energy_form(m, n_max, s),
-        )
-    chain = build_chain(m, n_max, s)
-    os.makedirs(cache_dir, exist_ok=True)
-    for stage, form in zip(_CHAIN_STAGES, chain.corrections):
-        save_form(form, paths[stage])
-    return chain

@@ -132,7 +132,7 @@ class TestStep:
 
     def test_zero_field_fixed_point(self):
         z = SpectralField.zero(3, 12)
-        assert np.all(ev.step(z, 0.1).coeffs == 0)
+        assert np.all(ev.integrate(z, 0.1, 1).coeffs == 0)
 
     def test_fourth_order_self_convergence(self):
         cfg = ev.SimConfig(**CHEAP, epsilon=0.2, corrected_energies=False)
@@ -167,8 +167,7 @@ class TestStep:
 
     def test_non_finite_state_named(self):
         f = ev.initial_state(ev.SimConfig(**CHEAP, epsilon=20.0))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ev.InstabilityError) as info:
+        with pytest.raises(ev.InstabilityError) as info:
             ev.integrate(f, 1.0, 50)
         assert re.fullmatch(
             r"integration unstable at step [1-9]\d*: the state is not finite "

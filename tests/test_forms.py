@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import convolve_fields, random_field
+from conftest import brute_nonlinearity, random_field
 from sqglab import evolve as ev
 from sqglab import forms as fm
 from sqglab import resonance as rs
@@ -65,6 +65,13 @@ SPACES = [(3, 12, p) for p in (3, 4, 5, 6)] + [(4, 16, p) for p in (3, 4, 5)]
 
 
 class TestTupleSpace:
+    @pytest.mark.parametrize("m,n_max,p", SPACES)
+    def test_keys_strictly_ascend(self, m, n_max, p):
+        space = fm.tuple_space(m, n_max, p)
+        assert np.array_equal(space.keys, space.ravel_keys(space.idx))
+        assert np.all(np.diff(space.keys) > 0)
+        assert np.array_equal(space.rows_of(space.idx), np.arange(space.count))
+
     @pytest.mark.parametrize("m,n_max,p", SPACES)
     def test_exact_facts_row_by_row(self, m, n_max, p):
         space = fm.tuple_space(m, n_max, p)
@@ -238,46 +245,30 @@ class TestProjection:
 class TestExtensions:
     def test_zero_form_maps_to_zero(self):
         zero = fm.make_form(3, 12, 3, lambda mv: np.zeros(mv.shape[0]))
-        assert np.all(fm.extend_stretching(zero).values == 0)
-        assert np.all(fm.extend_advection(zero).values == 0)
+        assert np.all(fm.nonlinearity_extension(zero).values == 0)
 
-    @pytest.mark.parametrize("which", ["stretch", "advect"])
-    def test_equal_argument_identity(self, which, rng):
-        # oracle: replace one slot by the convolved product field directly
-        form = random_form(3, 12, 3, rng)
-        extended = (
-            fm.extend_stretching(form) if which == "stretch" else fm.extend_advection(form)
-        )
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_equal_argument_identity(self, p, rng):
+        # oracle: replace one slot by the brute-force convolved N(f) directly
+        form = random_form(3, 12, p, rng)
+        extended = fm.nonlinearity_extension(form)
         for _ in range(3):
             f = random_field(3, 12, rng)
-            if which == "stretch":
-                inserted, _ = convolve_fields(f, differentiate(smooth(f)))
-            else:
-                inserted, _ = convolve_fields(differentiate(f), smooth(f))
-            direct = 3.0 * fm.evaluate(form, [inserted, f, f])
+            inserted, _ = brute_nonlinearity(f)
+            direct = p * fm.evaluate(form, [inserted] + [f] * (p - 1))
             table = fm.evaluate_diagonal(extended, f)
             assert table == pytest.approx(direct, rel=1e-12)
 
     def test_parity_bookkeeping(self, rng):
         even = random_form(3, 12, 4, rng, parity="even")
-        stretched = fm.extend_stretching(even)
-        assert stretched.parity == "odd"
-        assert fm.parity_defect(stretched) < 1e-12
-        advected = fm.extend_advection(even)
-        assert advected.parity == "odd"
-        assert fm.parity_defect(advected) < 1e-12
+        extended = fm.nonlinearity_extension(even)
+        assert extended.parity == "odd"
+        assert fm.parity_defect(extended) < 1e-12
 
     def test_arity_overflow(self, rng):
         form = random_form(3, 12, 6, rng)
         with pytest.raises(ValueError):
-            fm.extend_stretching(form)
-
-    def test_quadratic_combination(self, rng):
-        form = random_form(3, 12, 3, rng)
-        combined = fm.nonlinearity_extension(form)
-        two_adv = fm.extend_advection(form).values * 2.0
-        stretch = fm.extend_stretching(form).values
-        assert np.allclose(combined.values, two_adv - stretch, rtol=1e-15)
+            fm.nonlinearity_extension(form)
 
 
 class TestEnergyForm:
@@ -373,25 +364,3 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ValueError, match="bytes, expected"):
             fm.load_form(path)
-
-    def test_cached_chain_matches_fresh_build(self, tmp_path, monkeypatch):
-        fresh = fm.build_chain(3, 12, 2.0)
-        fm.cached_chain(3, 12, 2.0, cache_dir=tmp_path)
-        assert len(list(tmp_path.iterdir())) == 3
-
-        def no_build(*args):
-            raise AssertionError("cache hit expected")
-
-        monkeypatch.setattr(fm, "build_chain", no_build)
-        reloaded = fm.cached_chain(3, 12, 2.0, cache_dir=tmp_path)
-        for a, b in zip(fresh.corrections + (fresh.energy_derivative,),
-                        reloaded.corrections + (reloaded.energy_derivative,)):
-            assert np.array_equal(a.values, b.values)
-
-    def test_nearby_sobolev_index_builds_fresh(self, tmp_path):
-        fm.cached_chain(3, 12, 2.0, cache_dir=tmp_path)
-        near = fm.cached_chain(3, 12, 2.0000001, cache_dir=tmp_path)
-        fresh = fm.build_chain(3, 12, 2.0000001)
-        for a, b in zip(near.corrections, fresh.corrections):
-            assert np.array_equal(a.values, b.values)
-        assert len(list(tmp_path.iterdir())) == 6
