@@ -10,8 +10,10 @@ digits and exact rationals as "p/q" strings.  Files are written atomically
 A run config (``evolve``, ``normalform``) is a JSON object.  The CLI loads
 it, rejects unknown keys and fills in the defaults of ``evolve.SimConfig``;
 every rule on the values lives in ``evolve.config_problems``, which
-``SimConfig`` enforces for library callers too.  Exit code 2 means a bad
-config or bad arguments, naming each offending field; 1 means the run failed.
+``SimConfig`` enforces for library callers too.  The arguments of ``waves``
+and ``resonance`` are checked by the library functions they call, with the
+same number rules.  Exit code 2 means a bad config or bad arguments, naming
+each offending field; 1 means the run failed.
 """
 
 from __future__ import annotations
@@ -154,10 +156,13 @@ def cmd_dispersion(args) -> int:
 
 def cmd_resonance(args) -> int:
     started = time.monotonic()
-    if args.p == 6:
-        report = resonance.search_resonances_p6(args.bound)
-    else:
-        report = resonance.min_denominator(args.p, args.bound)
+    try:
+        if args.p == 6:
+            report = resonance.search_resonances_p6(args.bound)
+        else:
+            report = resonance.min_denominator(args.p, args.bound)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     resonance.certify(report, args.out)
     config = json.dumps({"p": args.p, "bound": args.bound}, sort_keys=True).encode()
     emit_manifest(args.out, "resonance", config, [args.out], None, started)

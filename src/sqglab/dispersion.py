@@ -27,12 +27,31 @@ vectorized views used by the numerics.
 
 from __future__ import annotations
 
+import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
 #: Smallest admissible mode magnitude.
 MIN_MODE = 3
+
+
+# The number rules of every entry point that takes numbers from outside: the
+# run config (``evolve``), ``waves.continue_branch`` and the ``resonance``
+# searches.  They live in this leaf module because every other module imports it.
+def _finite_real(value) -> bool:
+    """True for a finite real number; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _integer(value) -> bool:
+    return _finite_real(value) and isinstance(value, numbers.Integral)
 
 
 def _check_mode(n: int) -> int:

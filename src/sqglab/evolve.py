@@ -20,24 +20,24 @@ lockstep: the runs of a sweep differ only in amplitude, so their states form
 one (B, K) array stepped with a shared dt, and each RK4 step costs four
 batched quadratic-term calls whatever B is.  ``run`` is the batch of one.
 Every row is computed bit for bit as it would be alone, so a sweep records
-exactly what running its amplitudes one after another would.  A run leaves
-the batch when its norm reaches its stop norm at a recorded time; a blow-up
-drops the failing run and every later amplitude (a sequential sweep would
-never have started them), and once the earlier runs finish the first
+exactly what running its amplitudes one after another would.  The initial
+state is step 0 of the loop and is recorded like every later record.  A run
+leaves the batch when its norm reaches its stop norm at a recorded time; a
+blow-up drops the failing run and every later amplitude (a sequential sweep
+would never have started them), and once the earlier runs finish the first
 failing run's error is raised.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import forms
-from .dispersion import dispersion_float
+from .dispersion import _finite_real, _integer, dispersion_float
 from .field import (
     SpectralField,
     _quadratic_term,
@@ -83,20 +83,6 @@ class InstabilityError(RuntimeError):
 #: Relative slack allowed when t_end/dt is checked to be a whole number, so
 #: that decimal inputs such as t_end=0.3, dt=0.1 (ratio 2.9999999999999996) pass.
 _STEP_RTOL = 1e-9
-
-
-def _finite_real(value) -> bool:
-    """True for a finite real number; booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _integer(value) -> bool:
-    return _finite_real(value) and isinstance(value, numbers.Integral)
 
 
 def config_problems(values) -> list:
@@ -286,19 +272,21 @@ def diagnostic_chain(m: int, n_max: int, s: float) -> forms.CorrectedEnergy:
 
 def run(
     cfg: SimConfig,
-    chain: forms.CorrectedEnergy | None = None,
     stop_norm: float | None = None,
     initial: SpectralField | None = None,
 ) -> Trajectory:
     """Integrate to t_end, recording diagnostics every stride steps.
 
-    Deterministic given the seed.  ``initial`` (a restart state) overrides
-    the configured profile; it must live on the configured lattice.  Raises
+    Deterministic given the seed.  The corrected energies come from
+    ``diagnostic_chain`` when ``cfg.corrected_energies`` is set, and are NaN
+    otherwise.  ``initial`` (a restart state) overrides the configured
+    profile; it must live on the configured lattice.  Raises
     InstabilityError (carrying the last valid time and the partial
     trajectory) on blow-up; stops cleanly when the H^s norm first reaches
     ``stop_norm`` at a recorded time.
     """
-    if chain is None and cfg.corrected_energies:
+    chain = None
+    if cfg.corrected_energies:
         chain = diagnostic_chain(cfg.m, cfg.n_max, cfg.s)
 
     if initial is None:
@@ -321,9 +309,12 @@ def _lockstep(
 ) -> list:
     """Run each (config, initial state, stop norm) as ``run`` does, together.
 
-    The configs differ at most in ``epsilon``.  Returns the trajectories in
-    order; raises the first failing run's InstabilityError after the earlier
-    runs are complete.
+    The configs differ at most in ``epsilon``.  Step k = 0 is the initial
+    state: it is recorded like every stride-th step and the last one, but
+    neither stepped nor checked for blow-up.  At a recorded step or a
+    blow-up, one keep mask collects the runs that leave the batch.  Returns
+    the trajectories in order; raises the first failing run's
+    InstabilityError after the earlier runs are complete.
     """
     cfg = configs[0]
     modes = initials[0].modes
@@ -337,104 +328,84 @@ def _lockstep(
         return np.sqrt(2.0 * np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    times = [[] for _ in configs]
-    rows = [[] for _ in configs]
-    trajectories = [Trajectory(c, np.empty(0), [], {}) for c in configs]
+    records = [([], [], []) for _ in configs]  # times, states, rows of each run
+    stop_times = [None] * len(configs)
 
-    def record(i: int, t: float, state: SpectralField, norm: float) -> bool:
-        """Record run i at time t; True when it has reached its stop norm."""
+    def record(i: int, t: float, row: np.ndarray, norm: float) -> None:
+        state = initials[i].with_coeffs(row)
         if chain is not None:
             levels = chain.levels(state)
         else:
-            base = 0.5 * norm * norm
-            levels = np.array([base, np.nan, np.nan, np.nan])
-        times[i].append(t)
-        trajectories[i].states.append(state)
-        rows[i].append(
-            np.array(
-                [
-                    levels[0],
-                    levels[1],
-                    levels[2],
-                    levels[3],
-                    norm,
-                    mean_drift(state),
-                    symmetry_residual(state),
-                ]
-            )
-        )
-        if stop_norms[i] is not None and norm >= stop_norms[i]:
-            trajectories[i].stop_time = t
-            return True
-        return False
+            levels = (0.5 * norm * norm, np.nan, np.nan, np.nan)
+        times, states, rows = records[i]
+        times.append(t)
+        states.append(state)
+        rows.append([*levels, norm, mean_drift(state), symmetry_residual(state)])
 
-    def finish(i: int) -> Trajectory:
-        trajectory = trajectories[i]
-        trajectory.times = np.array(times[i])
-        data = np.array(rows[i])
-        trajectory.table = {
-            name: data[:, j] for j, name in enumerate(DIAGNOSTIC_COLUMNS)
-        }
-        return trajectory
+    def trajectory(i: int) -> Trajectory:
+        times, states, rows = records[i]
+        data = np.array(rows)
+        table = {name: data[:, j] for j, name in enumerate(DIAGNOSTIC_COLUMNS)}
+        return Trajectory(configs[i], np.array(times), states, table, stop_times[i])
 
     # ``active`` lists the runs still integrating, in sweep order; row r of
-    # ``coeffs`` and ``blowup`` belongs to run active[r].
-    active, blowup = [], []
-    for i, (c, f) in enumerate(zip(configs, initials)):
-        norm = hs_norm(f, c.s)
-        if not record(i, 0.0, f, norm):
-            active.append(i)
-            blowup.append(BLOWUP_FACTOR * max(c.epsilon, norm))
-    blowup = np.array(blowup)
-    coeffs = np.array([initials[i].coeffs for i in active])
+    # ``coeffs``, ``norm`` and ``blowup`` belongs to run active[r].
+    active = list(range(len(configs)))
+    coeffs = np.array([f.coeffs for f in initials])
+    norm = norms(coeffs)
+    blowup = BLOWUP_FACTOR * np.maximum([c.epsilon for c in configs], norm)
     failure = None
 
     # a blown-up state overflows before the norm check below drops it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
+        for k in range(n_steps + 1):
             if not active:
                 break
-            if len(active) == 1:
-                # A batch of one steps as its bare row.  NumPy multiplies a (1, 1)
-                # array by a length-1 one without FMA, so that batch would not
-                # round like its row; and at this size broadcasting costs more
-                # than the arithmetic.
-                coeffs = _rk4_step(coeffs[0], cfg.dt, half_phase, quad)[None, :]
-            else:
-                coeffs = _rk4_step(coeffs, cfg.dt, half_phase, quad)
-            norm = norms(coeffs)
-            # a non-finite state has an infinite or NaN norm, so it fails here too
-            if not (norm <= blowup).all():
-                finite = np.all(np.isfinite(coeffs.view(np.float64)), axis=-1)
-                bad = ~finite | (norm > blowup)
-                if bad.any():
-                    # runs from the first failing one on leave; the earlier go on
-                    r = int(np.argmax(bad))
-                    i = active[r]
-                    ratio = norm[r] / blowup[r] if finite[r] else math.nan
-                    failure = InstabilityError(
-                        times[i][-1],
-                        finish(i),
-                        step=k,
-                        epsilon=configs[i].epsilon,
-                        ratio=float(ratio),
-                    )
-                    active, coeffs = active[:r], coeffs[:r]
-                    norm, blowup = norm[:r], blowup[:r]
-            if k % cfg.diagnostics_stride == 0 or k == n_steps:
+            failed = False
+            if k:
+                if len(active) == 1:
+                    # A batch of one steps as its bare row.  NumPy multiplies a (1, 1)
+                    # array by a length-1 one without FMA, so that batch would not
+                    # round like its row; and at this size broadcasting costs more
+                    # than the arithmetic.
+                    coeffs = _rk4_step(coeffs[0], cfg.dt, half_phase, quad)[None, :]
+                else:
+                    coeffs = _rk4_step(coeffs, cfg.dt, half_phase, quad)
+                norm = norms(coeffs)
+                # a non-finite state has an infinite or NaN norm, so it fails here too
+                failed = not (norm <= blowup).all()
+            recorded = k % cfg.diagnostics_stride == 0 or k == n_steps
+            if not (failed or recorded):
+                continue
+            keep = np.ones(len(active), dtype=bool)
+            if failed:
+                # runs from the first failing one on leave; the earlier go on
+                r = int(np.argmax(~(norm <= blowup)))
+                i = active[r]
+                finite = np.isfinite(coeffs[r].view(np.float64)).all()
+                failure = InstabilityError(
+                    records[i][0][-1],
+                    trajectory(i),
+                    step=k,
+                    epsilon=configs[i].epsilon,
+                    ratio=float(norm[r] / blowup[r]) if finite else math.nan,
+                )
+                keep[r:] = False
+            if recorded:
                 t = k * cfg.dt
-                stopped = [
-                    record(i, t, initials[i].with_coeffs(row), float(value))
-                    for i, row, value in zip(active, coeffs, norm)
-                ]
-                if any(stopped):
-                    going = ~np.array(stopped)
-                    active = [i for i, done in zip(active, stopped) if not done]
-                    coeffs, blowup = coeffs[going], blowup[going]
+                for r in np.flatnonzero(keep):
+                    i, value = active[r], float(norm[r])
+                    record(i, t, coeffs[r], value)
+                    if stop_norms[i] is not None and value >= stop_norms[i]:
+                        stop_times[i] = t
+                        keep[r] = False
+            if not keep.all():
+                active = [i for i, kept in zip(active, keep) if kept]
+                coeffs, norm, blowup = coeffs[keep], norm[keep], blowup[keep]
 
     if failure is not None:
         raise failure
-    return [finish(i) for i in range(len(configs))]
+    return [trajectory(i) for i in range(len(configs))]
 
 
 @dataclass

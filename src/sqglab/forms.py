@@ -333,18 +333,14 @@ def evaluate_diagonal(form: MultilinearForm, f: SpectralField) -> complex:
     return complex(prod.sum())
 
 
-def parity_defect(form: MultilinearForm, sample: int | None = 200_000) -> float:
-    """Worst violation of the declared parity over the table (or a sample)."""
+def parity_defect(form: MultilinearForm) -> float:
+    """Worst violation of the declared parity over every row of the table."""
     if form.parity == "none":
         return 0.0
     space = form.space
-    rows = np.arange(space.count)
-    if sample is not None and space.count > sample:
-        rows = np.random.default_rng(0).choice(space.count, size=sample, replace=False)
-    neg_idx = space.modes.shape[0] - 1 - space.idx[rows]
-    neg_rows = space.rows_of(neg_idx)
+    neg_rows = space.rows_of(space.modes.shape[0] - 1 - space.idx)
     sign = 1.0 if form.parity == "even" else -1.0
-    return float(np.max(np.abs(form.values[neg_rows] - sign * form.values[rows])))
+    return float(np.max(np.abs(form.values[neg_rows] - sign * form.values)))
 
 
 def normal_form_divide(form: MultilinearForm) -> MultilinearForm:

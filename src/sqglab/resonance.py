@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dispersion import MIN_MODE, dispersion, dispersion_float
+from .dispersion import MIN_MODE, _integer, dispersion, dispersion_float
 
 #: Margin added to float pre-filters before exact confirmation.  For
 #: |n| < 2**26, n*n - 1 and n*n - 4 are exact, so ``dispersion_float`` errs
@@ -238,22 +238,24 @@ def _window(left: _Halves, right: _Halves, width: float, p: int, bound: int) -> 
     return stats
 
 
-def _search(p: int, bound: int):
+def _search(p: int, bound: int) -> ResonanceReport:
     """Split search over all ordered p-tuples, then exact confirmation.
 
-    Halves are p // 2 and p - p // 2 entries long; ``tuples_scanned`` is the
-    size of the unbounded window, sum over S of c_left(S) * c_right(-S).
+    Halves are p // 2 and p - p // 2 entries long (one set serves both sides
+    for even p); ``tuples_scanned`` is the size of the unbounded window, sum
+    over S of c_left(S) * c_right(-S).
     Degenerate tuples (exact sum 0) lie in the window of width FLOAT_MARGIN,
     so the nondegenerate float minimum is at most the smallest sum m outside
     it, and only the window of width m + FLOAT_MARGIN is built (for p = 4,
     which needs every per-min minimum, the unbounded one).
 
-    Returns the report (without ``scaling_by_min``), the window state and
-    the exact |frequency sum| of each candidate row.  Every minimum is >= 0,
-    so the rows within FLOAT_MARGIN of zero, which hold every exact
-    resonance, are among those within FLOAT_MARGIN of the minimum.
+    The candidate rows are confirmed exactly.  Every minimum is >= 0, so the
+    rows within FLOAT_MARGIN of zero, which hold every exact resonance, are
+    among those within FLOAT_MARGIN of the minimum; for p = 4 the rows within
+    FLOAT_MARGIN of each per-min minimum give ``scaling_by_min``.
     """
-    left, right = _half_tuples(bound, p // 2), _half_tuples(bound, p - p // 2)
+    left = _half_tuples(bound, p // 2)
+    right = left if p % 2 == 0 else _half_tuples(bound, p - p // 2)
     width = np.inf if p == 4 else _nearest_outside(left, right, FLOAT_MARGIN)
     stats = _window(left, right, width + FLOAT_MARGIN, p, bound)
     scanned = sum(
@@ -270,16 +272,32 @@ def _search(p: int, bound: int):
         if ok
     ]
     min_value, argmin = min(ranked, default=(None, None))
-    report = ResonanceReport(
+    scaling = None
+    if p == 4:
+        scaling = {}
+        for v, value in zip(np.abs(stats.rows).min(axis=1).tolist(), exact):
+            scaling[v] = min(value, scaling.get(v, value))
+    return ResonanceReport(
         p=p,
         bound=bound,
         min_value=min_value,
         argmin=argmin,
         degenerate_count=stats.degenerate,
         exact_zero_tuples=sorted({rep for value, rep in ranked if value == 0}),
+        scaling_by_min=scaling,
         tuples_scanned=scanned,
     )
-    return report, stats, exact
+
+
+def _check_request(p, bound, arities: tuple) -> None:
+    """Raise ValueError naming each of ``p`` and ``bound`` that breaks its rule."""
+    problems = []
+    if not (_integer(p) and p in arities):
+        problems.append("p: must be one of " + ", ".join(map(str, arities)))
+    if not (_integer(bound) and bound >= 9):
+        problems.append("bound: must be an integer >= 9")
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 #: Proven lower bounds for the nondegenerate frequency-sum minimum.
@@ -292,22 +310,11 @@ def min_denominator(p: int, bound: int) -> ResonanceReport:
     For p = 3, 5 the result is checked against the proven constants 2/5 and
     9/35 (a violation raises).  For p = 4 the report also carries the exact
     minimum for each value of min |n_j|, exhibiting the fourth-power decay.
+    Raises ValueError unless p is one of 3, 4, 5 and bound an integer >= 9,
+    naming each offending argument as ``"<name>: <rule>"``.
     """
-    if p not in (3, 4, 5):
-        raise ValueError(f"min_denominator supports p in {{3, 4, 5}}, got {p}")
-    if bound < 9:
-        raise ValueError(f"bound {bound} < 9 is too small to be informative")
-
-    report, stats, exact = _search(p, bound)
-    if report.tuples_scanned == 0:
-        raise ValueError(f"no admissible tuples with p={p}, bound={bound}")
-
-    if p == 4:
-        scaling: dict[int, Fraction] = {}
-        for v, value in zip(np.abs(stats.rows).min(axis=1).tolist(), exact):
-            scaling[v] = min(value, scaling.get(v, value))
-        report.scaling_by_min = scaling
-
+    _check_request(p, bound, (3, 4, 5))
+    report = _search(p, bound)
     known = KNOWN_LOWER_BOUNDS.get(p)
     if known is not None and not report.exact_zero_tuples and report.min_value < known:
         raise AssertionError(
@@ -320,11 +327,11 @@ def search_resonances_p6(bound: int = 20) -> ResonanceReport:
     """Exhaustive exact search for nondegenerate 6-tuples with zero frequency sum.
 
     An empty ``exact_zero_tuples`` list is evidence for non-existence within
-    the searched radius, nothing more.
+    the searched radius, nothing more.  ``bound`` follows the rule of
+    ``min_denominator``.
     """
-    if bound < 9:
-        raise ValueError(f"bound {bound} < 9 is too small to be informative")
-    return _search(6, bound)[0]
+    _check_request(6, bound, (6,))
+    return _search(6, bound)
 
 
 def certify(report: ResonanceReport, path) -> None:

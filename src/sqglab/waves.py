@@ -22,14 +22,18 @@ matrix-free directional derivative it reproduces column by column.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dispersion import dispersion, dispersion_float, smoothing_symbol_float
+from .dispersion import (
+    _finite_real,
+    _integer,
+    dispersion,
+    dispersion_float,
+    smoothing_symbol_float,
+)
 
 
 class NewtonError(RuntimeError):
@@ -341,14 +345,14 @@ def continue_branch(
     up.
     """
     problems = []
-    if not (isinstance(m, numbers.Integral) and m >= 3):
+    if not (_integer(m) and m >= 3):
         problems.append("m: must be an integer >= 3")
-    if not (math.isfinite(xi_max) and xi_max > 0):
+    if not (_finite_real(xi_max) and xi_max > 0):
         problems.append("xi_max: must be a finite number > 0")
-    if steps < 1:
-        problems.append("steps: must be >= 1")
-    if num_harmonics is not None and num_harmonics < 1:
-        problems.append("num_harmonics: must be >= 1")
+    if not (_integer(steps) and steps >= 1):
+        problems.append("steps: must be an integer >= 1")
+    if num_harmonics is not None and not (_integer(num_harmonics) and num_harmonics >= 1):
+        problems.append("num_harmonics: must be an integer >= 1")
     if problems:
         raise ValueError("; ".join(problems))
     if num_harmonics is None:

@@ -206,6 +206,13 @@ class TestEvolveCommand:
 
 
 class TestResonanceCommand:
+    @pytest.mark.parametrize("p,bound", [("4", "5"), ("6", "8")])
+    def test_bad_bound_exits_2_naming_field(self, tmp_path, capsys, p, bound):
+        out = tmp_path / "cert.json"
+        assert cli.main(["resonance", "--p", p, "--bound", bound, "--out", str(out)]) == 2
+        assert " bound: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_certificate_written(self, tmp_path):
         out = tmp_path / "report.json"
         code = cli.main(["resonance", "--p", "3", "--bound", "12", "--out", str(out)])

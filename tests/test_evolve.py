@@ -202,7 +202,7 @@ class TestRun:
     def test_records_and_residuals(self):
         cfg = ev.SimConfig(**CHEAP, dt=0.01, t_end=2.0, epsilon=0.1,
                            diagnostics_stride=20)
-        trajectory = ev.run(cfg, chain=cheap_chain())
+        trajectory = ev.run(cfg)
         assert np.all(np.diff(trajectory.times) > 0)
         assert len(trajectory.states) == trajectory.times.shape[0]
         for name in ev.DIAGNOSTIC_COLUMNS:
@@ -256,7 +256,7 @@ class TestDerivativeIdentities:
         chain = cheap_chain()
         cfg = ev.SimConfig(**CHEAP, dt=dt, t_end=0.5, epsilon=0.1,
                            diagnostics_stride=1)
-        trajectory = ev.run(cfg, chain=chain)
+        trajectory = ev.run(cfg)
         names = ("es", "es_c3", "es_c34", "es_c345")
         fd = _centered_fd(trajectory.column(names[level]), trajectory.times)
         forms_values = np.array(
@@ -279,7 +279,7 @@ class TestDerivativeIdentities:
         chain = cheap_chain()
         cfg = ev.SimConfig(**CHEAP, dt=0.01, t_end=2.0, epsilon=0.05,
                            diagnostics_stride=10)
-        trajectory = ev.run(cfg, chain=chain)
+        trajectory = ev.run(cfg)
         derivs = np.array(
             [chain.derivative_values(state) for state in trajectory.states]
         )
@@ -308,13 +308,11 @@ class TestLifespanExperiment:
         eps_list = [8.0, 6.0, 3.0]
         cfg = ev.SimConfig(m=3, n_max=n_max, s=2.0, dt=0.02, t_end=10.0,
                            diagnostics_stride=5)
-        chain = ev.diagnostic_chain(3, n_max, 2.0)
         report = ev.lifespan_experiment(eps_list, cfg)
         stops = [t.stop_time for t in report.trajectories]
         assert 0.0 < stops[0] < stops[1] < 1.0 and stops[2] is None
         for eps, swept in zip(eps_list, report.trajectories):
-            alone = ev.run(dataclasses.replace(cfg, epsilon=eps), chain=chain,
-                           stop_norm=2.0 * eps)
+            alone = ev.run(dataclasses.replace(cfg, epsilon=eps), stop_norm=2.0 * eps)
             assert_same_trajectory(swept, alone)
 
     @pytest.mark.parametrize(
@@ -330,12 +328,10 @@ class TestLifespanExperiment:
                                                   failing_steps):
         cfg = ev.SimConfig(**CHEAP, dt=1.0, t_end=60.0, diagnostics_stride=stride,
                            seed=seed)
-        chain = cheap_chain()
         outcomes = []
         for eps in eps_list:
             try:
-                ev.run(dataclasses.replace(cfg, epsilon=eps), chain=chain,
-                       stop_norm=2.0 * eps)
+                ev.run(dataclasses.replace(cfg, epsilon=eps), stop_norm=2.0 * eps)
                 outcomes.append(None)
             except ev.InstabilityError as exc:
                 outcomes.append(exc)
@@ -350,6 +346,42 @@ class TestLifespanExperiment:
         assert str(info.value) == str(expected)
         assert info.value.last_time == expected.last_time
         assert_same_trajectory(info.value.trajectory, expected.trajectory)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        eps_list=st.lists(st.integers(16, 32), min_size=2, max_size=3, unique=True).map(
+            lambda quarters: sorted((q / 4 for q in quarters), reverse=True)
+        ),
+        dt=st.floats(0.5, 1.0),
+        n_steps=st.integers(5, 60),
+        stride=st.integers(1, 10),
+        seed=st.integers(0, 3),
+    )
+    def test_sweep_matches_sequential_runs_property(self, eps_list, dt, n_steps,
+                                                    stride, seed):
+        # large amplitudes and steps: runs stop, blow up or reach t_end, in
+        # any order and at any step, recorded or not
+        cfg = ev.SimConfig(**CHEAP, dt=dt, t_end=n_steps * dt,
+                           diagnostics_stride=stride, seed=seed)
+        alone, failure = [], None
+        for eps in eps_list:
+            try:
+                alone.append(
+                    ev.run(dataclasses.replace(cfg, epsilon=eps), stop_norm=2.0 * eps)
+                )
+            except ev.InstabilityError as exc:
+                failure = exc
+                break
+        if failure is None:
+            report = ev.lifespan_experiment(eps_list, cfg)
+            for swept, expected in zip(report.trajectories, alone, strict=True):
+                assert_same_trajectory(swept, expected)
+        else:
+            with pytest.raises(ev.InstabilityError) as info:
+                ev.lifespan_experiment(eps_list, cfg)
+            assert str(info.value) == str(failure)
+            assert info.value.last_time == failure.last_time
+            assert_same_trajectory(info.value.trajectory, failure.trajectory)
 
     def test_requires_decreasing_amplitudes(self):
         cfg = ev.SimConfig(**CHEAP)

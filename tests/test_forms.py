@@ -199,6 +199,14 @@ class TestDivision:
         assert divided.parity == "even"
         assert fm.parity_defect(divided) < 1e-12
 
+    def test_parity_defect_checks_every_row(self):
+        # 526,672 rows, of which only the first (its negation is the last)
+        # breaks the declared parity
+        space = fm.TupleSpace(3, 24, 6)
+        values = space.mode_values[:, 0].astype(np.complex128)  # odd under n -> -n
+        values[0] += 1.0
+        odd = fm.MultilinearForm(space, values, parity="odd")
+        assert fm.parity_defect(odd) == 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(

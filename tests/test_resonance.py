@@ -137,9 +137,26 @@ class TestSearches:
         with pytest.raises(ValueError):
             rs.min_denominator(3, 8)
 
-    @pytest.mark.parametrize("p,bound,share", [(4, 12, 1.0), (6, 12, 0.1)])
+    @pytest.mark.parametrize(
+        "search,args,message",
+        [
+            (rs.min_denominator, (5, 9.5), "bound: must be an integer >= 9"),
+            (rs.min_denominator, (4, True), "bound: must be an integer >= 9"),
+            (rs.search_resonances_p6, (12.0,), "bound: must be an integer >= 9"),
+            (rs.min_denominator, (3.0, 9), "p: must be one of 3, 4, 5"),
+            (rs.min_denominator, (6, 8),
+             "p: must be one of 3, 4, 5; bound: must be an integer >= 9"),
+        ],
+    )
+    def test_arguments_follow_run_config_number_rules(self, search, args, message):
+        with pytest.raises(ValueError) as info:
+            search(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("p,bound,share", [(4, 12, 1.0), (5, 12, 0.0), (6, 12, 0.1)])
     def test_each_half_built_once(self, monkeypatch, p, bound, share):
-        """One build per half; p = 4 builds each tuple once, p = 6 few."""
+        """One build per distinct half length; p = 4 builds each tuple once,
+        p = 6 few, and odd p has no degenerate tuples to test."""
         builds, built = [], []
         half_tuples, degenerate_rows = rs._half_tuples, rs._degenerate_rows
 
@@ -154,7 +171,7 @@ class TestSearches:
         monkeypatch.setattr(rs, "_half_tuples", counted_halves)
         monkeypatch.setattr(rs, "_degenerate_rows", counted_rows)
         report = search(p, bound)
-        assert sorted(builds) == [p // 2, p - p // 2]
+        assert sorted(builds) == sorted({p // 2, p - p // 2})
         assert sum(built) <= share * report.tuples_scanned
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])

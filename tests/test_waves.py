@@ -165,6 +165,19 @@ class TestBranch:
             assert (a.xi, a.speed, a.residual_norm) == (b.xi, b.speed, b.residual_norm)
             assert np.array_equal(a.cosine_coeffs, b.cosine_coeffs)
 
+    @pytest.mark.parametrize(
+        "args,kwargs,field",
+        [
+            ((3, 0.1, 2.5), {}, "steps"),
+            ((3, "0.1", 2), {}, "xi_max"),
+            ((3, True, 2), {}, "xi_max"),
+            ((3, 0.1, 2), {"num_harmonics": 2.5}, "num_harmonics"),
+        ],
+    )
+    def test_arguments_follow_run_config_number_rules(self, args, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be "):
+            wv.continue_branch(*args, **kwargs)
+
     def test_partial_branch_on_failure(self):
         branch = wv.continue_branch(3, 0.2, 10, max_iter=1)
         assert branch.provenance["terminated_early"]
