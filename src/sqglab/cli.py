@@ -10,9 +10,11 @@ digits and exact rationals as "p/q" strings.  Files are written atomically
 A run config (``evolve``, ``normalform``) is a JSON object.  The CLI loads
 it, rejects unknown keys and fills in the defaults of ``evolve.SimConfig``;
 every rule on the values lives in ``evolve.config_problems``, which
-``SimConfig`` enforces for library callers too.  The arguments of ``waves``
-and ``resonance`` are checked by the library functions they call, with the
-same number rules.  Exit code 2 means a bad config or bad arguments, naming
+``SimConfig`` enforces for library callers too.  The rules of a
+``normalform`` sweep live in ``evolve.sweep_problems``, which
+``lifespan_experiment`` enforces.  The arguments of ``waves`` and
+``resonance`` are checked by the library functions they call, with the same
+number rules.  Exit code 2 means a bad config or bad arguments, naming
 each offending field; 1 means the run failed.
 """
 
@@ -107,7 +109,9 @@ def validate_config(path: str, extra_defaults: dict | None = None) -> tuple:
     extras = {name: raw.get(name, default) for name, default in extras.items()}
     problems += evolve.config_problems(values)
     if "eps_list" in extras:
-        problems += evolve.amplitude_problems(extras["eps_list"])
+        problems += evolve.sweep_problems(
+            extras["eps_list"], values["corrected_energies"]
+        )
     if not isinstance(extras["initial_state"], (str, type(None))):
         problems.append("initial_state: must be a file path")
     if problems:

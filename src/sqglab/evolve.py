@@ -133,16 +133,25 @@ def config_problems(values) -> list:
     return problems
 
 
-def amplitude_problems(eps_list) -> list:
-    """The rule on the amplitudes of a lifespan sweep, as ``config_problems``."""
+def sweep_problems(eps_list, corrected_energies) -> list:
+    """The rules of a lifespan sweep on its amplitudes and on the config's
+    ``corrected_energies`` flag, as ``config_problems``.
+
+    A sweep measures the corrected energies, so it cannot run without them.
+    A flag that is not a boolean at all is left to ``config_problems``.
+    """
+    problems = []
     ok = (
         isinstance(eps_list, list)
         and len(eps_list) >= 2
         and all(_finite_real(e) and e > 0 for e in eps_list)
         and all(b < a for a, b in zip(eps_list, eps_list[1:]))
     )
-    rule = "must be a strictly decreasing list of >= 2 amplitudes"
-    return [] if ok else [f"eps_list: {rule}"]
+    if not ok:
+        problems.append("eps_list: must be a strictly decreasing list of >= 2 amplitudes")
+    if corrected_energies is False:
+        problems.append("corrected_energies: must be true for a lifespan sweep")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -455,12 +464,13 @@ def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanRe
     derivative magnitudes are evaluated exactly (no finite differences) and
     their log-log slopes against epsilon are fitted.
     Expected slopes: 3 (bare energy), 4 (cubic correction removed), 6 (full
-    chain).
+    chain).  Raises ValueError naming each field that breaks a rule of
+    ``sweep_problems``.
     """
     eps_list = list(eps_list)
-    problems = amplitude_problems(eps_list)
+    problems = sweep_problems(eps_list, cfg.corrected_energies)
     if problems:
-        raise ValueError(problems[0])
+        raise ValueError("; ".join(problems))
     eps_list = [float(e) for e in eps_list]
 
     chain = diagnostic_chain(cfg.m, cfg.n_max, cfg.s)

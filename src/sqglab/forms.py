@@ -29,7 +29,9 @@ quartic and quintic corrections; the derivative of each corrected energy is
 evaluated by inserting N(f) into the last correction, so the sextic table
 is never built.  The identities hold exactly for the truncated dynamics
 because extensions drop merged modes beyond n_max, mirroring the Galerkin
-product.
+product.  A diagonal evaluation shares the product of the first p-2
+amplitudes among the rows with the same prefix, and rounds each row's
+product exactly as a per-row reduction would.
 """
 
 from __future__ import annotations
@@ -82,10 +84,11 @@ class TupleSpace:
 
     Modes are the nonzero multiples of m with |n| <= n_max, listed
     ascending; ``idx`` holds mode indices per tuple slot, ``mode_values``
-    the actual modes, and ``keys`` the raveled index tuples, which ascend
-    strictly with the row number.  Instances are immutable and cached per
-    (m, n_max, p); the orbit table, and with it the per-tuple frequency sums
-    and degeneracy, is built lazily.
+    the actual modes (both column-major, one contiguous column per slot),
+    and ``keys`` the raveled index tuples, which ascend strictly with the row
+    number.  Instances are immutable and cached per (m, n_max, p); the orbit
+    table (and with it the per-tuple frequency sums and degeneracy) and the
+    prefix ids are built lazily.
     """
 
     def __init__(self, m: int, n_max: int, p: int):
@@ -105,22 +108,28 @@ class TupleSpace:
                 f"tuple table for m={m}, n_max={n_max}, p={p} would need "
                 f"{size ** (p - 1)} candidate rows; reduce n_max or arity"
             )
-        grids = np.meshgrid(*([np.arange(size)] * (p - 1)), indexing="ij")
-        idx = np.empty((size ** (p - 1), p), dtype=np.int64)
-        for j, g in enumerate(grids):
-            idx[:, j] = g.ravel()
-        last_mode = -self.modes[idx[:, :-1]].sum(axis=1)
-        last_idx = self.index_of_mode(last_mode)
-        keep = last_idx >= 0
-        idx = idx[keep]
-        idx[:, -1] = last_idx[keep]
-        self.idx = idx
-        self.mode_values = self.modes[idx]
-        self.count = idx.shape[0]
-        # the ij meshgrid lists the first p-1 slots in ascending raveled
-        # order and the last slot follows from them, so the keys ascend
-        self.keys = self.ravel_keys(idx)
+        # Candidate rows are built one first-slot block at a time: the middle
+        # p-2 slots run over every index combination in raveled order and the
+        # last slot follows from the zero sum, so the keys ascend block by
+        # block and no more than size^(p-2) candidates are held at once.
+        middle = np.indices((size,) * (p - 2)).reshape(p - 2, -1)
+        middle_sum = self.modes[middle].sum(axis=0)
+        blocks = []
+        for first in range(size):
+            last = self.index_of_mode(-self.modes[first] - middle_sum)
+            keep = last >= 0
+            block = np.empty((p, int(keep.sum())), dtype=np.int64)
+            block[0] = first
+            block[1:-1] = middle[:, keep]
+            block[-1] = last[keep]
+            blocks.append(block)
+        # column-major, so that each slot column idx[:, j] is contiguous
+        self.idx = np.concatenate(blocks, axis=1).T
+        self.mode_values = self.modes[self.idx]
+        self.count = self.idx.shape[0]
+        self.keys = self.ravel_keys(self.idx)
         self._orbits = None
+        self._prefix = None
 
     # -- lattice helpers ---------------------------------------------------
 
@@ -170,6 +179,17 @@ class TupleSpace:
                 np.array([is_totally_degenerate(row) for row in reps], dtype=bool),
             )
         return self._orbits
+
+    @property
+    def prefix(self) -> np.ndarray:
+        """Per-row id of the first p-2 slots, raveled in base ``size``.
+
+        The keys are raveled in the same base and ascend, so the ids ascend
+        too, and they index a table over all size^(p-2) prefixes.
+        """
+        if self._prefix is None:
+            self._prefix = self.keys // self.modes.shape[0] ** 2
+        return self._prefix
 
     @property
     def frequency_sum(self) -> np.ndarray:
@@ -326,11 +346,47 @@ def evaluate(form: MultilinearForm, fields: Sequence[SpectralField]) -> complex:
     return complex(prod.sum())
 
 
+def _times(ar, ai, br, bi):
+    """(ar + i ai) (br + i bi) as separate float64 operations, without FMA."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def evaluate_diagonal(form: MultilinearForm, f: SpectralField) -> complex:
-    """The form on p copies of the same field."""
+    """The form on p copies of the same field.
+
+    Each row's product a(n_1) ... a(n_p) is bit for bit what the reduction
+    ``prod(axis=1)`` gives on a row-major (rows, p) gather of the amplitudes:
+    it starts from the identity 1 + 0i and multiplies in slot order,
+    rounding every real operation on its own.  The first p-2 factors are
+    shared by all rows with the same prefix, so they come from a table over
+    the size^(p-2) prefixes (at most MAX_TABLE_ROWS / size entries), built
+    one slot at a time by broadcasting, and each row makes only the last two
+    multiplies.  Every multiply is spelled out in float64 arrays: NumPy's
+    contiguous complex ``*`` may fuse a product and a sum into one FMA,
+    which rounds differently.  The table starts from the identity times the
+    amplitudes, as the reduction does; without that step an exact-zero
+    amplitude, whose conjugate has imaginary part -0.0, would keep it where
+    the reduction gives +0.0.
+    """
     amp = _mode_amplitudes(f, form.space)
-    prod = form.values * amp[form.space.idx].prod(axis=1)
+    prod = form.values * _diagonal_product(form.space, amp)
     return complex(prod.sum())
+
+
+def _diagonal_product(space: TupleSpace, amp: np.ndarray) -> np.ndarray:
+    """Per-row amp[n_1] ... amp[n_p] from the prefix table (see above)."""
+    ar, ai = amp.real.copy(), amp.imag.copy()
+    tr, ti = _times(1.0, 0.0, ar, ai)
+    for _ in range(space.p - 3):
+        tr, ti = _times(tr[:, None], ti[:, None], ar, ai)
+        tr, ti = tr.ravel(), ti.ravel()
+    re, im = tr[space.prefix], ti[space.prefix]
+    for j in (space.p - 2, space.p - 1):
+        column = space.idx[:, j]
+        re, im = _times(re, im, ar[column], ai[column])
+    product = np.empty(space.count, dtype=np.complex128)
+    product.real, product.imag = re, im
+    return product
 
 
 def parity_defect(form: MultilinearForm) -> float:

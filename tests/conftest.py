@@ -69,6 +69,27 @@ def brute_nonlinearity(f):
     )
 
 
+def assert_same_bits(a, b):
+    """a and b hold the same bytes: dtype, shape, and every bit of every value.
+
+    Unlike ``np.array_equal`` this tells -0.0 from +0.0 and compares NaNs by
+    their bits.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype, (a.dtype, b.dtype)
+    assert a.shape == b.shape, (a.shape, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def reduction_product(space, amp):
+    """Per-row product of the amplitudes as a reduction over a row-major gather.
+
+    ``space.idx`` is column-major, and so would be a gather through it; the
+    reduction over that layout rounds differently.
+    """
+    return amp[np.ascontiguousarray(space.idx)].prod(axis=1)
+
+
 def l2_pairing(f, g):
     """integral of f*g over the circle: 2 pi sum fhat(n) ghat(-n)."""
     return 2.0 * np.pi * 2.0 * np.real(np.sum(f.coeffs * np.conj(g.coeffs)))

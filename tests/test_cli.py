@@ -273,3 +273,17 @@ class TestNormalformCommand:
         slopes = json.loads((tmp_path / "nf.slopes.json").read_text())
         assert set(slopes["slopes"]) == {"base", "minus_c3", "full_chain"}
         assert (tmp_path / "nf.slopes.json.manifest.json").exists()
+
+    def test_sweep_without_corrected_energies_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nf.json"
+        cfg.write_text(json.dumps({
+            "m": 3, "n_max": 12, "s": 2.0, "dt": 0.02, "t_end": 2.0,
+            "diagnostics_stride": 20, "eps_list": [0.1, 0.05],
+            "corrected_energies": False,
+        }))
+        prefix = tmp_path / "nf"
+        code = cli.main(["normalform", "--config", str(cfg),
+                         "--out-prefix", str(prefix)])
+        assert code == 2
+        assert " corrected_energies: must be true" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nf.json"]

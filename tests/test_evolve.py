@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_bits, reduction_product
 from sqglab import evolve as ev
+from sqglab import forms as fm
 from sqglab.dispersion import dispersion_float
 from sqglab.field import SpectralField, _quadratic_term, hs_norm, reflect
 
@@ -238,13 +240,13 @@ class TestRun:
 def assert_same_trajectory(a, b):
     assert a.config == b.config
     assert a.stop_time == b.stop_time
-    assert np.array_equal(a.times, b.times)
+    assert_same_bits(a.times, b.times)
     assert a.table.keys() == b.table.keys()
     for name in a.table:
-        assert np.array_equal(a.table[name], b.table[name], equal_nan=True), name
+        assert_same_bits(a.table[name], b.table[name])
     assert len(a.states) == len(b.states)
     for x, y in zip(a.states, b.states):
-        assert np.array_equal(x.coeffs, y.coeffs)
+        assert_same_bits(x.coeffs, y.coeffs)
 
 
 def _centered_fd(values, times):
@@ -382,6 +384,31 @@ class TestLifespanExperiment:
             assert str(info.value) == str(failure)
             assert info.value.last_time == failure.last_time
             assert_same_trajectory(info.value.trajectory, failure.trajectory)
+
+    @pytest.mark.parametrize("profile", ["random_band", "single_mode"])
+    def test_sweep_matches_row_reduction_oracle(self, monkeypatch, profile):
+        # the diagonal product from shared prefixes records what the per-row
+        # reduction over a row-major gather recorded, bit for bit
+        cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=2.0, diagnostics_stride=5,
+                           initial_profile=profile)
+        eps_list = [0.1, 0.05, 0.025]
+        report = ev.lifespan_experiment(eps_list, cfg)
+
+        def reduction_evaluate_diagonal(form, f):
+            amp = fm._mode_amplitudes(f, form.space)
+            return complex((form.values * reduction_product(form.space, amp)).sum())
+
+        monkeypatch.setattr(fm, "evaluate_diagonal", reduction_evaluate_diagonal)
+        oracle = ev.lifespan_experiment(eps_list, cfg)
+        for swept, expected in zip(report.trajectories, oracle.trajectories,
+                                   strict=True):
+            assert_same_trajectory(swept, expected)
+        assert report.to_dict() == oracle.to_dict()
+
+    def test_requires_corrected_energies(self):
+        cfg = ev.SimConfig(**CHEAP, corrected_energies=False)
+        with pytest.raises(ValueError, match="^corrected_energies: must be true"):
+            ev.lifespan_experiment([0.1, 0.05], cfg)
 
     def test_requires_decreasing_amplitudes(self):
         cfg = ev.SimConfig(**CHEAP)

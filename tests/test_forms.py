@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_nonlinearity, random_field
+from conftest import (
+    assert_same_bits,
+    brute_nonlinearity,
+    random_field,
+    reduction_product,
+)
 from sqglab import evolve as ev
 from sqglab import forms as fm
 from sqglab import resonance as rs
@@ -64,6 +69,16 @@ def brute_force_symmetrize(space, values):
 SPACES = [(3, 12, p) for p in (3, 4, 5, 6)] + [(4, 16, p) for p in (3, 4, 5)]
 
 
+def full_grid_rows(space):
+    """Every admissible row from one grid over all (p-1)-slot candidates."""
+    size, p = space.modes.shape[0], space.p
+    grids = np.meshgrid(*([np.arange(size)] * (p - 1)), indexing="ij")
+    head = np.stack([g.ravel() for g in grids], axis=1)
+    last = space.index_of_mode(-space.modes[head].sum(axis=1))
+    keep = last >= 0
+    return np.column_stack([head[keep], last[keep]])
+
+
 class TestTupleSpace:
     @pytest.mark.parametrize("m,n_max,p", SPACES)
     def test_keys_strictly_ascend(self, m, n_max, p):
@@ -71,6 +86,17 @@ class TestTupleSpace:
         assert np.array_equal(space.keys, space.ravel_keys(space.idx))
         assert np.all(np.diff(space.keys) > 0)
         assert np.array_equal(space.rows_of(space.idx), np.arange(space.count))
+
+    @pytest.mark.parametrize("m,n_max,p", SPACES)
+    def test_rows_match_full_candidate_grid(self, m, n_max, p):
+        space = fm.tuple_space(m, n_max, p)
+        assert_same_bits(np.ascontiguousarray(space.idx), full_grid_rows(space))
+        assert space.idx.flags.f_contiguous and space.mode_values.flags.f_contiguous
+        size = space.modes.shape[0]
+        prefix = np.zeros(space.count, dtype=np.int64)
+        for j in range(p - 2):
+            prefix = prefix * size + space.idx[:, j]
+        assert_same_bits(space.prefix, prefix)
 
     @pytest.mark.parametrize("m,n_max,p", SPACES)
     def test_exact_facts_row_by_row(self, m, n_max, p):
@@ -146,6 +172,33 @@ class TestEvaluate:
         form = random_form(3, 12, 3, rng)
         with pytest.raises(ValueError):
             fm.evaluate_diagonal(form, SpectralField.zero(3, 24))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        space_key=st.sampled_from(SPACES),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.integers(0, 8),
+        zero_share=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    )
+    def test_diagonal_product_is_the_row_reduction(self, space_key, seed, spread,
+                                                   zero_share):
+        space = fm.tuple_space(*space_key)
+        rng = np.random.default_rng(seed)
+        k = space.num_harmonics
+        scale = 10.0 ** rng.uniform(-spread, spread, size=k)
+        coeffs = scale * (rng.normal(size=k) + 1j * rng.normal(size=k))
+        # exact zeros: whole amplitudes, and real or imaginary parts of either sign
+        coeffs[rng.random(k) < zero_share] = 0.0
+        coeffs.real[rng.random(k) < zero_share / 2] = -0.0
+        coeffs.imag[rng.random(k) < zero_share / 2] = 0.0
+        f = SpectralField(space.m, space.n_max, coeffs)
+        amp = fm._mode_amplitudes(f, space)
+        expected = reduction_product(space, amp)
+        assert_same_bits(fm._diagonal_product(space, amp), expected)
+        values = rng.normal(size=space.count) + 1j * rng.normal(size=space.count)
+        form = fm.MultilinearForm(space, values)
+        total = complex((form.values * expected).sum())
+        assert_same_bits(fm.evaluate_diagonal(form, f), total)
 
     def test_table_matches_slow_summation(self, rng):
         # memoized table vs a from-scratch python loop over admissible tuples
@@ -335,7 +388,7 @@ class TestPersistence:
         path = tmp_path / "table.form"
         fm.save_form(form, path)
         loaded = fm.load_form(path)
-        assert np.array_equal(loaded.values, form.values)
+        assert_same_bits(loaded.values, form.values)
         assert loaded.parity == form.parity
         assert loaded.space is form.space
 

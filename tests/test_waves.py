@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_bits
 from sqglab import evolve as ev
 from sqglab import waves as wv
 from sqglab.field import SpectralField
@@ -72,12 +73,10 @@ class TestJacobian:
         for _ in range(3):
             c = 10.0 ** rng.uniform(-3, 0) * rng.normal(size=k)
             v = rng.normal()
-            assert np.array_equal(
-                wv.jacobian_matrix(c, v, m), jacobian_by_columns(c, v, m)
-            )
+            assert_same_bits(wv.jacobian_matrix(c, v, m), jacobian_by_columns(c, v, m))
         zero = np.zeros(k)
         v_m = float(wv.bifurcation_speed(m))
-        assert np.array_equal(
+        assert_same_bits(
             wv.jacobian_matrix(zero, v_m, m), jacobian_by_columns(zero, v_m, m)
         )
 
