@@ -16,6 +16,11 @@ every rule on the values lives in ``evolve.config_problems``, which
 ``resonance`` are checked by the library functions they call, with the same
 number rules.  Exit code 2 means a bad config or bad arguments, naming
 each offending field; 1 means the run failed.
+
+Each subcommand imports the library module it runs (``evolve``,
+``resonance``, ``waves``) when it runs, so a job loads only what it uses.
+Handlers call through the module attribute (``resonance.min_denominator``),
+so a wrapper installed on that name sees the call.
 """
 
 from __future__ import annotations
@@ -29,10 +34,14 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import __version__, evolve, resonance, waves
+from . import __version__
 from .dispersion import dispersion, smoothing_symbol
 from .field import SpectralField
+
+if TYPE_CHECKING:
+    from . import evolve
 
 
 class ConfigError(ValueError):
@@ -86,6 +95,12 @@ def emit_manifest(
     return path
 
 
+def _failed(exc: Exception) -> int:
+    """Report a failed run; its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def validate_config(path: str, extra_defaults: dict | None = None) -> tuple:
     """Load a JSON run config and fill in the defaults of ``SimConfig``.
 
@@ -93,6 +108,8 @@ def validate_config(path: str, extra_defaults: dict | None = None) -> tuple:
     naming each violated field.  Returns the ``SimConfig`` and a dict of the
     other fields: ``initial_state`` (None when not given) and the extras.
     """
+    from . import evolve
+
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -120,6 +137,8 @@ def validate_config(path: str, extra_defaults: dict | None = None) -> tuple:
 
 
 def _trajectory_rows(trajectory: evolve.Trajectory, prefix: tuple = ()) -> list:
+    from . import evolve
+
     rows = []
     for i, t in enumerate(trajectory.times):
         rows.append(
@@ -159,6 +178,8 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_resonance(args) -> int:
+    from . import resonance
+
     started = time.monotonic()
     try:
         if args.p == 6:
@@ -174,6 +195,8 @@ def cmd_resonance(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from . import evolve
+
     started = time.monotonic()
     sim, extras = validate_config(args.config)
     initial = None
@@ -183,7 +206,10 @@ def cmd_evolve(args) -> int:
                 initial = SpectralField.from_dict(json.load(handle))
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             raise ConfigError(f"initial_state: {exc}") from exc
-    trajectory = evolve.run(sim, initial=initial)
+    try:
+        trajectory = evolve.run(sim, initial=initial)
+    except evolve.InstabilityError as exc:
+        return _failed(exc)
     _write_csv(args.out, _TRAJ_HEADER, _trajectory_rows(trajectory))
     outputs = [args.out]
     if args.state_out:
@@ -196,6 +222,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_normalform(args) -> int:
+    from . import evolve
+
     started = time.monotonic()
     sim, extras = validate_config(
         args.config, extra_defaults={"eps_list": [0.1, 0.05, 0.025]}
@@ -203,7 +231,10 @@ def cmd_normalform(args) -> int:
 
     series_path = f"{args.out_prefix}.series.csv"
     slopes_path = f"{args.out_prefix}.slopes.json"
-    report = evolve.lifespan_experiment(extras["eps_list"], sim)
+    try:
+        report = evolve.lifespan_experiment(extras["eps_list"], sim)
+    except evolve.InstabilityError as exc:
+        return _failed(exc)
     rows = []
     for eps, trajectory in zip(report.epsilons, report.trajectories):
         rows.extend(_trajectory_rows(trajectory, prefix=(_fmt(eps),)))
@@ -223,6 +254,8 @@ def cmd_normalform(args) -> int:
 
 
 def cmd_waves(args) -> int:
+    from . import waves
+
     started = time.monotonic()
     try:
         branch = waves.continue_branch(
@@ -230,6 +263,8 @@ def cmd_waves(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except waves.NewtonError as exc:
+        return _failed(exc)
     header = ["xi", "v", "residual", "decay_c"] + [
         f"a_{k}" for k in range(1, branch.num_harmonics + 1)
     ]
@@ -316,9 +351,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, evolve.InstabilityError, waves.NewtonError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        return _failed(exc)
 
 
 if __name__ == "__main__":

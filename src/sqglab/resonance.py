@@ -17,9 +17,11 @@ exactly before anything is concluded.
 
 The searches meet in the middle (Horowitz & Sahni, J. ACM 21(2), 1974): a
 p-tuple is a left and a right half with opposite momenta (integer sums).
-Each set of halves is enumerated once, grouped by momentum and sorted by
-float frequency sum, and binary search builds only the tuples whose sum
-lies in a window around zero.
+Each set of halves is enumerated once and grouped by momentum; the right
+halves are sorted by float frequency sum within each group, and binary
+search builds only the tuples whose sum lies in a window around zero.  For
+p = 4 the minimum for each value of min |n_j| comes from one such window per
+value, over masks of the same pair set, never from every tuple.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ from .dispersion import MIN_MODE, _integer, dispersion, dispersion_float
 #: width w >= m + 1e-6 (m the float minimum), a row at the exact minimum has
 #: |A_left + A_right| <= m + 2e-14, and rounding the window ends
 #: -A_left -/+ w errs by < 1e-14, so binary search cannot leave that row out.
+#: The per-min windows of p = 4 repeat the argument for each v = min |n_j|:
+#: with m_v the float minimum over the rows of that v, the window has width
+#: w_v >= m_v + 1e-6 and the exact per-v minimum lies within 2e-14 of m_v.
 FLOAT_MARGIN = 1e-6
 
 
@@ -145,22 +150,30 @@ def _degenerate_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class _Halves(NamedTuple):
-    """All ordered k-tuples of modes 3 <= |n| <= bound, sorted by (momentum,
-    float frequency sum); ``groups`` maps each momentum to its rows' slice."""
+    """All ordered k-tuples of modes 3 <= |n| <= bound, grouped by momentum
+    (integer sum); ``groups`` maps each momentum to its rows' slice.  Halves
+    that are searched are sorted by float frequency sum within each group."""
 
     rows: np.ndarray
     sums: np.ndarray
     groups: dict
 
 
-def _half_tuples(bound: int, k: int) -> _Halves:
+def _half_tuples(bound: int, k: int, searched: bool = True) -> _Halves:
     pos = np.arange(MIN_MODE, bound + 1, dtype=np.int64)
     values = np.concatenate([-pos[::-1], pos])
-    rows = np.stack([g.ravel() for g in np.meshgrid(*([values] * k), indexing="ij")], axis=1)
+    slots = [g.ravel() for g in np.meshgrid(*([np.arange(values.shape[0])] * k), indexing="ij")]
+    rows = np.stack([values[i] for i in slots], axis=1)
     momentum = rows.sum(axis=1)
-    sums = dispersion_float(rows).sum(axis=1)
-    order = np.lexsort((sums, momentum))
-    momenta, starts = np.unique(momentum[order], return_index=True)
+    lam = dispersion_float(values)
+    sums = sum(lam[i] for i in slots)
+    if searched:
+        order = np.lexsort((sums, momentum))
+    else:
+        order = np.argsort(momentum, kind="stable")
+    momentum = momentum[order]
+    starts = np.flatnonzero(np.concatenate([[True], momentum[1:] != momentum[:-1]]))
+    momenta = momentum[starts]
     ends = starts[1:].tolist() + [rows.shape[0]]
     groups = {s: slice(a, b) for s, a, b in zip(momenta.tolist(), starts.tolist(), ends)}
     return _Halves(rows[order], sums[order], groups)
@@ -169,18 +182,16 @@ def _half_tuples(bound: int, k: int) -> _Halves:
 class _ChunkStats:
     """Reduction state of one window, fed one momentum bucket at a time.
 
-    Besides the degenerate count and the float minima (overall, and for
-    p = 4 per min |n_j|) it keeps the candidate rows and their float sums:
-    the nondegenerate rows within FLOAT_MARGIN of the minimum (for p = 4, of
-    the minimum for the row's own min |n_j|).  Minima only fall, so filtering
-    after each bucket keeps exactly those rows, in memory bounded by the
-    largest bucket.
+    Besides the degenerate count and the float minimum it keeps the
+    candidate rows and their float sums: the nondegenerate rows within
+    FLOAT_MARGIN of the minimum.  The minimum only falls, so filtering after
+    each bucket keeps exactly those rows, in memory bounded by the largest
+    bucket.
     """
 
-    def __init__(self, p: int, bound: int):
+    def __init__(self, p: int):
         self.degenerate = 0
         self.min_float = np.inf
-        self.by_min = np.full(bound + 1, np.inf) if p == 4 else None
         self.rows = np.empty((0, p), dtype=np.int64)
         self.sums = np.empty(0)
 
@@ -193,12 +204,7 @@ class _ChunkStats:
         self.min_float = min(self.min_float, float(sums.min(initial=np.inf)))
         self.rows = np.concatenate([self.rows, rows])
         self.sums = np.concatenate([self.sums, sums])
-        floor = self.min_float
-        if self.by_min is not None:
-            mins = np.abs(self.rows).min(axis=1)
-            np.minimum.at(self.by_min, mins, self.sums)
-            floor = self.by_min[mins]
-        near = self.sums <= floor + FLOAT_MARGIN
+        near = self.sums <= self.min_float + FLOAT_MARGIN
         self.rows, self.sums = self.rows[near], self.sums[near]
 
 
@@ -214,6 +220,15 @@ def _runs(left: _Halves, right: _Halves, width: float):
             yield lsl, rsl, a, b, lo, np.searchsorted(b, -a + width, side="right")
 
 
+def _pairs(lo: np.ndarray, hi: np.ndarray):
+    """Indices (li, ri) that pair left half i with each right half in lo[i]:hi[i]."""
+    counts = hi - lo
+    li = np.repeat(np.arange(lo.shape[0]), counts)
+    # the k-th row of left half i pairs it with right half lo[i] + k
+    ri = np.arange(li.shape[0]) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return li, ri
+
+
 def _nearest_outside(left: _Halves, right: _Halves, width: float) -> float:
     """Smallest float |frequency sum| outside the window; for each left half
     it lies next to its run, at right half lo - 1 or hi."""
@@ -225,58 +240,98 @@ def _nearest_outside(left: _Halves, right: _Halves, width: float) -> float:
     return best
 
 
-def _window(left: _Halves, right: _Halves, width: float, p: int, bound: int) -> _ChunkStats:
+def _window(left: _Halves, right: _Halves, width: float, p: int) -> _ChunkStats:
     """Build and reduce the tuples whose float |frequency sum| is <= ``width``."""
-    stats = _ChunkStats(p, bound)
+    stats = _ChunkStats(p)
     for lsl, rsl, a, b, lo, hi in _runs(left, right, width):
-        counts = hi - lo
-        li = np.repeat(np.arange(a.shape[0]), counts)
-        # the k-th row of left half i pairs it with right half lo[i] + k
-        ri = np.arange(li.shape[0]) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        li, ri = _pairs(lo, hi)
         rows = np.concatenate([left.rows[lsl][li], right.rows[rsl][ri]], axis=1)
         stats.add(rows, np.abs(a[li] + b[ri]))
     return stats
 
 
+def _key_runs(keys: np.ndarray, momenta: np.ndarray, a: np.ndarray, width: float):
+    """For each left half (momentum S, float sum a) the run lo:hi of the
+    sorted keys momentum + i*sum with momentum -S and sum in
+    [-a - width, -a + width]."""
+    query = np.empty(a.shape[0], dtype=complex)
+    # set the parts one at a time: 1j * inf has a NaN real part
+    query.real = -momenta
+    query.imag = -a - width
+    lo = np.searchsorted(keys, query, side="left")
+    query.imag = -a + width
+    return lo, np.searchsorted(keys, query, side="right")
+
+
+def _scaling_by_min(halves: _Halves, bound: int) -> dict:
+    """Exact nondegenerate minimum of |frequency sum| for each min |n_j| (p = 4).
+
+    A 4-tuple with min |n_j| = v has an ordering whose left pair holds the
+    entry +-v and whose right pair has every |n| >= v, and the frequency sum
+    does not depend on the ordering.  So for each v the left halves are the
+    pairs whose smaller |entry| is v and the right halves those with both
+    |entries| >= v.  As in ``_search``, the window reaches FLOAT_MARGIN past
+    the nearest partner outside the FLOAT_MARGIN band; its nondegenerate
+    rows within FLOAT_MARGIN of their float minimum are confirmed exactly.
+    Masks keep the pairs' order, so the right halves stay sorted by
+    (momentum, float sum): as complex keys, which NumPy orders
+    lexicographically, one ``searchsorted`` covers every momentum of one v.
+    """
+    momenta = halves.rows.sum(axis=1)
+    smaller = np.abs(halves.rows).min(axis=1)
+    keys = np.empty(momenta.shape[0], dtype=complex)
+    keys.real, keys.imag = momenta, halves.sums
+    scaling = {}
+    for v in range(MIN_MODE, bound + 1):
+        at_v, right = smaller == v, smaller >= v
+        s, a, rkeys = momenta[at_v], halves.sums[at_v], keys[right]
+        lo, hi = _key_runs(rkeys, s, a, FLOAT_MARGIN)
+        nearest = np.inf
+        for j in (lo - 1, hi):
+            ok = (j >= 0) & (j < rkeys.shape[0])
+            ok[ok] = rkeys.real[j[ok]] == -s[ok]
+            nearest = min(nearest, float(np.abs(a[ok] + rkeys.imag[j[ok]]).min(initial=np.inf)))
+        li, ri = _pairs(*_key_runs(rkeys, s, a, nearest + FLOAT_MARGIN))
+        rows = np.concatenate([halves.rows[at_v][li], halves.rows[right][ri]], axis=1)
+        sums = np.abs(a[li] + rkeys.imag[ri])
+        keep = ~_degenerate_rows(rows)
+        rows, sums = rows[keep], sums[keep]
+        if rows.shape[0]:
+            near = rows[sums <= sums.min() + FLOAT_MARGIN]
+            scaling[v] = min(abs(lambda_sum(rep)) for rep in set(map(canonical_tuple, near)))
+    return scaling
+
+
 def _search(p: int, bound: int) -> ResonanceReport:
     """Split search over all ordered p-tuples, then exact confirmation.
 
-    Halves are p // 2 and p - p // 2 entries long (one set serves both sides
-    for even p); ``tuples_scanned`` is the size of the unbounded window, sum
-    over S of c_left(S) * c_right(-S).
+    Halves are p - p // 2 (left) and p // 2 (right) entries long; one set
+    serves both sides for even p, and for odd p only the shorter right
+    halves, the ones binary search runs over, are sorted by float sum.
+    ``tuples_scanned`` is the size of the unbounded window, sum over S of
+    c_left(S) * c_right(-S).
     Degenerate tuples (exact sum 0) lie in the window of width FLOAT_MARGIN,
     so the nondegenerate float minimum is at most the smallest sum m outside
-    it, and only the window of width m + FLOAT_MARGIN is built (for p = 4,
-    which needs every per-min minimum, the unbounded one).
+    it, and only the window of width m + FLOAT_MARGIN is built.
 
     The candidate rows are confirmed exactly.  Every minimum is >= 0, so the
     rows within FLOAT_MARGIN of zero, which hold every exact resonance, are
-    among those within FLOAT_MARGIN of the minimum; for p = 4 the rows within
-    FLOAT_MARGIN of each per-min minimum give ``scaling_by_min``.
+    among those within FLOAT_MARGIN of the minimum.  For p = 4,
+    ``_scaling_by_min`` adds the minimum for each min |n_j| from per-min
+    windows of the same pair set.
     """
-    left = _half_tuples(bound, p // 2)
-    right = left if p % 2 == 0 else _half_tuples(bound, p - p // 2)
-    width = np.inf if p == 4 else _nearest_outside(left, right, FLOAT_MARGIN)
-    stats = _window(left, right, width + FLOAT_MARGIN, p, bound)
+    right = _half_tuples(bound, p // 2)
+    left = right if p % 2 == 0 else _half_tuples(bound, p - p // 2, searched=False)
+    width = _nearest_outside(left, right, FLOAT_MARGIN)
+    stats = _window(left, right, width + FLOAT_MARGIN, p)
     scanned = sum(
         (lsl.stop - lsl.start) * (right.groups[-s].stop - right.groups[-s].start)
         for s, lsl in left.groups.items()
         if -s in right.groups
     )
 
-    exact = [abs(lambda_sum(row)) for row in stats.rows]
-    near = stats.sums <= stats.min_float + FLOAT_MARGIN
-    ranked = [
-        (value, canonical_tuple(row))
-        for value, row, ok in zip(exact, stats.rows, near)
-        if ok
-    ]
+    ranked = [(abs(lambda_sum(rep)), rep) for rep in set(map(canonical_tuple, stats.rows))]
     min_value, argmin = min(ranked, default=(None, None))
-    scaling = None
-    if p == 4:
-        scaling = {}
-        for v, value in zip(np.abs(stats.rows).min(axis=1).tolist(), exact):
-            scaling[v] = min(value, scaling.get(v, value))
     return ResonanceReport(
         p=p,
         bound=bound,
@@ -284,7 +339,7 @@ def _search(p: int, bound: int) -> ResonanceReport:
         argmin=argmin,
         degenerate_count=stats.degenerate,
         exact_zero_tuples=sorted({rep for value, rep in ranked if value == 0}),
-        scaling_by_min=scaling,
+        scaling_by_min=_scaling_by_min(right, bound) if p == 4 else None,
         tuples_scanned=scanned,
     )
 

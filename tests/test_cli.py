@@ -3,12 +3,17 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqglab import cli
+import sqglab
+from sqglab import cli, resonance, waves
 from sqglab.evolve import SimConfig
 
 #: JSON values, NaN and the infinities included (json writes them), nested
@@ -204,6 +209,14 @@ class TestEvolveCommand:
                          "--out", str(tmp_path / "b.csv")]) == 1
         assert "lattice" in capsys.readouterr().err
 
+    def test_blow_up_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", epsilon=20.0, dt=1.0, t_end=50.0,
+                           corrected_energies=False)
+        out = tmp_path / "traj.csv"
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: integration unstable at step " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestResonanceCommand:
     @pytest.mark.parametrize("p,bound", [("4", "5"), ("6", "8")])
@@ -220,6 +233,22 @@ class TestResonanceCommand:
         report = json.loads(out.read_text())
         assert report["p"] == 3 and report["bound"] == 12
         assert (tmp_path / "report.json.manifest.json").exists()
+
+    def test_loads_no_other_library_module(self, tmp_path):
+        """A resonance job imports neither forms, evolve nor waves."""
+        out = tmp_path / "report.json"
+        script = (
+            "import sys\n"
+            "import sqglab.cli\n"
+            f"code = sqglab.cli.main(['resonance', '--p', '3', '--bound', '9', '--out', {str(out)!r}])\n"
+            "print(code, [m for m in ('sqglab.forms', 'sqglab.evolve', 'sqglab.waves')"
+            " if m in sys.modules])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "[]"]
+        assert out.exists()
 
 
 class TestWavesCommand:
@@ -255,6 +284,43 @@ class TestWavesCommand:
         assert cli.main(["waves", *argv, "--out", str(out)]) == 2
         assert f" {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_newton_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise waves.NewtonError("no convergence at xi=0.05: residual 1.000e-03")
+
+        monkeypatch.setattr(waves, "continue_branch", failing)
+        out = tmp_path / "branch.csv"
+        argv = ["waves", "--m", "3", "--xi-max", "0.05", "--steps", "2", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "error: no convergence at xi=0.05" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestWorkEntries:
+    """Handlers call the library through its module attribute, so a wrapper
+    installed on that name (as the benchmark's work marker and tracer do)
+    sees the call."""
+
+    @pytest.mark.parametrize(
+        "module,name,argv",
+        [
+            (resonance, "min_denominator", ["resonance", "--p", "3", "--bound", "9"]),
+            (waves, "continue_branch", ["waves", "--m", "3", "--xi-max", "0.05",
+                                        "--steps", "2"]),
+        ],
+    )
+    def test_cli_reaches_wrapped_entry(self, tmp_path, monkeypatch, module, name, argv):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [name]
 
 
 class TestNormalformCommand:

@@ -6,7 +6,6 @@ degenerate tuples.
 """
 
 import itertools
-import json
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -92,6 +91,25 @@ def brute_force_min(p, bound):
     return best, degenerate, scanned
 
 
+def brute_force_scaling(bound):
+    """Unpruned itertools enumeration of ordered 4-tuples: for each min |n_j|,
+    the exact minimum of |frequency sum| over the nondegenerate tuples."""
+    values = [n for n in range(-bound, bound + 1) if abs(n) >= 3]
+    lam = {n: dispersion(n) for n in values}
+    best = {}
+    for head in itertools.product(values, repeat=3):
+        tail = -sum(head)
+        if abs(tail) < 3 or abs(tail) > bound:
+            continue
+        t = head + (tail,)
+        if sorted(t) == sorted(-n for n in t):
+            continue  # the multiset is its own negation: (k, -k) pairs
+        smallest = min(abs(n) for n in t)
+        value = abs(sum((lam[n] for n in t), Fraction(0)))
+        best[smallest] = min(value, best.get(smallest, value))
+    return best
+
+
 def search(p, bound):
     if p == 6:
         return rs.search_resonances_p6(bound)
@@ -131,6 +149,11 @@ class TestSearches:
         # the per-minimum values decrease as the smallest entry grows
         assert report.scaling_by_min[3] > report.scaling_by_min[22]
 
+    @pytest.mark.parametrize("bound", [10, 16])
+    def test_scaling_by_min_matches_unpruned_enumeration(self, bound):
+        report = rs.min_denominator(4, bound)
+        assert report.scaling_by_min == brute_force_scaling(bound)
+
     def test_invalid_requests(self):
         with pytest.raises(ValueError):
             rs.min_denominator(6, 20)
@@ -153,16 +176,19 @@ class TestSearches:
             search(*args)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("p,bound,share", [(4, 12, 1.0), (5, 12, 0.0), (6, 12, 0.1)])
+    @pytest.mark.parametrize(
+        "p,bound,share", [(4, 12, 1.0), (4, 60, 0.1), (5, 12, 0.0), (6, 12, 0.1)]
+    )
     def test_each_half_built_once(self, monkeypatch, p, bound, share):
-        """One build per distinct half length; p = 4 builds each tuple once,
-        p = 6 few, and odd p has no degenerate tuples to test."""
+        """One build per distinct half length; p = 4 (global and per-min
+        windows together) and p = 6 build few tuples, and odd p has no
+        degenerate tuples to test."""
         builds, built = [], []
         half_tuples, degenerate_rows = rs._half_tuples, rs._degenerate_rows
 
-        def counted_halves(bound, k):
+        def counted_halves(bound, k, *args, **kwargs):
             builds.append(k)
-            return half_tuples(bound, k)
+            return half_tuples(bound, k, *args, **kwargs)
 
         def counted_rows(rows):
             built.append(rows.shape[0])
@@ -175,9 +201,14 @@ class TestSearches:
         assert sum(built) <= share * report.tuples_scanned
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
-    def test_matches_reference_certificate(self, p):
-        reference = REFERENCE / f"p{p}_b9.json"
-        assert search(p, 9).to_dict() == json.loads(reference.read_text())
+    def test_matches_reference_certificate(self, p, tmp_path):
+        """Byte for byte, at bound 9 and at the benchmark's size."""
+        references = sorted(REFERENCE.glob(f"p{p}_b*.json"))
+        assert len(references) == 2
+        for reference in references:
+            bound = int(reference.stem.split("_b")[1])
+            rs.certify(search(p, bound), tmp_path / reference.name)
+            assert (tmp_path / reference.name).read_bytes() == reference.read_bytes()
 
     def test_window_reaches_past_empty_band(self, monkeypatch):
         """Every quintic sum exceeds 9/35, so the band of width FLOAT_MARGIN
