@@ -204,6 +204,8 @@ class Trajectory:
     states: list
     table: dict
     stop_time: float | None = None
+    #: Real d/dt of the requested levels at each record (sweeps only).
+    derivatives: np.ndarray | None = None
 
     @property
     def stopped_early(self) -> bool:
@@ -315,20 +317,24 @@ def _lockstep(
     initials: Sequence[SpectralField],
     chain: forms.CorrectedEnergy | None,
     stop_norms: Sequence[float | None],
+    derivative_levels: tuple = (),
 ) -> list:
     """Run each (config, initial state, stop norm) as ``run`` does, together.
 
     The configs differ at most in ``epsilon``.  Step k = 0 is the initial
     state: it is recorded like every stride-th step and the last one, but
     neither stepped nor checked for blow-up.  At a recorded step or a
-    blow-up, one keep mask collects the runs that leave the batch.  Returns
+    blow-up, one keep mask collects the runs that leave the batch.  Each
+    record also evaluates the chain's derivatives of ``derivative_levels``,
+    if any, from the quadratic term it computes for the mean drift.  Returns
     the trajectories in order; raises the first failing run's
     InstabilityError after the earlier runs are complete.
     """
     cfg = configs[0]
     modes = initials[0].modes
     half_phase = np.exp(-0.5j * dispersion_float(modes) * cfg.dt)
-    quad = None if cfg.linear_only else _quadratic_term(cfg.m, cfg.n_max)
+    op = _quadratic_term(cfg.m, cfg.n_max)
+    quad = None if cfg.linear_only else op
     n = modes.astype(np.float64)
     weights = (1.0 + n * n) ** cfg.s
 
@@ -337,25 +343,38 @@ def _lockstep(
         return np.sqrt(2.0 * np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    records = [([], [], []) for _ in configs]  # times, states, rows of each run
+    # times, states, rows and derivatives of each run
+    records = [([], [], [], []) for _ in configs]
     stop_times = [None] * len(configs)
 
     def record(i: int, t: float, row: np.ndarray, norm: float) -> None:
         state = initials[i].with_coeffs(row)
+        spectrum = op.full_product_spectrum(state.coeffs)
         if chain is not None:
             levels = chain.levels(state)
         else:
             levels = (0.5 * norm * norm, np.nan, np.nan, np.nan)
-        times, states, rows = records[i]
+        times, states, rows, derivatives = records[i]
         times.append(t)
         states.append(state)
-        rows.append([*levels, norm, mean_drift(state), symmetry_residual(state)])
+        rows.append([*levels, norm, mean_drift(state, spectrum), symmetry_residual(state)])
+        if derivative_levels:
+            inserted = state.with_coeffs(spectrum[op.modes])
+            values = chain._derivatives(state, derivative_levels, inserted)
+            derivatives.append([value.real for value in values])
 
     def trajectory(i: int) -> Trajectory:
-        times, states, rows = records[i]
+        times, states, rows, derivatives = records[i]
         data = np.array(rows)
         table = {name: data[:, j] for j, name in enumerate(DIAGNOSTIC_COLUMNS)}
-        return Trajectory(configs[i], np.array(times), states, table, stop_times[i])
+        return Trajectory(
+            configs[i],
+            np.array(times),
+            states,
+            table,
+            stop_times[i],
+            np.array(derivatives) if derivative_levels else None,
+        )
 
     # ``active`` lists the runs still integrating, in sweep order; row r of
     # ``coeffs``, ``norm`` and ``blowup`` belongs to run active[r].
@@ -480,16 +499,11 @@ def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanRe
         [initial_state(c) for c in configs],
         chain,
         [2.0 * eps for eps in eps_list],
+        _MEASURED_LEVELS,
     )
     means: dict[str, list[float]] = {key: [] for key in DERIVATIVE_KEYS}
     for trajectory in trajectories:
-        derivs = np.array(
-            [
-                [value.real for value in chain._derivatives(state, _MEASURED_LEVELS)]
-                for state in trajectory.states
-            ]
-        )
-        magnitudes = np.mean(np.abs(derivs), axis=0)
+        magnitudes = np.mean(np.abs(trajectory.derivatives), axis=0)
         for key, magnitude in zip(DERIVATIVE_KEYS, magnitudes):
             means[key].append(magnitude)
 

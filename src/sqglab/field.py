@@ -294,13 +294,15 @@ def nonlinearity(f: SpectralField) -> SpectralField:
     return f.with_coeffs(_quadratic_term(f.m, f.n_max)(f.coeffs))
 
 
-def mean_drift(f: SpectralField) -> float:
+def mean_drift(f: SpectralField, spectrum: np.ndarray | None = None) -> float:
     """|mode-0 coefficient| of the dealiased quadratic term at state f.
 
     The instantaneous drift of the mean.  Identically zero in exact
     arithmetic (even symbol); the float value measures round-off.
+    ``spectrum`` is f's ``full_product_spectrum`` when the caller has it.
     """
-    spectrum = _quadratic_term(f.m, f.n_max).full_product_spectrum(f.coeffs)
+    if spectrum is None:
+        spectrum = _quadratic_term(f.m, f.n_max).full_product_spectrum(f.coeffs)
     return float(np.abs(spectrum[0]))
 
 

@@ -544,9 +544,11 @@ class CorrectedEnergy:
             out[i + 1] = value
         return out
 
-    def _derivatives(self, f: SpectralField, levels=(0, 1, 2, 3)) -> list:
-        """Complex d/dt of the numbered levels (0 = bare energy) at f."""
-        inserted = nonlinearity(f)
+    def _derivatives(self, f: SpectralField, levels=(0, 1, 2, 3), inserted=None) -> list:
+        """Complex d/dt of the numbered levels (0 = bare energy) at f;
+        ``inserted`` is nonlinearity(f) when the caller has it."""
+        if inserted is None:
+            inserted = nonlinearity(f)
         values = []
         for level in levels:
             if level == 0:

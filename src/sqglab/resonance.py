@@ -12,16 +12,21 @@ reach of exact search:
   p = 6      open; the search below is evidence, never proof.
 
 Every decision is made in exact rational arithmetic.  Floats appear only as
-a pre-filter: candidates within 1e-6 of the float threshold are re-evaluated
+a pre-filter: candidates within 1e-12 of the float threshold are re-evaluated
 exactly before anything is concluded.
 
 The searches meet in the middle (Horowitz & Sahni, J. ACM 21(2), 1974): a
 p-tuple is a left and a right half with opposite momenta (integer sums).
 Each set of halves is enumerated once and grouped by momentum; the right
 halves are sorted by float frequency sum within each group, and binary
-search builds only the tuples whose sum lies in a window around zero.  For
-p = 4 the minimum for each value of min |n_j| comes from one such window per
-value, over masks of the same pair set, never from every tuple.
+search builds only the tuples whose sum lies in a window around zero.  The
+totally degenerate tuples (about 15 N^3 of them for p = 6) all lie in a thin
+band around zero; binary search counts the band without building it, and
+when the count equals the number of degenerate tuples, which a multiset
+formula gives, the band holds nothing else and only its two flanks are
+built.  For p = 4 the minimum for each value of min |n_j| comes from one
+such window per value, over masks of the same pair set, never from every
+tuple.
 """
 
 from __future__ import annotations
@@ -41,16 +46,26 @@ from .dispersion import MIN_MODE, _integer, dispersion, dispersion_float
 #: by at most u*|lam(n)| <= u*8/5 (u = 2**-53).  Summing p <= 6 such terms
 #: adds at most (p-1)*u*p*8/5, so a float sum is within 36*u*8/5 < 1e-14 of
 #: the exact one.  A row at the exact minimum (or at zero) therefore lies
-#: within 2e-14 of the float minimum (or of zero); 1e-6 covers that with room.
+#: within 2e-14 of the float minimum (or of zero); 1e-12 covers that fifty
+#: times over.
 #: The split search adds two float half sums, A_left + A_right: still p
 #: terms summed in some order, so the bound holds.  Its built window has
-#: width w >= m + 1e-6 (m the float minimum), a row at the exact minimum has
+#: width w >= m + 1e-12 (m the float minimum), a row at the exact minimum has
 #: |A_left + A_right| <= m + 2e-14, and rounding the window ends
 #: -A_left -/+ w errs by < 1e-14, so binary search cannot leave that row out.
 #: The per-min windows of p = 4 repeat the argument for each v = min |n_j|:
 #: with m_v the float minimum over the rows of that v, the window has width
-#: w_v >= m_v + 1e-6 and the exact per-v minimum lies within 2e-14 of m_v.
-FLOAT_MARGIN = 1e-6
+#: w_v >= m_v + 1e-12 and the exact per-v minimum lies within 2e-14 of m_v.
+FLOAT_MARGIN = 1e-12
+
+#: Half-width of the band around zero that holds every totally degenerate
+#: tuple.  A degenerate tuple has exact sum 0, so by the bound above its
+#: float |A_left + A_right| is < 1e-14, and the band's rounded ends err by
+#: < 1e-14: binary search counts it in the band.  The smallest nondegenerate
+#: float sum seen, 2.3e-11 at p = 6 and bound 100, lies far outside; one
+#: inside would make the band's count exceed the degenerate total, and the
+#: search would then build the band and test its rows.
+DEGENERATE_BAND = 1e-13
 
 
 def check_tuple(entries: Sequence[int]) -> tuple:
@@ -149,6 +164,23 @@ def _degenerate_rows(rows: np.ndarray) -> np.ndarray:
     return (ordered == -ordered[:, ::-1]).all(axis=1)
 
 
+def _degenerate_total(p: int, bound: int) -> int:
+    """Number of ordered totally degenerate p-tuples with 3 <= |n_j| <= bound
+    (none for odd p).
+
+    Such a tuple is the multiset {+-a_1, ..., +-a_k} (k = p/2) of N =
+    bound - 2 possible magnitudes, in one of p! / prod(m_i!)^2 orders when
+    the magnitudes repeat m_i times.  For p = 4: C(N, 2) * 4! + N * 4!/2!^2;
+    for p = 6: C(N, 3) * 6! + N(N - 1) * 6!/2!^2 + N * 6!/3!^2.
+    """
+    n = bound - MIN_MODE + 1
+    if p == 4:
+        return 12 * n * (n - 1) + 6 * n
+    if p == 6:
+        return 120 * n * (n - 1) * (n - 2) + 180 * n * (n - 1) + 20 * n
+    return 0
+
+
 class _Halves(NamedTuple):
     """All ordered k-tuples of modes 3 <= |n| <= bound, grouped by momentum
     (integer sum); ``groups`` maps each momentum to its rows' slice.  Halves
@@ -160,23 +192,29 @@ class _Halves(NamedTuple):
 
 
 def _half_tuples(bound: int, k: int, searched: bool = True) -> _Halves:
-    pos = np.arange(MIN_MODE, bound + 1, dtype=np.int64)
+    # int16 holds every mode and value index of a search that fits in memory:
+    # at bound 2**14 the pair set alone has 2**30 rows
+    small = np.int16 if bound < 2**14 else np.int32
+    pos = np.arange(MIN_MODE, bound + 1, dtype=small)
     values = np.concatenate([-pos[::-1], pos])
-    slots = [g.ravel() for g in np.meshgrid(*([np.arange(values.shape[0])] * k), indexing="ij")]
-    rows = np.stack([values[i] for i in slots], axis=1)
-    momentum = rows.sum(axis=1)
+    slots = np.indices((values.shape[0],) * k, dtype=small).reshape(k, -1)
     lam = dispersion_float(values)
     sums = sum(lam[i] for i in slots)
+    rows = values[slots]
+    # the sort sets the peak memory: free each array as soon as it is spent
+    del slots
+    momentum = rows.sum(axis=0, dtype=np.int32)
     if searched:
         order = np.lexsort((sums, momentum))
     else:
         order = np.argsort(momentum, kind="stable")
     momentum = momentum[order]
     starts = np.flatnonzero(np.concatenate([[True], momentum[1:] != momentum[:-1]]))
-    momenta = momentum[starts]
-    ends = starts[1:].tolist() + [rows.shape[0]]
-    groups = {s: slice(a, b) for s, a, b in zip(momenta.tolist(), starts.tolist(), ends)}
-    return _Halves(rows[order], sums[order], groups)
+    ends = starts[1:].tolist() + [momentum.shape[0]]
+    groups = {s: slice(a, b) for s, a, b in zip(momentum[starts].tolist(), starts.tolist(), ends)}
+    del momentum
+    rows = rows[:, order].T
+    return _Halves(rows, sums[order], groups)
 
 
 class _ChunkStats:
@@ -192,7 +230,7 @@ class _ChunkStats:
     def __init__(self, p: int):
         self.degenerate = 0
         self.min_float = np.inf
-        self.rows = np.empty((0, p), dtype=np.int64)
+        self.rows = np.empty((0, p), dtype=np.int16)
         self.sums = np.empty(0)
 
     def add(self, rows: np.ndarray, sums: np.ndarray):
@@ -208,20 +246,29 @@ class _ChunkStats:
         self.rows, self.sums = self.rows[near], self.sums[near]
 
 
+def _run(a: np.ndarray, b: np.ndarray, width: float):
+    """For each left half's float sum a, the run lo:hi of the sorted right
+    sums b in [-a - width, -a + width]."""
+    lo = np.searchsorted(b, -a - width, side="left")
+    return lo, np.searchsorted(b, -a + width, side="right")
+
+
 def _runs(left: _Halves, right: _Halves, width: float):
     """Per momentum S: the slices of the left halves at S and the right ones
-    at -S, their float sums a and b, and for each left half the run lo:hi of
-    right halves with b in [-a - width, -a + width]."""
+    at -S, their float sums a and b, and each left half's ``_run``."""
     for momentum, lsl in left.groups.items():
         rsl = right.groups.get(-momentum)
         if rsl is not None:
             a, b = left.sums[lsl], right.sums[rsl]
-            lo = np.searchsorted(b, -a - width, side="left")
-            yield lsl, rsl, a, b, lo, np.searchsorted(b, -a + width, side="right")
+            yield lsl, rsl, a, b, *_run(a, b, width)
 
 
-def _pairs(lo: np.ndarray, hi: np.ndarray):
-    """Indices (li, ri) that pair left half i with each right half in lo[i]:hi[i]."""
+def _pairs(lo: np.ndarray, hi: np.ndarray, skip=None):
+    """Indices (li, ri) that pair left half i with each right half in
+    lo[i]:hi[i], less the run skip[0][i]:skip[1][i] inside it if given."""
+    if skip is not None:
+        below, above = _pairs(lo, skip[0]), _pairs(skip[1], hi)
+        return np.concatenate([below[0], above[0]]), np.concatenate([below[1], above[1]])
     counts = hi - lo
     li = np.repeat(np.arange(lo.shape[0]), counts)
     # the k-th row of left half i pairs it with right half lo[i] + k
@@ -229,22 +276,25 @@ def _pairs(lo: np.ndarray, hi: np.ndarray):
     return li, ri
 
 
-def _nearest_outside(left: _Halves, right: _Halves, width: float) -> float:
-    """Smallest float |frequency sum| outside the window; for each left half
-    it lies next to its run, at right half lo - 1 or hi."""
-    best = np.inf
-    for _, _, a, b, lo, hi in _runs(left, right, width):
+def _band(left: _Halves, right: _Halves) -> tuple:
+    """Count of the tuples in the DEGENERATE_BAND, and the smallest float
+    |frequency sum| outside it: for each left half that lies next to its
+    run, at right half lo - 1 or hi."""
+    count, nearest = 0, np.inf
+    for _, _, a, b, lo, hi in _runs(left, right, DEGENERATE_BAND):
+        count += int((hi - lo).sum())
         for j in (lo - 1, hi):
             ok = (j >= 0) & (j < b.shape[0])
-            best = min(best, float(np.abs(a[ok] + b[j[ok]]).min(initial=np.inf)))
-    return best
+            nearest = min(nearest, float(np.abs(a[ok] + b[j[ok]]).min(initial=np.inf)))
+    return count, nearest
 
 
-def _window(left: _Halves, right: _Halves, width: float, p: int) -> _ChunkStats:
-    """Build and reduce the tuples whose float |frequency sum| is <= ``width``."""
+def _window(left: _Halves, right: _Halves, width: float, p: int, skip_band: bool) -> _ChunkStats:
+    """Build and reduce the tuples whose float |frequency sum| is <= ``width``,
+    leaving out those in the DEGENERATE_BAND if ``skip_band``."""
     stats = _ChunkStats(p)
     for lsl, rsl, a, b, lo, hi in _runs(left, right, width):
-        li, ri = _pairs(lo, hi)
+        li, ri = _pairs(lo, hi, _run(a, b, DEGENERATE_BAND) if skip_band else None)
         rows = np.concatenate([left.rows[lsl][li], right.rows[rsl][ri]], axis=1)
         stats.add(rows, np.abs(a[li] + b[ri]))
     return stats
@@ -263,7 +313,7 @@ def _key_runs(keys: np.ndarray, momenta: np.ndarray, a: np.ndarray, width: float
     return lo, np.searchsorted(keys, query, side="right")
 
 
-def _scaling_by_min(halves: _Halves, bound: int) -> dict:
+def _scaling_by_min(halves: _Halves, bound: int, skip_band: bool) -> dict:
     """Exact nondegenerate minimum of |frequency sum| for each min |n_j| (p = 4).
 
     A 4-tuple with min |n_j| = v has an ordering whose left pair holds the
@@ -271,13 +321,15 @@ def _scaling_by_min(halves: _Halves, bound: int) -> dict:
     does not depend on the ordering.  So for each v the left halves are the
     pairs whose smaller |entry| is v and the right halves those with both
     |entries| >= v.  As in ``_search``, the window reaches FLOAT_MARGIN past
-    the nearest partner outside the FLOAT_MARGIN band; its nondegenerate
-    rows within FLOAT_MARGIN of their float minimum are confirmed exactly.
-    Masks keep the pairs' order, so the right halves stay sorted by
-    (momentum, float sum): as complex keys, which NumPy orders
-    lexicographically, one ``searchsorted`` covers every momentum of one v.
+    the nearest partner outside the DEGENERATE_BAND, leaving the band out if
+    ``skip_band`` (the band then holds degenerate tuples only); its
+    nondegenerate rows within FLOAT_MARGIN of their float minimum are
+    confirmed exactly.  Masks keep the pairs' order, so the right halves
+    stay sorted by (momentum, float sum): as complex keys, which NumPy
+    orders lexicographically, one ``searchsorted`` covers every momentum of
+    one v.
     """
-    momenta = halves.rows.sum(axis=1)
+    momenta = halves.rows.sum(axis=1, dtype=np.int32)
     smaller = np.abs(halves.rows).min(axis=1)
     keys = np.empty(momenta.shape[0], dtype=complex)
     keys.real, keys.imag = momenta, halves.sums
@@ -285,13 +337,14 @@ def _scaling_by_min(halves: _Halves, bound: int) -> dict:
     for v in range(MIN_MODE, bound + 1):
         at_v, right = smaller == v, smaller >= v
         s, a, rkeys = momenta[at_v], halves.sums[at_v], keys[right]
-        lo, hi = _key_runs(rkeys, s, a, FLOAT_MARGIN)
+        lo, hi = _key_runs(rkeys, s, a, DEGENERATE_BAND)
         nearest = np.inf
         for j in (lo - 1, hi):
             ok = (j >= 0) & (j < rkeys.shape[0])
             ok[ok] = rkeys.real[j[ok]] == -s[ok]
             nearest = min(nearest, float(np.abs(a[ok] + rkeys.imag[j[ok]]).min(initial=np.inf)))
-        li, ri = _pairs(*_key_runs(rkeys, s, a, nearest + FLOAT_MARGIN))
+        window = _key_runs(rkeys, s, a, nearest + FLOAT_MARGIN)
+        li, ri = _pairs(*window, (lo, hi) if skip_band else None)
         rows = np.concatenate([halves.rows[at_v][li], halves.rows[right][ri]], axis=1)
         sums = np.abs(a[li] + rkeys.imag[ri])
         keep = ~_degenerate_rows(rows)
@@ -310,9 +363,13 @@ def _search(p: int, bound: int) -> ResonanceReport:
     halves, the ones binary search runs over, are sorted by float sum.
     ``tuples_scanned`` is the size of the unbounded window, sum over S of
     c_left(S) * c_right(-S).
-    Degenerate tuples (exact sum 0) lie in the window of width FLOAT_MARGIN,
-    so the nondegenerate float minimum is at most the smallest sum m outside
-    it, and only the window of width m + FLOAT_MARGIN is built.
+    Every degenerate tuple (exact sum 0) lies in the DEGENERATE_BAND, so the
+    nondegenerate float minimum is at most the smallest sum m outside it,
+    and only the window of width m + FLOAT_MARGIN is built.  If binary
+    search counts as many tuples in the band as ``_degenerate_total`` says
+    there are degenerate ones, the band holds nothing else: that count is
+    ``degenerate_count``, and only the window's two flanks outside the band
+    are built.  Otherwise the band is built too and its rows are tested.
 
     The candidate rows are confirmed exactly.  Every minimum is >= 0, so the
     rows within FLOAT_MARGIN of zero, which hold every exact resonance, are
@@ -322,8 +379,11 @@ def _search(p: int, bound: int) -> ResonanceReport:
     """
     right = _half_tuples(bound, p // 2)
     left = right if p % 2 == 0 else _half_tuples(bound, p - p // 2, searched=False)
-    width = _nearest_outside(left, right, FLOAT_MARGIN)
-    stats = _window(left, right, width + FLOAT_MARGIN, p)
+    in_band, nearest = _band(left, right)
+    proven = in_band == _degenerate_total(p, bound)
+    # odd p has an empty band, and nothing to leave out of the window
+    skip_band = proven and in_band > 0
+    stats = _window(left, right, nearest + FLOAT_MARGIN, p, skip_band)
     scanned = sum(
         (lsl.stop - lsl.start) * (right.groups[-s].stop - right.groups[-s].start)
         for s, lsl in left.groups.items()
@@ -337,9 +397,9 @@ def _search(p: int, bound: int) -> ResonanceReport:
         bound=bound,
         min_value=min_value,
         argmin=argmin,
-        degenerate_count=stats.degenerate,
+        degenerate_count=stats.degenerate + (in_band if skip_band else 0),
         exact_zero_tuples=sorted({rep for value, rep in ranked if value == 0}),
-        scaling_by_min=_scaling_by_min(right, bound) if p == 4 else None,
+        scaling_by_min=_scaling_by_min(right, bound, skip_band) if p == 4 else None,
         tuples_scanned=scanned,
     )
 

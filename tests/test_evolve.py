@@ -303,6 +303,35 @@ class TestLifespanExperiment:
         payload = report.to_dict()
         assert set(payload["slopes"]) == {"base", "minus_c3", "full_chain"}
 
+    def test_one_quadratic_term_per_record(self, monkeypatch):
+        """A record computes the quadratic term once, for the mean drift and
+        the inserted derivatives alike, and the derivatives it keeps are the
+        chain's own at each recorded state, bit for bit."""
+        cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=1.0, diagnostics_stride=10)
+        term = type(_quadratic_term(cfg.m, cfg.n_max))
+        spectrum = term.full_product_spectrum
+        shapes = []
+
+        def counted(self, coeffs):
+            shapes.append(coeffs.shape)
+            return spectrum(self, coeffs)
+
+        monkeypatch.setattr(term, "full_product_spectrum", counted)
+        report = ev.lifespan_experiment([0.1, 0.05], cfg)
+        records = sum(len(t.states) for t in report.trajectories)
+        assert records == 12 and report.doubling_times == [None, None]
+        # four batched calls per RK4 step, one single-state call per record
+        assert [len(s) for s in shapes].count(1) == records
+        assert len(shapes) == 4 * 50 + records
+        monkeypatch.undo()
+        chain = cheap_chain()
+        for trajectory in report.trajectories:
+            expected = [
+                [value.real for value in chain._derivatives(state, (0, 1, 3))]
+                for state in trajectory.states
+            ]
+            assert_same_bits(trajectory.derivatives, np.array(expected))
+
     @pytest.mark.parametrize("n_max", [12, 15])
     def test_sweep_records_what_sequential_runs_record(self, n_max):
         # amplitudes 8 and 6 double at different times before t = 1, so the

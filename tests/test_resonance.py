@@ -1,8 +1,8 @@
 """Exact frequency-sum arithmetic and the exhaustive search machinery.
 
 Small-radius searches are cross-checked against an unpruned itertools
-enumeration and against an independent multiset-counting formula for the
-degenerate tuples.
+enumeration and against an independent multiset count of the degenerate
+tuples; larger ones against certificates kept under ``tests/certificates``.
 """
 
 import itertools
@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqglab import resonance as rs
-from sqglab.dispersion import dispersion
+from sqglab.dispersion import dispersion, dispersion_float
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+CERTIFICATES = Path(__file__).resolve().parent / "certificates"
 
 
 class TestLambdaSum:
@@ -177,12 +178,12 @@ class TestSearches:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
-        "p,bound,share", [(4, 12, 1.0), (4, 60, 0.1), (5, 12, 0.0), (6, 12, 0.1)]
+        "p,bound,share", [(4, 12, 1.0), (4, 60, 0.002), (5, 12, 0.0), (6, 12, 0.01)]
     )
     def test_each_half_built_once(self, monkeypatch, p, bound, share):
         """One build per distinct half length; p = 4 (global and per-min
-        windows together) and p = 6 build few tuples, and odd p has no
-        degenerate tuples to test."""
+        windows together) and p = 6 build few tuples, none of the degenerate
+        band, and odd p has no degenerate tuples to test."""
         builds, built = [], []
         half_tuples, degenerate_rows = rs._half_tuples, rs._degenerate_rows
 
@@ -210,9 +211,59 @@ class TestSearches:
             rs.certify(search(p, bound), tmp_path / reference.name)
             assert (tmp_path / reference.name).read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_matches_bound_40_certificate(self, p, tmp_path):
+        """Byte for byte against certificates written by the search that
+        built every degenerate tuple."""
+        name = f"p{p}_b40.json"
+        rs.certify(search(p, 40), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (CERTIFICATES / name).read_bytes()
+
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("disagreement", ["wide_band", "wrong_total"])
+    def test_band_fallback_keeps_certificate(self, monkeypatch, tmp_path, p, disagreement):
+        """If the band count disagrees with the degenerate total, the band is
+        built and its rows tested, and the certificate keeps its bytes."""
+        if disagreement == "wide_band":
+            # the nondegenerate minima, 1.5e-6 (p = 4) and 1.2e-5 (p = 6), lie inside
+            monkeypatch.setattr(rs, "DEGENERATE_BAND", 1e-4)
+        else:
+            monkeypatch.setattr(rs, "_degenerate_total", lambda p, bound: -1)
+        built = []
+        degenerate_rows = rs._degenerate_rows
+
+        def counted_rows(rows):
+            built.append(rows.shape[0])
+            return degenerate_rows(rows)
+
+        monkeypatch.setattr(rs, "_degenerate_rows", counted_rows)
+        reference = REFERENCE / {4: "p4_b60.json", 6: "p6_b20.json"}[p]
+        report = search(p, {4: 60, 6: 20}[p])
+        assert sum(built) > report.degenerate_count > 0
+        rs.certify(report, tmp_path / reference.name)
+        assert (tmp_path / reference.name).read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("skip_band", [False, True])
+    def test_scaling_by_min_partner_shares_momentum(self, skip_band):
+        """The nearest partner outside the band must have the opposite momentum.
+
+        The left half (3, 10) has momentum 13; its one nondegenerate partner
+        is (-7, -6), at |frequency sum| 0.471.  In the sorted keys the pair
+        (-10, -4) of momentum -14 sits just below the band, at 0.350: taken
+        for a partner, it would narrow the window and leave (-7, -6) out.
+        """
+        rows = np.array([(3, 10), (-3, -10), (-7, -6), (-10, -4)], dtype=np.int16)
+        sums = dispersion_float(rows).sum(axis=1)
+        order = np.lexsort((sums, rows.sum(axis=1)))
+        rows, sums = rows[order], sums[order]
+        assert rows.tolist() == [[-10, -4], [-3, -10], [-7, -6], [3, 10]]
+        halves = rs._Halves(rows, sums, {-14: slice(0, 1), -13: slice(1, 3), 13: slice(3, 4)})
+        scaling = rs._scaling_by_min(halves, 10, skip_band)
+        assert scaling == {3: abs(rs.lambda_sum((3, 10, -7, -6)))}
+
     def test_window_reaches_past_empty_band(self, monkeypatch):
-        """Every quintic sum exceeds 9/35, so the band of width FLOAT_MARGIN
-        is empty and only the nearest partners outside it locate the minimum."""
+        """Every quintic sum exceeds 9/35, so the DEGENERATE_BAND is empty
+        and only the nearest partners outside it locate the minimum."""
         widths = []
         window = rs._window
 
@@ -222,8 +273,7 @@ class TestSearches:
 
         monkeypatch.setattr(rs, "_window", recorded)
         report = rs.min_denominator(5, 10)
-        band = rs._runs(rs._half_tuples(10, 2), rs._half_tuples(10, 3), rs.FLOAT_MARGIN)
-        assert sum(int((hi - lo).sum()) for *_, lo, hi in band) == 0
+        assert rs._band(rs._half_tuples(10, 2), rs._half_tuples(10, 3))[0] == 0
         assert len(widths) == 1 and widths[0] > rs.KNOWN_LOWER_BOUNDS[5]
         oracle_min, oracle_degenerate, oracle_scanned = brute_force_min(5, 10)
         assert report.min_value == oracle_min
@@ -231,25 +281,16 @@ class TestSearches:
         assert report.tuples_scanned == oracle_scanned
 
 
-def degenerate_sextuple_count(bound):
-    """Independent multiset count of ordered degenerate 6-tuples.
-
-    Choose pair magnitudes a <= b <= c in [3, bound]; the orderings of the
-    multiset {a,-a,b,-b,c,-c} are counted by the multinomial of its entry
-    multiplicities.
-    """
+def degenerate_tuple_count(p, bound):
+    """Independent count of ordered degenerate p-tuples (p even): for each
+    multiset of p/2 pair magnitudes, the distinct orderings of its entries."""
     from collections import Counter
-    from math import factorial
+    from math import factorial, prod
 
     total = 0
-    for a in range(3, bound + 1):
-        for b in range(a, bound + 1):
-            for c in range(b, bound + 1):
-                entries = Counter([a, -a, b, -b, c, -c])
-                arrangements = factorial(6)
-                for multiplicity in entries.values():
-                    arrangements //= factorial(multiplicity)
-                total += arrangements
+    for magnitudes in itertools.combinations_with_replacement(range(3, bound + 1), p // 2):
+        entries = Counter(n for a in magnitudes for n in (a, -a))
+        total += factorial(p) // prod(factorial(c) for c in entries.values())
     return total
 
 
@@ -261,7 +302,14 @@ class TestSexticSearch:
 
     def test_degenerate_count_against_multiset_formula(self):
         report = rs.search_resonances_p6(9)
-        assert report.degenerate_count == degenerate_sextuple_count(9)
+        assert report.degenerate_count == degenerate_tuple_count(6, 9)
+
+
+@pytest.mark.parametrize("p,bound", [(4, 9), (4, 31), (4, 60), (6, 17), (6, 40)])
+def test_degenerate_count_is_counted_band(p, bound):
+    """The band count that becomes ``degenerate_count`` agrees with an
+    independent count of the degenerate tuples."""
+    assert search(p, bound).degenerate_count == degenerate_tuple_count(p, bound)
 
 
 class TestCertificates:
