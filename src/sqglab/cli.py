@@ -19,7 +19,8 @@ each offending field; 1 means the run failed.
 
 Each subcommand imports the library module it runs (``evolve``,
 ``resonance``, ``waves``) when it runs, so a job loads only what it uses.
-Handlers call through the module attribute (``resonance.min_denominator``),
+``hashlib``, which maps OpenSSL, is imported by ``emit_manifest`` once the
+work is done.  Handlers call through the module attribute (``resonance.min_denominator``),
 so a wrapper installed on that name sees the call.
 """
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import os
@@ -80,6 +80,8 @@ def emit_manifest(
     started: float,
 ) -> str:
     """Write the run manifest next to the primary output; returns its path."""
+    import hashlib  # loads OpenSSL, so only once the work is done
+
     path = f"{primary_output}.manifest.json"
     _write_json(
         path,

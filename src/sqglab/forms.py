@@ -32,11 +32,16 @@ because extensions drop merged modes beyond n_max, mirroring the Galerkin
 product.  A diagonal evaluation shares the product of the first p-2
 amplitudes among the rows with the same prefix, and rounds each row's
 product exactly as a per-row reduction would.
+
+The chain is built in bounded memory: a tuple space stores its index table
+and keys (the mode table is derived when asked for), and an extension is
+accumulated one block of output rows at a time, with every row rounded as a
+whole-table pass would round it.  ``hashlib``, which maps OpenSSL, is
+imported only by the functions that take a digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -53,6 +58,9 @@ MAX_ARITY = 6
 
 #: Guard against accidentally huge tables ((2K)^(p-1) candidate rows).
 MAX_TABLE_ROWS = 40_000_000
+
+#: Rows of an extended table built at once by ``nonlinearity_extension``.
+EXTENSION_BLOCK = 8192
 
 
 class ResonanceError(ValueError):
@@ -83,12 +91,13 @@ class TupleSpace:
     """All ordered admissible zero-sum p-tuples for a fixed lattice.
 
     Modes are the nonzero multiples of m with |n| <= n_max, listed
-    ascending; ``idx`` holds mode indices per tuple slot, ``mode_values``
-    the actual modes (both column-major, one contiguous column per slot),
-    and ``keys`` the raveled index tuples, which ascend strictly with the row
-    number.  Instances are immutable and cached per (m, n_max, p); the orbit
-    table (and with it the per-tuple frequency sums and degeneracy) and the
-    prefix ids are built lazily.
+    ascending; ``idx`` holds mode indices per tuple slot (column-major, one
+    contiguous column per slot) and ``keys`` the raveled index tuples, which
+    ascend strictly with the row number.  The actual modes, ``mode_values``,
+    are ``modes[idx]``, built when asked for and not stored.  Instances are
+    immutable and cached per (m, n_max, p); the orbit table (and with it the
+    per-tuple frequency sums and degeneracy) and the prefix ids are built
+    lazily.
     """
 
     def __init__(self, m: int, n_max: int, p: int):
@@ -111,21 +120,28 @@ class TupleSpace:
         # Candidate rows are built one first-slot block at a time: the middle
         # p-2 slots run over every index combination in raveled order and the
         # last slot follows from the zero sum, so the keys ascend block by
-        # block and no more than size^(p-2) candidates are held at once.
+        # block and no more than size^(p-2) candidates are held at once.  A
+        # block keeps the middle sums s for which -n_first - s is a mode, so
+        # its row count is the histogram of s convolved with the lattice and
+        # read at -n_first, and every block goes straight into one table.
         middle = np.indices((size,) * (p - 2)).reshape(p - 2, -1)
         middle_sum = self.modes[middle].sum(axis=0)
-        blocks = []
-        for first in range(size):
+        harmonic = self.modes // m
+        on_lattice = np.zeros(2 * k + 1, dtype=np.int64)
+        on_lattice[harmonic + k] = 1
+        sums = np.bincount(middle_sum // m + (p - 2) * k, minlength=2 * (p - 2) * k + 1)
+        ends = np.cumsum(np.convolve(sums, on_lattice)[(p - 1) * k - harmonic])
+        # column-major, so that each slot column idx[:, j] is contiguous
+        self.idx = np.empty((int(ends[-1]), p), dtype=np.int64, order="F")
+        start = 0
+        for first, end in enumerate(ends):
             last = self.index_of_mode(-self.modes[first] - middle_sum)
             keep = last >= 0
-            block = np.empty((p, int(keep.sum())), dtype=np.int64)
-            block[0] = first
-            block[1:-1] = middle[:, keep]
-            block[-1] = last[keep]
-            blocks.append(block)
-        # column-major, so that each slot column idx[:, j] is contiguous
-        self.idx = np.concatenate(blocks, axis=1).T
-        self.mode_values = self.modes[self.idx]
+            rows = self.idx[start:end]
+            rows[:, 0] = first
+            rows[:, 1:-1] = middle[:, keep].T
+            rows[:, -1] = last[keep]
+            start = end
         self.count = self.idx.shape[0]
         self.keys = self.ravel_keys(self.idx)
         self._orbits = None
@@ -146,7 +162,8 @@ class TupleSpace:
         size = self.modes.shape[0]
         keys = idx[:, 0].astype(np.int64)
         for j in range(1, self.p):
-            keys = keys * size + idx[:, j]
+            keys *= size
+            keys += idx[:, j]
         return keys
 
     def rows_of(self, idx: np.ndarray) -> np.ndarray:
@@ -162,16 +179,23 @@ class TupleSpace:
     # -- derived per-tuple data ---------------------------------------------
 
     @property
+    def mode_values(self) -> np.ndarray:
+        """The (count, p) table of modes, column-major like ``idx``."""
+        return self.modes[self.idx]
+
+    @property
     def orbits(self) -> Orbits:
         """The permutation orbits of the tuples, with their exact facts."""
         if self._orbits is None:
+            # indices are below size, so a one- or two-byte copy sorts alike
+            index_type = np.min_scalar_type(self.modes.shape[0] - 1)
             _, first, inverse, counts = np.unique(
-                self.ravel_keys(np.sort(self.idx, axis=1)),
+                self.ravel_keys(np.sort(self.idx.astype(index_type), axis=1)),
                 return_index=True,
                 return_inverse=True,
                 return_counts=True,
             )
-            reps = self.mode_values[first]
+            reps = self.modes[self.idx[first]]
             self._orbits = Orbits(
                 inverse,
                 counts,
@@ -209,13 +233,6 @@ class TupleSpace:
     def degenerate(self) -> np.ndarray:
         """Mask of totally degenerate tuples (all-false for odd arity)."""
         return self.orbits.degenerate[self.orbits.inverse]
-
-    def dense_values(self, values: np.ndarray) -> np.ndarray:
-        """Flat lookup table over all index combinations (missing -> 0)."""
-        size = self.modes.shape[0]
-        dense = np.zeros(size**self.p, dtype=np.complex128)
-        dense[self.keys] = values
-        return dense
 
 
 _SPACE_CACHE: dict = {}
@@ -409,12 +426,13 @@ def normal_form_divide(form: MultilinearForm) -> MultilinearForm:
     ResonanceError names the offending tuple.
     """
     space = form.space
-    resonant = space.resonant
-    bad = resonant & (form.values != 0)
+    orbits = space.orbits
+    resonant = orbits.frequency_sum == 0
+    bad = resonant[orbits.inverse] & (form.values != 0)
     if np.any(bad):
         row = int(np.argmax(bad))
-        raise ResonanceError(tuple(space.mode_values[row]))
-    denom = np.where(resonant, 1.0, space.frequency_sum)
+        raise ResonanceError(tuple(space.modes[space.idx[row]]))
+    denom = np.where(resonant, 1.0, orbits.frequency_sum)[orbits.inverse]
     return MultilinearForm(
         space,
         form.values / denom,
@@ -448,39 +466,57 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
     the result is p C(N(f), f, ..., f).  The advection and stretching halves
     are accumulated apart and combined last.  The inserted factor is odd, so
     the declared parity flips.
+
+    The output is built EXTENSION_BLOCK rows at a time, so the temporaries
+    stay bounded whatever the table size.  Every row takes the same complex
+    operations in the same slot-pair order as a whole-table pass would, and
+    the per-pair factors i n_k sigma(n_l) and i lambda(n_l) are those
+    expressions evaluated once per pair of modes, so the table is bit for
+    bit the same.
     """
     if form.p + 1 > MAX_ARITY:
         raise ValueError(f"extension beyond arity {MAX_ARITY} is not supported")
     src = symmetrize(form)
     space = src.space
     out_space = tuple_space(space.m, space.n_max, space.p + 1)
-    dense = space.dense_values(src.values)
-    size = space.modes.shape[0]
+    modes = space.modes
+    size = modes.shape[0]
     q = out_space.p
-    mv = out_space.mode_values
-    idx = out_space.idx
-    advection = np.zeros(out_space.count, dtype=np.complex128)
-    stretching = np.zeros(out_space.count, dtype=np.complex128)
-    for k in range(q):
-        for l in range(q):
-            if l == k:
-                continue
-            merged = mv[:, k] + mv[:, l]
-            mi = space.index_of_mode(merged)
-            valid = mi >= 0
-            flat = np.where(valid, mi, 0).astype(np.int64)
-            for j in range(q):
-                if j == k or j == l:
-                    continue
-                flat = flat * size + idx[:, j]
-            vals = dense[flat]
-            vals[~valid] = 0.0
-            nk, nl = mv[:, k].astype(np.float64), mv[:, l]
-            advection += vals * (1j * nk * smoothing_symbol_float(nl))
-            stretching += vals * (1j * dispersion_float(nl))
+    # Source values by their first p-1 slot indices (the last follows from
+    # the zero sum); first index ``size`` marks a merged mode off the lattice
+    # and reads zero.
+    table = np.zeros((size + 1) * size ** (space.p - 2), dtype=np.complex128)
+    table[space.keys // size] = src.values
+    merge = space.index_of_mode(modes[:, None] + modes).ravel()
+    merge[merge < 0] = size
+    nk = modes[:, None].astype(np.float64)
+    advect_factor = (1j * nk * smoothing_symbol_float(modes)).ravel()
+    stretch_factor = 1j * dispersion_float(modes)
+    # ordered slot pairs (k, l) and the other slots that lead the lookup
+    pairs = [
+        (k, l, [j for j in range(q) if j != k and j != l][:-1])
+        for k in range(q)
+        for l in range(q)
+        if l != k
+    ]
+    values = np.empty(out_space.count, dtype=np.complex128)
+    for start in range(0, out_space.count, EXTENSION_BLOCK):
+        idx = out_space.idx[start:start + EXTENSION_BLOCK]
+        advection = np.zeros(idx.shape[0], dtype=np.complex128)
+        stretching = np.zeros(idx.shape[0], dtype=np.complex128)
+        for k, l, lead in pairs:
+            pair = idx[:, k] * size + idx[:, l]
+            flat = merge[pair]
+            for j in lead:
+                flat *= size
+                flat += idx[:, j]
+            vals = table[flat]
+            advection += vals * advect_factor[pair]
+            stretching += vals * stretch_factor[idx[:, l]]
+        values[start:start + EXTENSION_BLOCK] = (advection / q) * 2.0 - stretching / q
     return MultilinearForm(
         out_space,
-        (advection / q) * 2.0 - stretching / q,
+        values,
         parity=_PARITY_FLIP[form.parity],
         label=f"insert-quadratic({form.label})",
         symmetric=True,
@@ -594,8 +630,10 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
         degenerate_projection(d4).scaled(-1.0), label="quartic-derivative-nonresonant"
     )
     c4 = normal_form_divide(d4_free).scaled(1j, label="quartic-correction")
-    d5 = nonlinearity_extension(c4).scaled(-1.0, label="quintic-derivative")
-    c5 = normal_form_divide(d5).scaled(1j, label="quintic-correction")
+    # D5 is the largest table built; nothing holds it once it is divided
+    c5 = normal_form_divide(
+        nonlinearity_extension(c4).scaled(-1.0, label="quintic-derivative")
+    ).scaled(1j, label="quintic-correction")
     return CorrectedEnergy(
         m=m,
         n_max=n_max,
@@ -612,6 +650,8 @@ _FORM_MAGIC = "sqglab-form-v1"
 
 def save_form(form: MultilinearForm, path) -> None:
     """Binary table with a JSON header line; reloadable bit-exactly."""
+    import hashlib  # loads OpenSSL, so only when a digest is taken
+
     space = form.space
     header = {
         "format": _FORM_MAGIC,
@@ -632,6 +672,8 @@ def save_form(form: MultilinearForm, path) -> None:
 
 
 def load_form(path) -> MultilinearForm:
+    import hashlib
+
     with open(path, "rb") as handle:
         header = json.loads(handle.readline().decode())
         blob = handle.read()

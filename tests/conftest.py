@@ -8,6 +8,9 @@ arbitrate the pseudo-spectral results.
 import numpy as np
 import pytest
 
+from sqglab import forms as fm
+from sqglab import resonance as rs
+from sqglab.dispersion import dispersion_float, smoothing_symbol_float
 from sqglab.field import SpectralField, differentiate, smooth
 
 
@@ -88,6 +91,67 @@ def reduction_product(space, amp):
     reduction over that layout rounds differently.
     """
     return amp[np.ascontiguousarray(space.idx)].prod(axis=1)
+
+
+def whole_table_extension(form):
+    """``nonlinearity_extension`` as one pass over the whole output table.
+
+    The row-major merge of every ordered slot pair, a dense lookup over all
+    size^p index tuples and full-length temporaries: the construction the
+    row-block build must reproduce bit for bit.
+    """
+    src = fm.symmetrize(form)
+    space = src.space
+    out_space = fm.tuple_space(space.m, space.n_max, space.p + 1)
+    size = space.modes.shape[0]
+    dense = np.zeros(size**space.p, dtype=np.complex128)
+    dense[space.keys] = src.values
+    q = out_space.p
+    mv = out_space.mode_values
+    idx = out_space.idx
+    advection = np.zeros(out_space.count, dtype=np.complex128)
+    stretching = np.zeros(out_space.count, dtype=np.complex128)
+    for k in range(q):
+        for l in range(q):
+            if l == k:
+                continue
+            merged = mv[:, k] + mv[:, l]
+            mi = space.index_of_mode(merged)
+            valid = mi >= 0
+            flat = np.where(valid, mi, 0).astype(np.int64)
+            for j in range(q):
+                if j == k or j == l:
+                    continue
+                flat = flat * size + idx[:, j]
+            vals = dense[flat]
+            vals[~valid] = 0.0
+            nk, nl = mv[:, k].astype(np.float64), mv[:, l]
+            advection += vals * (1j * nk * smoothing_symbol_float(nl))
+            stretching += vals * (1j * dispersion_float(nl))
+    return fm.MultilinearForm(
+        out_space,
+        (advection / q) * 2.0 - stretching / q,
+        parity={"even": "odd", "odd": "even", "none": "none"}[form.parity],
+        label=f"insert-quadratic({form.label})",
+        symmetric=True,
+    )
+
+
+def whole_table_orbits(space):
+    """The orbit table from the int64 sort of the full (count, p) mode table."""
+    _, first, inverse, counts = np.unique(
+        space.ravel_keys(np.sort(space.idx, axis=1)),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    reps = space.modes[np.ascontiguousarray(space.idx)][first]
+    return fm.Orbits(
+        inverse,
+        counts,
+        np.array([float(rs.lambda_sum(row)) for row in reps]),
+        np.array([rs.is_totally_degenerate(row) for row in reps], dtype=bool),
+    )
 
 
 def l2_pairing(f, g):

@@ -250,6 +250,40 @@ class TestResonanceCommand:
         assert result.stdout.split() == ["0", "[]"]
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "module,name,argv,config",
+        [
+            ("resonance", "min_denominator", ["resonance", "--p", "3", "--bound", "9"],
+             {"p": 3, "bound": 9}),
+            ("waves", "continue_branch", ["waves", "--m", "3", "--xi-max", "0.05",
+                                          "--steps", "2"],
+             {"m": 3, "xi_max": 0.05, "steps": 2, "harmonics": None}),
+        ],
+    )
+    def test_work_runs_without_openssl(self, tmp_path, module, name, argv, config):
+        """OpenSSL's ``_hashlib`` loads only when the manifest takes its digest."""
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "import sqglab.cli\n"
+            f"from sqglab import {module}\n"
+            f"work = {module}.{name}\n"
+            "seen = []\n"
+            "def entered(*args, **kwargs):\n"
+            "    seen.append('_hashlib' in sys.modules)\n"
+            "    return work(*args, **kwargs)\n"
+            f"{module}.{name} = entered\n"
+            f"code = sqglab.cli.main({argv + ['--out', str(out)]!r})\n"
+            "print(code, seen)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "[False]"]
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        config_bytes = json.dumps(config, sort_keys=True).encode()
+        assert manifest["config_sha256"] == hashlib.sha256(config_bytes).hexdigest()
+
 
 class TestWavesCommand:
     def test_branch_outputs(self, tmp_path):

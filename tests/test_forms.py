@@ -6,6 +6,7 @@ slot by slot, independently of the table-level pair-merging code.
 """
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from conftest import (
     brute_nonlinearity,
     random_field,
     reduction_product,
+    whole_table_extension,
+    whole_table_orbits,
 )
 from sqglab import evolve as ev
 from sqglab import forms as fm
@@ -67,6 +70,8 @@ def brute_force_symmetrize(space, values):
 
 
 SPACES = [(3, 12, p) for p in (3, 4, 5, 6)] + [(4, 16, p) for p in (3, 4, 5)]
+
+CHAIN_SIZES = [(3, 12, 2.0), (3, 24, 3.0), (4, 24, 2.5), (5, 25, 3.0), (3, 36, 3.0)]
 
 
 def full_grid_rows(space):
@@ -372,6 +377,39 @@ class TestChain:
         levels = chain.levels(f)
         assert np.all(np.isfinite(levels))
         assert chain.imaginary_defect(f) <= 1e-10
+
+    @pytest.mark.parametrize("m,n_max,s", CHAIN_SIZES)
+    def test_chain_matches_whole_table_oracle(self, m, n_max, s):
+        chain = fm.build_chain(m, n_max, s)
+        d3 = fm.build_energy_form(m, n_max, s)
+        c3 = fm.normal_form_divide(d3).scaled(1j)
+        d4 = whole_table_extension(c3).scaled(-1.0)
+        c4 = fm.normal_form_divide(d4.plus(fm.degenerate_projection(d4).scaled(-1.0)))
+        c4 = c4.scaled(1j)
+        c5 = fm.normal_form_divide(whole_table_extension(c4).scaled(-1.0)).scaled(1j)
+        built = (chain.energy_derivative, *chain.corrections)
+        for form, expected in zip(built, (d3, c3, c4, c5)):
+            assert_same_bits(form.values, expected.values)
+        for p in (3, 4, 5):
+            space = fm.tuple_space(m, n_max, p)
+            rows = full_grid_rows(space)
+            shape = (space.modes.shape[0],) * p
+            assert_same_bits(np.ascontiguousarray(space.idx), rows)
+            assert_same_bits(space.keys, np.ravel_multi_index(rows.T, shape))
+            assert_same_bits(space.prefix, np.ravel_multi_index(rows[:, :-2].T, shape[2:]))
+            for built_part, expected_part in zip(space.orbits, whole_table_orbits(space)):
+                assert_same_bits(built_part, expected_part)
+
+    def test_cold_build_peak_memory(self, monkeypatch):
+        # the whole-table extension and stored mode table peaked at 9.46 MB
+        monkeypatch.setattr(fm, "_SPACE_CACHE", {})
+        tracemalloc.start()
+        try:
+            fm.build_chain(3, 24, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0e6
 
     def test_lifespan_experiment_builds_no_sextic_space(self, monkeypatch):
         monkeypatch.setattr(fm, "_SPACE_CACHE", {})
