@@ -30,8 +30,9 @@ evaluated by inserting N(f) into the last correction, so the sextic table
 is never built.  The identities hold exactly for the truncated dynamics
 because extensions drop merged modes beyond n_max, mirroring the Galerkin
 product.  A diagonal evaluation shares the product of the first p-2
-amplitudes among the rows with the same prefix, and rounds each row's
-product exactly as a per-row reduction would.
+amplitudes among the rows with the same prefix, makes the last two
+multiplies one block of rows at a time, and rounds each row's product
+exactly as a per-row reduction would.
 
 The chain is built in bounded memory: a tuple space stores its index table
 and keys (the mode table is derived when asked for), and an extension is
@@ -51,7 +52,7 @@ import numpy as np
 
 from .dispersion import dispersion_float, smoothing_symbol_float
 from .field import SpectralField, nonlinearity, sobolev_energy
-from .resonance import is_totally_degenerate, lambda_sum
+from .resonance import is_totally_degenerate, lambda_sums
 
 #: Largest arity supported by the table representation.
 MAX_ARITY = 6
@@ -59,8 +60,9 @@ MAX_ARITY = 6
 #: Guard against accidentally huge tables ((2K)^(p-1) candidate rows).
 MAX_TABLE_ROWS = 40_000_000
 
-#: Rows of an extended table built at once by ``nonlinearity_extension``.
-EXTENSION_BLOCK = 8192
+#: Rows handled at once by ``nonlinearity_extension`` and the diagonal
+#: product, so that their temporaries stay small whatever the table size.
+ROW_BLOCK = 8192
 
 
 class ResonanceError(ValueError):
@@ -199,7 +201,7 @@ class TupleSpace:
             self._orbits = Orbits(
                 inverse,
                 counts,
-                np.array([float(lambda_sum(row)) for row in reps]),
+                np.array([float(value) for value in lambda_sums(reps)]),
                 np.array([is_totally_degenerate(row) for row in reps], dtype=bool),
             )
         return self._orbits
@@ -249,6 +251,13 @@ def tuple_space(m: int, n_max: int, p: int) -> TupleSpace:
 _PARITY_FLIP = {"even": "odd", "odd": "even", "none": "none"}
 
 
+class _Fresh(NamedTuple):
+    """A value table that nothing else holds, such as a fresh arithmetic
+    result: a MultilinearForm takes it over instead of copying it."""
+
+    table: np.ndarray
+
+
 @dataclass(frozen=True)
 class MultilinearForm:
     """A p-linear form given by its value table over a TupleSpace.
@@ -256,6 +265,8 @@ class MultilinearForm:
     ``parity`` declares the behaviour of the multiplier under negating every
     mode; ``symmetric`` records that the table is invariant under slot
     permutations (all constructors in this module produce symmetric tables).
+    The form keeps a read-only copy of ``values``; the operators below hand
+    over the tables they compute, wrapped in ``_Fresh``, uncopied.
     """
 
     space: TupleSpace
@@ -267,13 +278,15 @@ class MultilinearForm:
     def __post_init__(self):
         if self.parity not in ("even", "odd", "none"):
             raise ValueError(f"parity must be even/odd/none, got {self.parity!r}")
-        values = np.asarray(self.values, dtype=np.complex128)
+        if isinstance(self.values, _Fresh):
+            values = np.asarray(self.values.table, dtype=np.complex128)
+        else:
+            values = np.array(self.values, dtype=np.complex128)
         if values.shape != (self.space.count,):
             raise ValueError(
                 f"value table shape {values.shape} does not match "
                 f"{self.space.count} tuples"
             )
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -284,7 +297,7 @@ class MultilinearForm:
     def scaled(self, factor: complex, label: str | None = None) -> "MultilinearForm":
         return MultilinearForm(
             self.space,
-            self.values * factor,
+            _Fresh(self.values * factor),
             parity=self.parity,
             label=label if label is not None else self.label,
             symmetric=self.symmetric,
@@ -296,7 +309,7 @@ class MultilinearForm:
         parity = self.parity if self.parity == other.parity else "none"
         return MultilinearForm(
             self.space,
-            self.values + other.values,
+            _Fresh(self.values + other.values),
             parity=parity,
             label=label or f"{self.label}+{other.label}",
             symmetric=self.symmetric and other.symmetric,
@@ -332,7 +345,7 @@ def symmetrize(form: MultilinearForm) -> MultilinearForm:
     means = sums / orbits.counts
     return MultilinearForm(
         form.space,
-        means[orbits.inverse],
+        _Fresh(means[orbits.inverse]),
         parity=form.parity,
         label=form.label,
         symmetric=True,
@@ -391,18 +404,27 @@ def evaluate_diagonal(form: MultilinearForm, f: SpectralField) -> complex:
 
 
 def _diagonal_product(space: TupleSpace, amp: np.ndarray) -> np.ndarray:
-    """Per-row amp[n_1] ... amp[n_p] from the prefix table (see above)."""
+    """Per-row amp[n_1] ... amp[n_p] from the prefix table (see above).
+
+    The last two multiplies run ROW_BLOCK rows at a time.  Each row's
+    operations are the same, so are its bits; but the temporaries stay in
+    cache, and small enough that the allocator does not hand them back to
+    the system and fault them in again at every call.
+    """
     ar, ai = amp.real.copy(), amp.imag.copy()
     tr, ti = _times(1.0, 0.0, ar, ai)
     for _ in range(space.p - 3):
         tr, ti = _times(tr[:, None], ti[:, None], ar, ai)
         tr, ti = tr.ravel(), ti.ravel()
-    re, im = tr[space.prefix], ti[space.prefix]
-    for j in (space.p - 2, space.p - 1):
-        column = space.idx[:, j]
-        re, im = _times(re, im, ar[column], ai[column])
     product = np.empty(space.count, dtype=np.complex128)
-    product.real, product.imag = re, im
+    for start in range(0, space.count, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        prefix = space.prefix[rows]
+        re, im = tr[prefix], ti[prefix]
+        for j in (space.p - 2, space.p - 1):
+            column = space.idx[rows, j]
+            re, im = _times(re, im, ar[column], ai[column])
+        product.real[rows], product.imag[rows] = re, im
     return product
 
 
@@ -435,7 +457,7 @@ def normal_form_divide(form: MultilinearForm) -> MultilinearForm:
     denom = np.where(resonant, 1.0, orbits.frequency_sum)[orbits.inverse]
     return MultilinearForm(
         space,
-        form.values / denom,
+        _Fresh(form.values / denom),
         parity=_PARITY_FLIP[form.parity],
         label=f"divide({form.label})",
         symmetric=form.symmetric,
@@ -448,7 +470,7 @@ def degenerate_projection(form: MultilinearForm) -> MultilinearForm:
         raise ValueError("degenerate projection requires even arity")
     return MultilinearForm(
         form.space,
-        np.where(form.space.degenerate, form.values, 0.0),
+        _Fresh(np.where(form.space.degenerate, form.values, 0.0)),
         parity=form.parity,
         label=f"project({form.label})",
         symmetric=form.symmetric,
@@ -467,7 +489,7 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
     are accumulated apart and combined last.  The inserted factor is odd, so
     the declared parity flips.
 
-    The output is built EXTENSION_BLOCK rows at a time, so the temporaries
+    The output is built ROW_BLOCK rows at a time, so the temporaries
     stay bounded whatever the table size.  Every row takes the same complex
     operations in the same slot-pair order as a whole-table pass would, and
     the per-pair factors i n_k sigma(n_l) and i lambda(n_l) are those
@@ -500,8 +522,8 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
         if l != k
     ]
     values = np.empty(out_space.count, dtype=np.complex128)
-    for start in range(0, out_space.count, EXTENSION_BLOCK):
-        idx = out_space.idx[start:start + EXTENSION_BLOCK]
+    for start in range(0, out_space.count, ROW_BLOCK):
+        idx = out_space.idx[start:start + ROW_BLOCK]
         advection = np.zeros(idx.shape[0], dtype=np.complex128)
         stretching = np.zeros(idx.shape[0], dtype=np.complex128)
         for k, l, lead in pairs:
@@ -513,10 +535,10 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
             vals = table[flat]
             advection += vals * advect_factor[pair]
             stretching += vals * stretch_factor[idx[:, l]]
-        values[start:start + EXTENSION_BLOCK] = (advection / q) * 2.0 - stretching / q
+        values[start:start + ROW_BLOCK] = (advection / q) * 2.0 - stretching / q
     return MultilinearForm(
         out_space,
-        values,
+        _Fresh(values),
         parity=_PARITY_FLIP[form.parity],
         label=f"insert-quadratic({form.label})",
         symmetric=True,
@@ -541,7 +563,7 @@ def build_energy_form(m: int, n_max: int, s: float) -> MultilinearForm:
         total += weight * (2.0 * mv[:, a] * sig[:, b] - mv[:, b] * sig[:, b])
     return MultilinearForm(
         space,
-        (1j / 6.0) * total,
+        _Fresh((1j / 6.0) * total),
         parity="odd",
         label=f"energy-derivative(s={s:g})",
         symmetric=True,
@@ -630,7 +652,9 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
         degenerate_projection(d4).scaled(-1.0), label="quartic-derivative-nonresonant"
     )
     c4 = normal_form_divide(d4_free).scaled(1j, label="quartic-correction")
-    # D5 is the largest table built; nothing holds it once it is divided
+    # D5 is the largest table built; nothing holds it once it is divided, and
+    # the quintic orbits that the division needs are found before it exists
+    tuple_space(m, n_max, 5).orbits
     c5 = normal_form_divide(
         nonlinearity_extension(c4).scaled(-1.0, label="quintic-derivative")
     ).scaled(1j, label="quintic-correction")
@@ -688,10 +712,10 @@ def load_form(path) -> MultilinearForm:
     digest = hashlib.sha256(np.ascontiguousarray(space.idx).tobytes()).hexdigest()
     if digest != header["tuple_sha256"] or space.count != header["count"]:
         raise ValueError(f"{path}: tuple ordering does not match this build")
-    values = np.frombuffer(blob, dtype=np.complex128)
     return MultilinearForm(
         space,
-        values,
+        # a read-only view of bytes that nothing else holds
+        _Fresh(np.frombuffer(blob, dtype=np.complex128)),
         parity=header["parity"],
         label=header["label"],
         symmetric=header["symmetric"],

@@ -79,8 +79,34 @@ def check_tuple(entries: Sequence[int]) -> tuple:
 
 def lambda_sum(entries: Sequence[int]) -> Fraction:
     """Exact frequency sum of a zero-sum tuple of admissible modes."""
-    entries = check_tuple(entries)
-    return sum((dispersion(n) for n in entries), Fraction(0))
+    return lambda_sums([entries])[0]
+
+
+def lambda_sums(rows) -> list:
+    """Exact frequency sums of the zero-sum tuples in the rows of a 2-D
+    integer array, in row order.
+
+    Each distinct mode's frequency is formed once, and each row's sum is
+    accumulated over a common denominator and reduced once.  A row that is
+    not a zero-sum tuple of admissible modes raises ``check_tuple``'s error.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    bad = (rows.sum(axis=1) != 0) | (np.abs(rows) < MIN_MODE).any(axis=1)
+    if bad.any():
+        check_tuple(rows[int(np.argmax(bad))])
+    rows = rows.tolist()
+    terms = {}
+    for n in {n for row in rows for n in row}:
+        frequency = dispersion(n)
+        terms[n] = (frequency.numerator, frequency.denominator)
+    sums = []
+    for row in rows:
+        num, den = 0, 1
+        for n in row:
+            a, b = terms[n]
+            num, den = num * b + a * den, den * b
+        sums.append(Fraction(num, den))
+    return sums
 
 
 def is_totally_degenerate(entries: Sequence[int]) -> bool:

@@ -16,6 +16,12 @@ import sqglab
 from sqglab import cli, resonance, waves
 from sqglab.evolve import SimConfig
 
+#: Small ``evolve`` and ``normalform`` jobs with the bytes they must write.
+#: Each case directory holds its ``config.json`` and the data files (and, for
+#: a failing job, ``stderr.txt``) that the single-process recording loop of
+#: commit 1d40662 wrote.
+CLI_OUTPUTS = Path(__file__).resolve().parent / "cli_outputs"
+
 #: JSON values, NaN and the infinities included (json writes them), nested
 #: one level deep.
 JSON_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
@@ -355,6 +361,32 @@ class TestWorkEntries:
         monkeypatch.setattr(module, name, wrapped)
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
         assert calls == [name]
+
+
+class TestCommittedOutputs:
+    @pytest.mark.parametrize(
+        "case", ["evolve", "normalform_smoke", "normalform_stops", "normalform_blowup"]
+    )
+    def test_same_bytes(self, tmp_path, capsys, case):
+        # the sweep in normalform_stops shrinks twice; normalform_blowup fails
+        directory = CLI_OUTPUTS / case
+        config = str(directory / "config.json")
+        if case == "evolve":
+            argv = ["evolve", "--config", config, "--out", str(tmp_path / "traj.csv"),
+                    "--state-out", str(tmp_path / "state.json")]
+        else:
+            argv = ["normalform", "--config", config, "--out-prefix", str(tmp_path / "nf")]
+        expected = {p.name: p.read_bytes() for p in directory.iterdir()}
+        del expected["config.json"]
+        err = expected.pop("stderr.txt", b"")
+        assert cli.main(argv) == (1 if err else 0)
+        assert capsys.readouterr().err.encode() == err
+        written = {
+            p.name: p.read_bytes()
+            for p in tmp_path.iterdir()
+            if not p.name.endswith(".manifest.json")
+        }
+        assert written == expected
 
 
 class TestNormalformCommand:

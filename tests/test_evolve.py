@@ -7,7 +7,9 @@ the multilinear derivative forms with second-order accuracy in dt.
 
 import dataclasses
 import math
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -434,6 +436,18 @@ class TestLifespanExperiment:
             assert_same_trajectory(swept, expected)
         assert report.to_dict() == oracle.to_dict()
 
+    def test_recorded_levels_are_the_chains(self):
+        # the levels come from the worker; the batch shrinks twice
+        cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=4.0, diagnostics_stride=5)
+        report = ev.lifespan_experiment([8.0, 6.0, 3.0], cfg)
+        assert report.doubling_times[0] < report.doubling_times[1] < 4.0
+        assert report.doubling_times[2] is None
+        chain = cheap_chain()
+        names = ("es", "es_c3", "es_c34", "es_c345")
+        for trajectory in report.trajectories:
+            recorded = np.column_stack([trajectory.column(name) for name in names])
+            assert_same_bits(recorded, np.array([chain.levels(s) for s in trajectory.states]))
+
     def test_requires_corrected_energies(self):
         cfg = ev.SimConfig(**CHEAP, corrected_energies=False)
         with pytest.raises(ValueError, match="^corrected_energies: must be true"):
@@ -445,3 +459,100 @@ class TestLifespanExperiment:
             ev.lifespan_experiment([0.05, 0.1], cfg)
         with pytest.raises(ValueError):
             ev.lifespan_experiment([0.1], cfg)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRecordWorker:
+    """The forked process that evaluates the chain at the records: failures
+    reach the caller, and no path leaves a child behind."""
+
+    CFG = ev.SimConfig(**CHEAP, dt=0.02, t_end=1.0, diagnostics_stride=10)
+
+    def test_no_child_after_return(self):
+        ev.run(self.CFG)
+        ev.lifespan_experiment([0.1, 0.05], self.CFG)
+        assert_no_child()
+
+    def test_no_child_after_instability(self):
+        cfg = ev.SimConfig(**CHEAP, dt=1.0, t_end=60.0, diagnostics_stride=10, seed=1)
+        with pytest.raises(ev.InstabilityError, match="^integration unstable at step 16"):
+            ev.lifespan_experiment([5.0, 4.25, 4.0], cfg)
+        assert_no_child()
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        def failing(self, f):
+            raise ZeroDivisionError("no levels here")
+
+        monkeypatch.setattr(fm.CorrectedEnergy, "levels", failing)
+        with pytest.raises(ZeroDivisionError, match="^no levels here$") as info:
+            ev.lifespan_experiment([0.1, 0.05], self.CFG)
+        assert "in the record worker" in str(info.value.__cause__)
+        assert "no levels here" in str(info.value.__cause__)
+        assert_no_child()
+
+    def test_lost_state_detected(self, monkeypatch):
+        send = ev._RecordWorker.send
+
+        def lossy(self, rows, terms):
+            send(self, rows[:-1], terms[:-1])
+            self.sent += 1
+
+        monkeypatch.setattr(ev._RecordWorker, "send", lossy)
+        with pytest.raises(RuntimeError, match=r"^the record worker evaluated 6 states of 12$"):
+            ev.lifespan_experiment([0.1, 0.05], self.CFG)
+        assert_no_child()
+
+    def test_worker_exit_detected(self, monkeypatch):
+        monkeypatch.setattr(ev, "_serve", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="exit status 3 before sending its results"):
+            ev.run(self.CFG)
+        assert_no_child()
+
+    def test_no_child_after_interrupt(self, monkeypatch):
+        calls = []
+
+        def interrupted(f):
+            calls.append(f)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return 0.0
+
+        monkeypatch.setattr(ev, "symmetry_residual", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ev.lifespan_experiment([0.1, 0.05], self.CFG)
+        assert_no_child()
+
+    def test_interrupt_ends_a_busy_worker(self, monkeypatch):
+        # the worker is killed rather than left to finish what it was sent
+        monkeypatch.setattr(ev, "_serve", lambda *args: time.sleep(5))
+
+        def interrupted(f):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ev, "symmetry_residual", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            ev.run(self.CFG)
+        assert time.monotonic() - started < 2.5
+        assert_no_child()
+
+    def test_without_fork_records_the_same(self, monkeypatch):
+        forked = ev.lifespan_experiment([8.0, 6.0, 3.0], self.CFG)
+        monkeypatch.delattr(os, "fork")
+        alone = ev.lifespan_experiment([8.0, 6.0, 3.0], self.CFG)
+        for a, b in zip(forked.trajectories, alone.trajectories, strict=True):
+            assert_same_trajectory(a, b)
+            assert_same_bits(a.derivatives, b.derivatives)
+
+    def test_no_worker_without_chain(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked without a chain")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = dataclasses.replace(self.CFG, corrected_energies=False)
+        trajectory = ev.run(cfg)
+        assert np.isnan(trajectory.column("es_c3")).all()

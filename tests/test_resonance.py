@@ -6,6 +6,7 @@ tuples; larger ones against certificates kept under ``tests/certificates``.
 """
 
 import itertools
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +46,29 @@ class TestLambdaSum:
                 continue
             t = head + [tail]
             assert rs.lambda_sum([-n for n in t]) == -rs.lambda_sum(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        heads=st.integers(2, 5).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(3, 60).flatmap(lambda n: st.sampled_from([n, -n])),
+                         min_size=k, max_size=k).filter(lambda h: abs(sum(h)) >= 3),
+                min_size=1, max_size=6,
+            )
+        )
+    )
+    def test_lambda_sums_match_fraction_sums(self, heads):
+        # one Fraction per distinct mode and one reduction per row give the
+        # sums of adding each entry's Fraction in turn
+        rows = np.array([h + [-sum(h)] for h in heads])
+        expected = [sum((dispersion(n) for n in row), Fraction(0)) for row in rows.tolist()]
+        assert rs.lambda_sums(rows) == expected
+        assert [rs.lambda_sum(row) for row in rows.tolist()] == expected
+
+    @pytest.mark.parametrize("bad", [(3, 4, -6), (2, 4, -6)])
+    def test_lambda_sums_validation(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"tuple {bad} ")):
+            rs.lambda_sums(np.array([(3, 3, -6), bad]))
 
 
 class TestDegeneracy:
