@@ -27,26 +27,23 @@ blow-up drops the failing run and every later amplitude (a sequential sweep
 would never have started them), and once the earlier runs finish the first
 failing run's error is raised.
 
-With corrected energies the loop runs in two processes.  Once the chain and
-the initial states exist, ``_lockstep`` forks one worker (POSIX ``fork``),
-which inherits the chain.  Each recorded step sends it that step's states
-and their quadratic terms, and it evaluates the corrected energies (and, in
-a sweep, their derivatives by insertion) while this process goes on
-stepping and takes each record's norm, quadratic term, mean drift and
-symmetry residual.  The worker returns its values once, when the loop
-ends, and is reaped on every path.  Every output is bit for bit what one
-process computes, and where the platform cannot fork this process computes
-it; an error in the worker is raised in the caller with its type and
-message.
+A long sweep runs in two processes.  Once the chain and the initial states
+exist, ``_lockstep`` forks one worker (POSIX ``fork``) that runs the RK4
+loop, with the norms, stopping and blow-up, and sends each recorded step's
+states as it takes them.  This process evaluates those records (quadratic
+term, corrected energies, their derivatives and the residuals) while the
+worker steps on.  Every output is bit for bit what one process computes,
+and one process computes it for ``run``, for a short sweep, while other
+threads are running, or where the platform cannot fork.  An error in the
+worker is raised in the caller with its type and message, and the worker is
+reaped on every path.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
-import pickle
-import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -328,158 +325,174 @@ def run(
     return _lockstep([cfg], [f], chain, [stop_norm])[0]
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+#: Fewest steps for which a sweep forks a stepping worker.  Importing
+#: ``multiprocessing``, forking and reaping the worker cost about 25 ms, and
+#: the two processes slow each other; at the perfbench ``normalform`` config
+#: on two vCPUs the fork is a loss at 500 steps and a gain from 1000.
+FORK_MIN_STEPS = 1000
 
 
-def _corrected_values(chain, lattice, levels: tuple, row, term) -> tuple:
-    """The corrected energies at the recorded state ``row``, and the real
-    d/dt of the numbered corrected ``levels`` from its inserted quadratic
-    term ``term``."""
-    state = lattice.with_coeffs(row)
-    derivatives = chain._derivatives(state, levels, state.with_coeffs(term)) if levels else []
-    return chain.levels(state), [value.real for value in derivatives]
+def _march(
+    configs: Sequence[SimConfig],
+    initials: Sequence[SpectralField],
+    stop_norms: Sequence[float | None],
+    emit,
+) -> tuple:
+    """The stepping half of ``_lockstep``: the RK4 loop, blow-up and stopping.
 
-
-def _serve(chain, lattice, levels: tuple, tasks: int, results: int) -> None:
-    """The worker's loop: take ``_corrected_values`` of the records of each
-    message until the caller closes ``tasks``, then write every result to
-    ``results`` at once.
-
-    A failing evaluation is kept, with its traceback, and the remaining
-    messages are read and dropped, so the caller's writes never fail.
+    At each recorded step, ``emit(t, runs, rows, norms)`` gets the runs
+    recorded there (in sweep order), their states as the rows of one array
+    and their H^s norms.  Returns the stop time of each run (None if it did
+    not stop) and the (run, step, norm ratio) of the first run to blow up,
+    or None.  Reads nothing that ``emit`` computes.
     """
+    cfg = configs[0]
+    modes = initials[0].modes
+    half_phase = np.exp(-0.5j * dispersion_float(modes) * cfg.dt)
+    quad = None if cfg.linear_only else _quadratic_term(cfg.m, cfg.n_max)
+    n = modes.astype(np.float64)
+    weights = (1.0 + n * n) ** cfg.s
+
+    def norms(coeffs: np.ndarray) -> np.ndarray:
+        # hs_norm of each row, reduced as hs_norm reduces a single state
+        return np.sqrt(2.0 * np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
+
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    stop_times = [None] * len(configs)
+    # ``active`` lists the runs still integrating, in sweep order; row r of
+    # ``coeffs``, ``norm`` and ``blowup`` belongs to run active[r].
+    active = list(range(len(configs)))
+    coeffs = np.array([f.coeffs for f in initials])
+    norm = norms(coeffs)
+    blowup = BLOWUP_FACTOR * np.maximum([c.epsilon for c in configs], norm)
+    failure = None
+
+    for k in range(n_steps + 1):
+        if not active:
+            break
+        failed = False
+        if k:
+            if len(active) == 1:
+                # A batch of one steps as its bare row.  NumPy multiplies a (1, 1)
+                # array by a length-1 one without FMA, so that batch would not
+                # round like its row; and at this size broadcasting costs more
+                # than the arithmetic.
+                coeffs = _rk4_step(coeffs[0], cfg.dt, half_phase, quad)[None, :]
+            else:
+                coeffs = _rk4_step(coeffs, cfg.dt, half_phase, quad)
+            norm = norms(coeffs)
+            # a non-finite state has an infinite or NaN norm, so it fails here too
+            failed = not (norm <= blowup).all()
+        recorded = k % cfg.diagnostics_stride == 0 or k == n_steps
+        if not (failed or recorded):
+            continue
+        keep = np.ones(len(active), dtype=bool)
+        if failed:
+            # runs from the first failing one on leave; the earlier go on
+            r = int(np.argmax(~(norm <= blowup)))
+            finite = np.isfinite(coeffs[r].view(np.float64)).all()
+            ratio = float(norm[r] / blowup[r]) if finite else math.nan
+            failure = (active[r], k, ratio)
+            keep[r:] = False
+        if recorded and keep.any():
+            t = k * cfg.dt
+            rows = np.flatnonzero(keep)
+            emit(t, [active[r] for r in rows], coeffs[rows], norm[rows])
+            for r in rows:
+                i = active[r]
+                if stop_norms[i] is not None and float(norm[r]) >= stop_norms[i]:
+                    stop_times[i] = t
+                    keep[r] = False
+        if not keep.all():
+            active = [i for i, kept in zip(active, keep) if kept]
+            coeffs, norm, blowup = coeffs[keep], norm[keep], blowup[keep]
+    return stop_times, failure
+
+
+def _serve_march(receiver, sender, configs, initials, stop_norms) -> None:
+    """The stepping worker: ``_march``, sending each record down ``sender``
+    as it is taken, then the number of states sent and the outcome, or the
+    error that ended it (its type and message, with its traceback)."""
+    import pickle
+    import signal
     import traceback
 
-    values, error, trace = [], None, None
-    with os.fdopen(tasks, "rb") as stream:
+    # an interrupt is the caller's to handle; it ends this process
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    receiver.close()
+    sent = 0
+
+    def emit(t, runs, rows, norms):
+        nonlocal sent
+        sender.send(("record", (t, runs, rows, norms)))
+        sent += len(runs)
+
+    try:
+        outcome = _march(configs, initials, stop_norms, emit)
+    except Exception as exc:
+        trace = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        sender.send(("error", (exc, trace)))
+    else:
+        sender.send(("done", (sent, outcome)))
+    sender.close()
+
+
+def _march_in_worker(configs, initials, stop_norms, emit) -> tuple:
+    """``_march`` in a forked worker, with ``emit`` called here on each
+    record as it arrives, so the records are evaluated while the worker
+    steps on.
+
+    Re-raises an error of the worker with its type and message, its
+    traceback as the cause; checks that every state the worker sent
+    arrived.  The worker is killed if still running and reaped, and both
+    pipe ends closed, on every path.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(
+        target=_serve_march,
+        args=(receiver, sender, configs, initials, stop_norms),
+        name="sqglab-stepper",
+    )
+    try:
+        worker.start()
+        sender.close()
+        received = 0
         while True:
             try:
-                rows, terms = pickle.load(stream)
+                kind, payload = receiver.recv()
             except EOFError:
-                break
-            if error is not None:
-                continue
-            try:
-                for row, term in zip(rows, terms):
-                    values.append(_corrected_values(chain, lattice, levels, row, term))
-            except Exception as exc:
-                error, trace = exc, traceback.format_exc()
-                try:
-                    pickle.loads(pickle.dumps(error))
-                except Exception:
-                    error = RuntimeError(f"{type(exc).__name__}: {exc}")
-    _write_all(results, pickle.dumps((values, error, trace)))
-
-
-class _RecordWorker:
-    """A forked process that evaluates the corrected energies of the records.
-
-    The worker inherits the chain and the lattice, so ``send`` passes only a
-    recorded step's states and their inserted quadratic terms, and the
-    worker takes their ``_corrected_values`` while the caller goes on
-    stepping.  ``results`` ends the stream and returns the values in the
-    order sent; ``close`` ends the worker on every path.  It is forked
-    rather than spawned because a fresh interpreter would import NumPy and
-    rebuild or receive the chain first, which costs more than the records
-    it would take over; sqglab starts no threads, so the fork is safe.
-    """
-
-    def __init__(self, chain: forms.CorrectedEnergy, lattice: SpectralField, levels: tuple):
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-        task_read, self._tasks = os.pipe()
-        result_read, result_write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (task_read, self._tasks, result_read, result_write):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self._tasks)
-                os.close(result_read)
-                _serve(chain, lattice, levels, task_read, result_write)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(task_read)
-        os.close(result_write)
-        self._results = os.fdopen(result_read, "rb")
-        self.sent = 0
-
-    def send(self, rows: list, terms: list) -> None:
-        if self._tasks is not None:
-            try:
-                _write_all(self._tasks, pickle.dumps((np.array(rows), np.array(terms))))
-            except BrokenPipeError:
-                # the worker has ended; ``results`` reports how
-                self._close_tasks()
-        self.sent += len(rows)
-
-    def results(self) -> list:
-        """The ``_corrected_values`` of every record sent, in order.
-
-        Re-raises an evaluation error of the worker with its type and
-        message, its traceback as the cause.
-        """
-        self._close_tasks()
-        try:
-            values, error, trace = pickle.load(self._results)
-        except EOFError:
-            values = None
-        status = self._wait()
-        if values is None:
-            raise RuntimeError(f"the record worker ended with exit status {status} "
-                               "before sending its results")
-        if error is not None:
-            raise error from RuntimeError(f"in the record worker:\n{trace}")
-        if len(values) != self.sent:
-            raise RuntimeError(
-                f"the record worker evaluated {len(values)} states of {self.sent}"
-            )
-        return values
-
-    def close(self) -> None:
-        """Close both pipes and reap the worker, killing it first if
-        ``results`` has not (an exception or interrupt left it unneeded)."""
-        self._results.close()
-        self._close_tasks()
-        if self.pid is not None:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            self._wait()
-
-    def _close_tasks(self) -> None:
-        if self._tasks is not None:
-            fd, self._tasks = self._tasks, None
-            os.close(fd)
-
-    def _wait(self) -> int:
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = None
-        return os.waitstatus_to_exitcode(status)
-
-
-@contextlib.contextmanager
-def _record_worker(chain: forms.CorrectedEnergy | None, lattice: SpectralField, levels: tuple):
-    """A ``_RecordWorker`` for the chain, closed on every path; None without
-    a chain, or where the platform cannot fork (the caller then evaluates
-    the chain itself)."""
-    if chain is None or not hasattr(os, "fork"):
-        yield None
-        return
-    worker = _RecordWorker(chain, lattice, levels)
-    try:
-        yield worker
+                worker.join()
+                raise RuntimeError(
+                    f"the stepping worker ended with exit status {worker.exitcode} "
+                    "before its last record"
+                ) from None
+            if kind == "record":
+                emit(*payload)
+                received += len(payload[1])
+            elif kind == "error":
+                error, trace = payload
+                raise error from RuntimeError(f"in the stepping worker:\n{trace}")
+            else:
+                sent, outcome = payload
+                if sent != received:
+                    raise RuntimeError(
+                        f"the stepping worker sent {sent} states; {received} arrived"
+                    )
+                return outcome
     finally:
-        worker.close()
+        if worker.pid is not None:
+            worker.kill()
+            worker.join()
+            worker.close()
+        receiver.close()
+        sender.close()
 
 
 def _lockstep(
@@ -495,142 +508,69 @@ def _lockstep(
     state: it is recorded like every stride-th step and the last one, but
     neither stepped nor checked for blow-up.  At a recorded step or a
     blow-up, one keep mask collects the runs that leave the batch.  Each
-    record also evaluates the chain's derivatives of ``derivative_levels``
-    (ascending), if any, from the quadratic term it computes for the mean
-    drift.
+    record also evaluates the chain's derivatives of ``derivative_levels``,
+    if any, from the quadratic term it computes for the mean drift.  Returns
+    the trajectories in order; raises the first failing run's
+    InstabilityError after the earlier runs are complete.
 
-    With a chain, a forked ``_RecordWorker`` evaluates the corrected
-    energies and the derivatives of the corrected levels while this process
-    steps on; stopping and blow-up read only the norm, which is taken here.
-    The bare energy's derivative, one small cubic diagonal, is evaluated
-    here, so the process that runs the loop still evaluates a form at every
-    record (the benchmark's traced form spans see only this process).
-    Returns the trajectories in order once the worker's results are in;
-    raises the first failing run's InstabilityError after the earlier runs
-    are complete.
+    ``_march`` steps and this function evaluates the records it emits.  A
+    sweep (``derivative_levels`` given) of at least FORK_MIN_STEPS steps
+    marches in a forked worker while this process evaluates, unless other
+    threads are running here or the platform cannot fork.  Both ways record
+    the same bits.
     """
     cfg = configs[0]
-    modes = initials[0].modes
-    half_phase = np.exp(-0.5j * dispersion_float(modes) * cfg.dt)
     op = _quadratic_term(cfg.m, cfg.n_max)
-    quad = None if cfg.linear_only else op
-    n = modes.astype(np.float64)
-    weights = (1.0 + n * n) ** cfg.s
+    # times, states, rows and derivatives of each run
+    records = [([], [], [], []) for _ in configs]
 
-    def norms(coeffs: np.ndarray) -> np.ndarray:
-        # hs_norm of each row, reduced as hs_norm reduces a single state
-        return np.sqrt(2.0 * np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
+    def record(t: float, runs: list, rows: np.ndarray, norms: np.ndarray) -> None:
+        for i, row, norm in zip(runs, rows, norms):
+            norm = float(norm)
+            state = initials[i].with_coeffs(row)
+            spectrum = op.full_product_spectrum(state.coeffs)
+            if chain is not None:
+                levels = chain.levels(state)
+            else:
+                levels = (0.5 * norm * norm, np.nan, np.nan, np.nan)
+            times, states, table, derivatives = records[i]
+            times.append(t)
+            states.append(state)
+            table.append([*levels, norm, mean_drift(state, spectrum), symmetry_residual(state)])
+            if derivative_levels:
+                inserted = state.with_coeffs(spectrum[op.modes])
+                values = chain._derivatives(state, derivative_levels, inserted)
+                derivatives.append([value.real for value in values])
 
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    bare = derivative_levels[:1] == (0,)
-    corrected = derivative_levels[bare:]
-    # one entry per record, in the order taken: its run, time, state,
-    # inserted quadratic term, [norm, mean drift, symmetry residual] and,
-    # if asked for, the bare energy's derivative
-    order, times, states, terms, tails, bare_derivatives = [], [], [], [], [], []
-    stop_times = [None] * len(configs)
-
-    def record(i: int, t: float, row: np.ndarray, norm: float) -> None:
-        state = initials[i].with_coeffs(row)
-        spectrum = op.full_product_spectrum(state.coeffs)
-        order.append(i)
-        times.append(t)
-        states.append(state)
-        terms.append(spectrum[op.modes])
-        tails.append([norm, mean_drift(state, spectrum), symmetry_residual(state)])
-        if bare:
-            bare_derivatives.append(forms.evaluate_diagonal(chain.energy_derivative, state).real)
-
-    # ``active`` lists the runs still integrating, in sweep order; row r of
-    # ``coeffs``, ``norm`` and ``blowup`` belongs to run active[r].
-    active = list(range(len(configs)))
-    coeffs = np.array([f.coeffs for f in initials])
-    norm = norms(coeffs)
-    blowup = BLOWUP_FACTOR * np.maximum([c.epsilon for c in configs], norm)
-    failure = None  # (run, step, ratio) of the first failing run
-
-    # a blown-up state overflows before the norm check below drops it
-    with (
-        np.errstate(over="ignore", invalid="ignore"),
-        _record_worker(chain, initials[0], corrected) as worker,
+    march = _march
+    if (
+        derivative_levels
+        and round(cfg.t_end / cfg.dt) >= FORK_MIN_STEPS
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
     ):
-        for k in range(n_steps + 1):
-            if not active:
-                break
-            failed = False
-            if k:
-                if len(active) == 1:
-                    # A batch of one steps as its bare row.  NumPy multiplies a (1, 1)
-                    # array by a length-1 one without FMA, so that batch would not
-                    # round like its row; and at this size broadcasting costs more
-                    # than the arithmetic.
-                    coeffs = _rk4_step(coeffs[0], cfg.dt, half_phase, quad)[None, :]
-                else:
-                    coeffs = _rk4_step(coeffs, cfg.dt, half_phase, quad)
-                norm = norms(coeffs)
-                # a non-finite state has an infinite or NaN norm, so it fails here too
-                failed = not (norm <= blowup).all()
-            recorded = k % cfg.diagnostics_stride == 0 or k == n_steps
-            if not (failed or recorded):
-                continue
-            keep = np.ones(len(active), dtype=bool)
-            if failed:
-                # runs from the first failing one on leave; the earlier go on
-                r = int(np.argmax(~(norm <= blowup)))
-                finite = np.isfinite(coeffs[r].view(np.float64)).all()
-                ratio = float(norm[r] / blowup[r]) if finite else math.nan
-                failure = (active[r], k, ratio)
-                keep[r:] = False
-            if recorded:
-                t = k * cfg.dt
-                first = len(states)
-                for r in np.flatnonzero(keep):
-                    i, value = active[r], float(norm[r])
-                    record(i, t, coeffs[r], value)
-                    if stop_norms[i] is not None and value >= stop_norms[i]:
-                        stop_times[i] = t
-                        keep[r] = False
-                if worker is not None and len(states) > first:
-                    worker.send([s.coeffs for s in states[first:]], terms[first:])
-            if not keep.all():
-                active = [i for i, kept in zip(active, keep) if kept]
-                coeffs, norm, blowup = coeffs[keep], norm[keep], blowup[keep]
-        evaluated = None if worker is None else worker.results()
-
-    tails = np.array(tails)
-    if chain is None:
-        levels = np.full((len(order), 4), np.nan)
-        levels[:, 0] = 0.5 * tails[:, 0] * tails[:, 0]
-    else:
-        if evaluated is None:
-            evaluated = [
-                _corrected_values(chain, initials[0], corrected, state.coeffs, term)
-                for state, term in zip(states, terms)
-            ]
-        count = len(evaluated)
-        levels = np.array([energies for energies, _ in evaluated]).reshape(count, 4)
-        derivatives = np.array([values for _, values in evaluated]).reshape(count, len(corrected))
-        if bare:
-            derivatives = np.column_stack([bare_derivatives, derivatives])
-    order = np.array(order)
-    data = np.hstack([levels, tails])
+        march = _march_in_worker
+    # a blown-up state overflows before the norm check in ``_march`` drops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        stop_times, failure = march(configs, initials, stop_norms, record)
 
     def trajectory(i: int) -> Trajectory:
-        mine = order == i
-        table = {name: data[mine, j] for j, name in enumerate(DIAGNOSTIC_COLUMNS)}
+        times, states, rows, derivatives = records[i]
+        data = np.array(rows)
+        table = {name: data[:, j] for j, name in enumerate(DIAGNOSTIC_COLUMNS)}
         return Trajectory(
             configs[i],
-            np.array(times)[mine],
-            [state for state, run in zip(states, order) if run == i],
+            np.array(times),
+            states,
             table,
             stop_times[i],
-            derivatives[mine] if derivative_levels else None,
+            np.array(derivatives) if derivative_levels else None,
         )
 
     if failure is not None:
         i, step, ratio = failure
         raise InstabilityError(
-            times[np.flatnonzero(order == i)[-1]],
+            records[i][0][-1],
             trajectory(i),
             step=step,
             epsilon=configs[i].epsilon,

@@ -18,8 +18,9 @@ from sqglab.evolve import SimConfig
 
 #: Small ``evolve`` and ``normalform`` jobs with the bytes they must write.
 #: Each case directory holds its ``config.json`` and the data files (and, for
-#: a failing job, ``stderr.txt``) that the single-process recording loop of
-#: commit 1d40662 wrote.
+#: a failing job, ``stderr.txt``) that the recording loop wrote when it ran
+#: in one process only.  The ``_long`` sweeps have enough steps to step in a
+#: forked worker (``evolve.FORK_MIN_STEPS``); the others run in one process.
 CLI_OUTPUTS = Path(__file__).resolve().parent / "cli_outputs"
 
 #: JSON values, NaN and the infinities included (json writes them), nested
@@ -365,10 +366,12 @@ class TestWorkEntries:
 
 class TestCommittedOutputs:
     @pytest.mark.parametrize(
-        "case", ["evolve", "normalform_smoke", "normalform_stops", "normalform_blowup"]
+        "case",
+        ["evolve", "normalform_smoke", "normalform_stops", "normalform_blowup",
+         "normalform_stops_long", "normalform_blowup_long"],
     )
     def test_same_bytes(self, tmp_path, capsys, case):
-        # the sweep in normalform_stops shrinks twice; normalform_blowup fails
+        # the normalform_stops sweeps shrink twice; the normalform_blowup ones fail
         directory = CLI_OUTPUTS / case
         config = str(directory / "config.json")
         if case == "evolve":

@@ -7,8 +7,11 @@ the multilinear derivative forms with second-order accuracy in dt.
 
 import dataclasses
 import math
+import multiprocessing.connection as mpc
 import os
 import re
+import signal
+import threading
 import time
 
 import numpy as np
@@ -436,10 +439,11 @@ class TestLifespanExperiment:
             assert_same_trajectory(swept, expected)
         assert report.to_dict() == oracle.to_dict()
 
-    def test_recorded_levels_are_the_chains(self):
-        # the levels come from the worker; the batch shrinks twice
-        cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=4.0, diagnostics_stride=5)
+    def test_recorded_levels_are_the_chains(self, forks):
+        # a sweep long enough to step in the worker; the batch shrinks twice
+        cfg = ev.SimConfig(**CHEAP, dt=0.004, t_end=4.0, diagnostics_stride=50)
         report = ev.lifespan_experiment([8.0, 6.0, 3.0], cfg)
+        assert len(forks) == 1
         assert report.doubling_times[0] < report.doubling_times[1] < 4.0
         assert report.doubling_times[2] is None
         chain = cheap_chain()
@@ -466,50 +470,131 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestRecordWorker:
-    """The forked process that evaluates the chain at the records: failures
-    reach the caller, and no path leaves a child behind."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made by this process while the test runs."""
+    calls = []
+    fork = os.fork
 
-    CFG = ev.SimConfig(**CHEAP, dt=0.02, t_end=1.0, diagnostics_stride=10)
+    def counted():
+        calls.append(None)
+        return fork()
 
-    def test_no_child_after_return(self):
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+class TestSteppingWorker:
+    """The forked process that steps a long sweep: it records what one
+    process records, failures reach the caller, and no path leaves a child
+    behind."""
+
+    #: A sweep of FORK_MIN_STEPS steps, eleven records per run.
+    CFG = ev.SimConfig(
+        **CHEAP, dt=0.02, t_end=0.02 * ev.FORK_MIN_STEPS,
+        diagnostics_stride=ev.FORK_MIN_STEPS // 10,
+    )
+
+    def test_records_what_one_process_records(self, forks, monkeypatch):
+        # runs stop at 0.8 and 1.0 and the third goes on: the batch shrinks twice
+        cfg = ev.SimConfig(**CHEAP, dt=0.004, t_end=4.0, diagnostics_stride=50)
+        forked = ev.lifespan_experiment([8.0, 6.0, 3.0], cfg)
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        alone = ev.lifespan_experiment([8.0, 6.0, 3.0], cfg)
+        assert forked.to_dict() == alone.to_dict()
+        for a, b in zip(forked.trajectories, alone.trajectories, strict=True):
+            assert_same_trajectory(a, b)
+            assert_same_bits(a.derivatives, b.derivatives)
+
+    def test_instability_is_raised_as_in_one_process(self, forks, monkeypatch):
+        cfg = ev.SimConfig(**CHEAP, dt=1.0, t_end=float(ev.FORK_MIN_STEPS),
+                           diagnostics_stride=10, seed=1)
+        errors = []
+        for fork in (True, False):
+            if not fork:
+                monkeypatch.delattr(os, "fork")
+            with pytest.raises(ev.InstabilityError, match="^integration unstable at step 16") as info:
+                ev.lifespan_experiment([5.0, 4.25, 4.0], cfg)
+            errors.append(info.value)
+            assert_no_child()
+        assert len(forks) == 1
+        forked, alone = errors
+        assert str(forked) == str(alone) and forked.last_time == alone.last_time
+        assert_same_trajectory(forked.trajectory, alone.trajectory)
+        assert_same_bits(forked.trajectory.derivatives, alone.trajectory.derivatives)
+
+    def test_short_sweeps_and_runs_do_not_fork(self, forks):
+        short = dataclasses.replace(self.CFG, t_end=0.02 * (ev.FORK_MIN_STEPS - 1))
+        ev.lifespan_experiment([0.1, 0.05], short)
         ev.run(self.CFG)
-        ev.lifespan_experiment([0.1, 0.05], self.CFG)
-        assert_no_child()
+        ev.run(dataclasses.replace(self.CFG, corrected_energies=False))
+        assert forks == []
 
-    def test_no_child_after_instability(self):
-        cfg = ev.SimConfig(**CHEAP, dt=1.0, t_end=60.0, diagnostics_stride=10, seed=1)
-        with pytest.raises(ev.InstabilityError, match="^integration unstable at step 16"):
-            ev.lifespan_experiment([5.0, 4.25, 4.0], cfg)
+    def test_no_fork_while_another_thread_runs(self, forks):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            alone = ev.lifespan_experiment([0.1, 0.05], self.CFG)
+        finally:
+            stop.set()
+            thread.join()
+        assert forks == []
+        forked = ev.lifespan_experiment([0.1, 0.05], self.CFG)
+        assert len(forks) == 1
+        for a, b in zip(forked.trajectories, alone.trajectories, strict=True):
+            assert_same_trajectory(a, b)
+            assert_same_bits(a.derivatives, b.derivatives)
+
+    def test_no_child_after_return(self, forks):
+        ev.lifespan_experiment([0.1, 0.05], self.CFG)
+        assert len(forks) == 1
         assert_no_child()
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        def failing(self, f):
-            raise ZeroDivisionError("no levels here")
+        def failing(*args):
+            raise ZeroDivisionError(f"stepped in {os.getpid()}")
 
-        monkeypatch.setattr(fm.CorrectedEnergy, "levels", failing)
-        with pytest.raises(ZeroDivisionError, match="^no levels here$") as info:
+        monkeypatch.setattr(ev, "_rk4_step", failing)
+        with pytest.raises(ZeroDivisionError, match=r"^stepped in \d+$") as info:
             ev.lifespan_experiment([0.1, 0.05], self.CFG)
-        assert "in the record worker" in str(info.value.__cause__)
-        assert "no levels here" in str(info.value.__cause__)
+        assert str(info.value) != f"stepped in {os.getpid()}"
+        assert "in the stepping worker" in str(info.value.__cause__)
+        assert "in failing" in str(info.value.__cause__)
+        assert_no_child()
+
+    def test_unpicklable_error_keeps_type_and_message(self, monkeypatch):
+        class Local(Exception):
+            pass
+
+        def failing(*args):
+            raise Local("not picklable")
+
+        monkeypatch.setattr(ev, "_rk4_step", failing)
+        with pytest.raises(RuntimeError, match="^Local: not picklable$"):
+            ev.lifespan_experiment([0.1, 0.05], self.CFG)
         assert_no_child()
 
     def test_lost_state_detected(self, monkeypatch):
-        send = ev._RecordWorker.send
+        send = mpc.Connection.send
+        dropped = []
 
-        def lossy(self, rows, terms):
-            send(self, rows[:-1], terms[:-1])
-            self.sent += 1
+        def lossy(self, message):
+            if message[0] == "record" and not dropped:
+                dropped.append(message)
+                return
+            send(self, message)
 
-        monkeypatch.setattr(ev._RecordWorker, "send", lossy)
-        with pytest.raises(RuntimeError, match=r"^the record worker evaluated 6 states of 12$"):
+        monkeypatch.setattr(mpc.Connection, "send", lossy)
+        with pytest.raises(RuntimeError, match="^the stepping worker sent 22 states; 20 arrived$"):
             ev.lifespan_experiment([0.1, 0.05], self.CFG)
         assert_no_child()
 
     def test_worker_exit_detected(self, monkeypatch):
-        monkeypatch.setattr(ev, "_serve", lambda *args: os._exit(3))
-        with pytest.raises(RuntimeError, match="exit status 3 before sending its results"):
-            ev.run(self.CFG)
+        monkeypatch.setattr(ev, "_march", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="exit status 3 before its last record"):
+            ev.lifespan_experiment([0.1, 0.05], self.CFG)
         assert_no_child()
 
     def test_no_child_after_interrupt(self, monkeypatch):
@@ -527,32 +612,21 @@ class TestRecordWorker:
         assert_no_child()
 
     def test_interrupt_ends_a_busy_worker(self, monkeypatch):
-        # the worker is killed rather than left to finish what it was sent
-        monkeypatch.setattr(ev, "_serve", lambda *args: time.sleep(5))
+        # the caller, waiting for a record, is interrupted; the worker is
+        # killed rather than left to finish
+        monkeypatch.setattr(ev, "_march", lambda *args: time.sleep(5))
 
-        def interrupted(f):
+        def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(ev, "symmetry_residual", interrupted)
+        previous = signal.signal(signal.SIGALRM, interrupt)
         started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            ev.run(self.CFG)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(KeyboardInterrupt):
+                ev.lifespan_experiment([0.1, 0.05], self.CFG)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 2.5
         assert_no_child()
-
-    def test_without_fork_records_the_same(self, monkeypatch):
-        forked = ev.lifespan_experiment([8.0, 6.0, 3.0], self.CFG)
-        monkeypatch.delattr(os, "fork")
-        alone = ev.lifespan_experiment([8.0, 6.0, 3.0], self.CFG)
-        for a, b in zip(forked.trajectories, alone.trajectories, strict=True):
-            assert_same_trajectory(a, b)
-            assert_same_bits(a.derivatives, b.derivatives)
-
-    def test_no_worker_without_chain(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked without a chain")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        cfg = dataclasses.replace(self.CFG, corrected_energies=False)
-        trajectory = ev.run(cfg)
-        assert np.isnan(trajectory.column("es_c3")).all()
