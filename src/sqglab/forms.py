@@ -37,14 +37,11 @@ exactly as a per-row reduction would.
 The chain is built in bounded memory: a tuple space stores its index table
 and keys (the mode table is derived when asked for), and an extension is
 accumulated one block of output rows at a time, with every row rounded as a
-whole-table pass would round it.  ``hashlib``, which maps OpenSSL, is
-imported only by the functions that take a digest.
+whole-table pass would round it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,7 +49,7 @@ import numpy as np
 
 from .dispersion import dispersion_float, smoothing_symbol_float
 from .field import SpectralField, nonlinearity, sobolev_energy
-from .resonance import is_totally_degenerate, lambda_sums
+from .resonance import _degenerate_rows, lambda_sums
 
 #: Largest arity supported by the table representation.
 MAX_ARITY = 6
@@ -79,8 +76,9 @@ class Orbits(NamedTuple):
     """Permutation orbits of a TupleSpace, one entry per sorted tuple.
 
     ``inverse`` maps each row to its orbit and ``counts`` gives orbit sizes;
-    ``frequency_sum`` and ``degenerate`` are decided once per orbit by
-    ``sqglab.resonance`` in exact arithmetic (the sum rounded once to double).
+    ``frequency_sum`` (exact, rounded once to double) and ``degenerate`` (from
+    the integer rows, in one vectorised ``_degenerate_rows`` pass) come from
+    ``sqglab.resonance``.
     """
 
     inverse: np.ndarray
@@ -198,12 +196,8 @@ class TupleSpace:
                 return_counts=True,
             )
             reps = self.modes[self.idx[first]]
-            self._orbits = Orbits(
-                inverse,
-                counts,
-                np.array([float(value) for value in lambda_sums(reps)]),
-                np.array([is_totally_degenerate(row) for row in reps], dtype=bool),
-            )
+            sums = [float(value) for value in lambda_sums(reps)]
+            self._orbits = Orbits(inverse, counts, np.array(sums), _degenerate_rows(reps))
         return self._orbits
 
     @property
@@ -666,57 +660,3 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
         energy_derivative=d3,
     )
 
-
-# -- binary export -----------------------------------------------------------
-
-_FORM_MAGIC = "sqglab-form-v1"
-
-
-def save_form(form: MultilinearForm, path) -> None:
-    """Binary table with a JSON header line; reloadable bit-exactly."""
-    import hashlib  # loads OpenSSL, so only when a digest is taken
-
-    space = form.space
-    header = {
-        "format": _FORM_MAGIC,
-        "arity": space.p,
-        "m": space.m,
-        "n_max": space.n_max,
-        "parity": form.parity,
-        "label": form.label,
-        "symmetric": form.symmetric,
-        "count": space.count,
-        "tuple_sha256": hashlib.sha256(np.ascontiguousarray(space.idx).tobytes()).hexdigest(),
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        handle.write(np.ascontiguousarray(form.values).tobytes())
-    os.replace(tmp, path)
-
-
-def load_form(path) -> MultilinearForm:
-    import hashlib
-
-    with open(path, "rb") as handle:
-        header = json.loads(handle.readline().decode())
-        blob = handle.read()
-    if header.get("format") != _FORM_MAGIC:
-        raise ValueError(f"{path} is not a form table")
-    if len(blob) != 16 * header["count"]:
-        raise ValueError(
-            f"{path}: table holds {len(blob)} bytes, expected "
-            f"{16 * header['count']} for {header['count']} values"
-        )
-    space = tuple_space(header["m"], header["n_max"], header["arity"])
-    digest = hashlib.sha256(np.ascontiguousarray(space.idx).tobytes()).hexdigest()
-    if digest != header["tuple_sha256"] or space.count != header["count"]:
-        raise ValueError(f"{path}: tuple ordering does not match this build")
-    return MultilinearForm(
-        space,
-        # a read-only view of bytes that nothing else holds
-        _Fresh(np.frombuffer(blob, dtype=np.complex128)),
-        parity=header["parity"],
-        label=header["label"],
-        symmetric=header["symmetric"],
-    )

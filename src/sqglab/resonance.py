@@ -90,6 +90,8 @@ def lambda_sums(rows) -> list:
     accumulated over a common denominator and reduced once.  A row that is
     not a zero-sum tuple of admissible modes raises ``check_tuple``'s error.
     """
+    if len(rows) == 0:
+        return []
     rows = np.asarray(rows, dtype=np.int64)
     bad = (rows.sum(axis=1) != 0) | (np.abs(rows) < MIN_MODE).any(axis=1)
     if bad.any():
@@ -186,8 +188,9 @@ class ResonanceReport:
 
 
 def _degenerate_rows(rows: np.ndarray) -> np.ndarray:
+    """``is_totally_degenerate`` for each row of a 2-D integer array."""
     ordered = np.sort(rows, axis=1)
-    return (ordered == -ordered[:, ::-1]).all(axis=1)
+    return (ordered == -ordered[:, ::-1]).all(axis=1) & (rows.shape[1] % 2 == 0)
 
 
 def _degenerate_total(p: int, bound: int) -> int:

@@ -5,9 +5,7 @@ brute-force convolution (conftest) and evaluate the lower-arity form
 slot by slot, independently of the table-level pair-merging code.
 """
 
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,47 +435,3 @@ class TestChain:
         ev.lifespan_experiment([0.1, 0.05], cfg)
         assert sorted(p for _, _, p in fm._SPACE_CACHE) == [3, 4, 5]
 
-
-class TestPersistence:
-    def test_form_round_trip_bit_exact(self, tmp_path, rng):
-        form = random_form(3, 12, 4, rng, parity="odd")
-        path = tmp_path / "table.form"
-        fm.save_form(form, path)
-        loaded = fm.load_form(path)
-        assert_same_bits(loaded.values, form.values)
-        assert loaded.parity == form.parity
-        assert loaded.space is form.space
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        space_key=st.sampled_from([(3, 12, 3), (3, 12, 4), (4, 16, 4), (3, 12, 5)]),
-        parity=st.sampled_from(["even", "odd", "none"]),
-        label=st.text(max_size=12),
-        symmetric=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-        spread=st.integers(0, 300),
-    )
-    def test_form_round_trip_property(self, space_key, parity, label, symmetric,
-                                      seed, spread):
-        space = fm.tuple_space(*space_key)
-        rng = np.random.default_rng(seed)
-        scale = 10.0 ** rng.uniform(-spread, spread, size=space.count)
-        values = scale * (rng.normal(size=space.count) + 1j * rng.normal(size=space.count))
-        values[rng.random(space.count) < 0.1] = -0.0
-        form = fm.MultilinearForm(space, values, parity=parity, label=label,
-                                  symmetric=symmetric)
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "table.form"
-            fm.save_form(form, path)
-            loaded = fm.load_form(path)
-        assert loaded.values.tobytes() == form.values.tobytes()
-        assert loaded.space is form.space
-        assert (loaded.parity, loaded.label, loaded.symmetric) == (parity, label, symmetric)
-
-    @pytest.mark.parametrize("cut", [3, 16])
-    def test_truncated_table_rejected(self, tmp_path, rng, cut):
-        path = tmp_path / "table.form"
-        fm.save_form(random_form(3, 12, 4, rng), path)
-        path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(ValueError, match="bytes, expected"):
-            fm.load_form(path)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqglab import resonance as rs
@@ -57,13 +57,15 @@ class TestLambdaSum:
             )
         )
     )
+    @example(heads=[])
     def test_lambda_sums_match_fraction_sums(self, heads):
         # one Fraction per distinct mode and one reduction per row give the
         # sums of adding each entry's Fraction in turn
-        rows = np.array([h + [-sum(h)] for h in heads])
-        expected = [sum((dispersion(n) for n in row), Fraction(0)) for row in rows.tolist()]
+        rows = [h + [-sum(h)] for h in heads]
+        expected = [sum((dispersion(n) for n in row), Fraction(0)) for row in rows]
         assert rs.lambda_sums(rows) == expected
-        assert [rs.lambda_sum(row) for row in rows.tolist()] == expected
+        assert rs.lambda_sums(np.array(rows)) == expected
+        assert [rs.lambda_sum(row) for row in rows] == expected
 
     @pytest.mark.parametrize("bad", [(3, 4, -6), (2, 4, -6)])
     def test_lambda_sums_validation(self, bad):
@@ -85,6 +87,20 @@ class TestDegeneracy:
     )
     def test_examples(self, entries, expected):
         assert rs.is_totally_degenerate(entries) is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 6).flatmap(
+            lambda width: st.lists(
+                st.lists(st.integers(-9, 9), min_size=width, max_size=width),
+                min_size=1, max_size=8,
+            )
+        )
+    )
+    @example(rows=[[0, 3, -3]])
+    def test_vectorised_test_matches_scalar(self, rows):
+        expected = [rs.is_totally_degenerate(row) for row in rows]
+        assert rs._degenerate_rows(np.array(rows)).tolist() == expected
 
     def test_degenerate_implies_zero_sum(self, rng):
         for _ in range(50):
