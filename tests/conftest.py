@@ -93,6 +93,15 @@ def reduction_product(space, amp):
     return amp[np.ascontiguousarray(space.idx)].prod(axis=1)
 
 
+def whole_table_evaluate(form, fields):
+    """``evaluate`` with every row's term multiplied out: the value, then each
+    slot's amplitudes in order, over the whole table, and one sum."""
+    prod = form.values.copy()
+    for j, f in enumerate(fields):
+        prod *= fm._mode_amplitudes(f, form.space)[form.space.idx[:, j]]
+    return complex(prod.sum())
+
+
 def whole_table_extension(form):
     """``nonlinearity_extension`` as one pass over the whole output table.
 

@@ -17,13 +17,14 @@ from conftest import (
     brute_nonlinearity,
     random_field,
     reduction_product,
+    whole_table_evaluate,
     whole_table_extension,
     whole_table_orbits,
 )
 from sqglab import evolve as ev
 from sqglab import forms as fm
 from sqglab import resonance as rs
-from sqglab.field import SpectralField, differentiate, smooth
+from sqglab.field import SpectralField, differentiate, nonlinearity, smooth
 
 
 def random_form(m, n_max, p, rng, parity=None):
@@ -82,6 +83,31 @@ def full_grid_rows(space):
     return np.column_stack([head[keep], last[keep]])
 
 
+def drawn_field(m, n_max, rng, spread, zero_share):
+    """A field whose amplitudes spread over 10^+-spread, with exact zeros:
+    whole amplitudes, and real or imaginary parts of either sign."""
+    k = n_max // m
+    scale = 10.0 ** rng.uniform(-spread, spread, size=k)
+    coeffs = scale * (rng.normal(size=k) + 1j * rng.normal(size=k))
+    coeffs[rng.random(k) < zero_share] = 0.0
+    coeffs.real[rng.random(k) < zero_share / 2] = -0.0
+    coeffs.imag[rng.random(k) < zero_share / 2] = 0.0
+    return SpectralField(m, n_max, coeffs)
+
+
+def mirror_calls(monkeypatch):
+    """(table rows, rows computed directly) of every product over a table."""
+    calls = []
+    mirror = fm._mirror
+
+    def spy(product, rows):
+        calls.append((product.shape[0], rows))
+        mirror(product, rows)
+
+    monkeypatch.setattr(fm, "_mirror", spy)
+    return calls
+
+
 class TestTupleSpace:
     @pytest.mark.parametrize("m,n_max,p", SPACES)
     def test_keys_strictly_ascend(self, m, n_max, p):
@@ -89,6 +115,12 @@ class TestTupleSpace:
         assert np.array_equal(space.keys, space.ravel_keys(space.idx))
         assert np.all(np.diff(space.keys) > 0)
         assert np.array_equal(space.rows_of(space.idx), np.arange(space.count))
+
+    @pytest.mark.parametrize("m,n_max,p", SPACES)
+    def test_negation_reverses_rows(self, m, n_max, p):
+        space = fm.tuple_space(m, n_max, p)
+        negated = space.rows_of(space.modes.shape[0] - 1 - space.idx)
+        assert_same_bits(negated, np.arange(space.count)[::-1])
 
     @pytest.mark.parametrize("m,n_max,p", SPACES)
     def test_rows_match_full_candidate_grid(self, m, n_max, p):
@@ -218,6 +250,76 @@ class TestEvaluate:
         form = fm.MultilinearForm(space, values)
         total = complex((form.values * expected).sum())
         assert_same_bits(fm.evaluate_diagonal(form, f), total)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        chain_key=st.sampled_from(CHAIN_SIZES[:4]),
+        kind=st.sampled_from(["C3", "C4", "C5", "D3", "random", "random-conjugate",
+                              "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.integers(0, 8),
+        # drawn twice as often: only fields without zeros take the half table
+        zero_share=st.sampled_from([0.0, 0.0, 0.2, 0.5, 1.0]),
+    )
+    def test_evaluate_matches_whole_table(self, chain_key, kind, seed, spread,
+                                          zero_share):
+        m, n_max, s = chain_key
+        chain = ev.diagnostic_chain(m, n_max, s)
+        rng = np.random.default_rng(seed)
+        if kind in ("C3", "C4", "C5"):
+            form = chain.corrections[int(kind[1]) - 3]
+        elif kind == "D3":
+            form = chain.energy_derivative
+        else:
+            form = random_form(m, n_max, int(rng.integers(3, 6)), rng)
+            if kind == "random-conjugate":
+                values = 0.5 * (form.values + np.conj(form.values[::-1]))
+                form = fm.MultilinearForm(form.space, values)
+                assert form.conjugate_symmetric
+            elif kind == "zero":
+                form = fm.MultilinearForm(form.space, np.zeros(form.space.count))
+        fields = [drawn_field(m, n_max, rng, spread, zero_share) for _ in range(2)]
+        args = fields[:1] + fields[1:] * (form.p - 1)
+        assert_same_bits(fm.evaluate(form, args), whole_table_evaluate(form, args))
+        other = [drawn_field(m, n_max, rng, spread, zero_share) for _ in range(form.p)]
+        assert_same_bits(fm.evaluate(form, other), whole_table_evaluate(form, other))
+
+    def test_half_table_for_every_chain_form(self, monkeypatch):
+        calls = mirror_calls(monkeypatch)
+        chain = ev.diagnostic_chain(3, 24, 3.0)
+        f = ev.initial_state(ev.SimConfig(m=3, n_max=24, s=3.0, epsilon=0.1))
+        chain.levels(f)
+        chain._derivatives(f, inserted=nonlinearity(f))
+        # C3, C4, C5 diagonals; D3 diagonal and C3, C4, C5 insertions
+        assert len(calls) == 7
+        assert all(rows == count // 2 for count, rows in calls)
+        for form in chain.corrections + (chain.energy_derivative,):
+            assert form.conjugate_symmetric
+
+        # a zero or -0 amplitude component takes every row
+        c5 = chain.corrections[2]
+        for part in ("zero", "real", "imag"):
+            coeffs = f.coeffs.copy()
+            if part == "zero":
+                coeffs[3] = 0.0
+            elif part == "real":
+                coeffs.real[3] = -0.0
+            else:
+                coeffs.imag[3] = -0.0
+            g = f.with_coeffs(coeffs)
+            del calls[:]
+            fm.evaluate_diagonal(c5, g)
+            fm.evaluate(c5, [nonlinearity(f)] + [g] * 4)
+            assert calls == [(c5.space.count, c5.space.count)] * 2
+
+        # so does a form that is not conjugate-symmetric, in ``evaluate`` only
+        form = random_form(3, 24, 4, np.random.default_rng(7))
+        assert not form.conjugate_symmetric
+        del calls[:]
+        fm.evaluate(form, [f] * 4)
+        fm.evaluate_diagonal(form, f)
+        count = form.space.count
+        assert calls == [(count, count), (count, count // 2)]
 
     def test_table_matches_slow_summation(self, rng):
         # memoized table vs a from-scratch python loop over admissible tuples
