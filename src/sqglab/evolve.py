@@ -27,6 +27,14 @@ blow-up drops the failing run and every later amplitude (a sequential sweep
 would never have started them), and once the earlier runs finish the first
 failing run's error is raised.
 
+Each step runs on a ``_Stepper``, an in-place RK4 kernel built once per
+batch shape (and again when runs leave the batch).  It owns its workspace:
+the quadratic term's zero-padded spectra, samples, product and spectrum,
+the four RK4 stages and two scratch arrays, so a step allocates nothing.
+Its transforms are pocketfft's gufuncs, called as ``np.fft`` calls them but
+without its wrappers, and each stage keeps the operations and order of the
+plain RK4 expression, so every state has the bits that expression gives.
+
 A long sweep runs in two processes.  Once the chain and the initial states
 exist, ``_lockstep`` forks one worker (POSIX ``fork``) that runs the RK4
 loop, with the norms, stopping and blow-up, and sends each recorded step's
@@ -53,6 +61,7 @@ from . import forms
 from .dispersion import _finite_real, _integer, dispersion_float
 from .field import (
     SpectralField,
+    _ProductBuffers,
     _quadratic_term,
     hs_norm,
     mean_drift,
@@ -248,21 +257,86 @@ def initial_state(cfg: SimConfig) -> SpectralField:
     return raw.with_coeffs(raw.coeffs * (cfg.epsilon / hs_norm(raw, cfg.s)))
 
 
-def _rk4_step(coeffs, dt, half_phase, quad):
-    """One integrating-factor RK4 step on the positive-mode coefficients."""
-    if quad is None:
-        return half_phase * half_phase * coeffs
+class _Stepper:
+    """Integrating-factor RK4 steps, in place, on states of one shape.
 
-    k1 = quad(coeffs)
-    mid = half_phase * (coeffs + (0.5 * dt) * k1)
-    k2 = quad(mid) / half_phase
-    mid2 = half_phase * coeffs + (0.5 * dt) * half_phase * k2
-    k3 = quad(mid2) / half_phase
-    end = half_phase * half_phase * (coeffs + dt * k3)
-    k4 = quad(end) / (half_phase * half_phase)
-    return half_phase * half_phase * (
-        coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    )
+    ``step(coeffs)`` advances ``coeffs``, a bare (K,) row or a (B, K) batch of
+    the ``shape`` the stepper was built for, by one step of ``dt`` and writes
+    the new state over the old.  The stepper owns its workspace, so a step
+    allocates nothing: the quadratic term's buffers (their spectra zeroed once,
+    only the stored slots rewritten), the four RK4 stages and two scratch
+    arrays.  Each stage is written out in the operations and order of
+
+        k1 = N(c)
+        k2 = N(h (c + (dt/2) k1)) / h
+        k3 = N(h c + ((dt/2) h) k2) / h
+        k4 = N(h^2 (c + dt k3)) / h^2
+        c <- h^2 (c + (dt/6) (k1 + 2 k2 + 2 k3 + k4))
+
+    with h = ``half_phase`` and N the stored modes of the quadratic term
+    (``quad``; None steps the linear flow alone).  ``(dt/2) h`` and ``h^2``
+    are computed once.  Every operation is the NumPy ufunc the expressions
+    above call, on operands of the same shapes, so every part of every state
+    keeps the bits those expressions give it; a NaN part stays NaN, with a
+    sign and payload that depend on NumPy's choice of loop.
+    """
+
+    def __init__(self, quad, dt: float, half_phase: np.ndarray, shape: tuple):
+        self.shape = shape
+        self.quad = quad
+        self.dt = dt
+        self.half_phase = half_phase
+        self.phase2 = half_phase * half_phase
+        self.half_dt_phase = (0.5 * dt) * half_phase
+        self.scratch = np.empty(shape, dtype=np.complex128)
+        if quad is not None:
+            self.buffers = _ProductBuffers(quad, shape)
+            # the stored modes of the spectrum ``product_spectrum`` returns
+            self.stored = self.buffers.spectrum[..., quad.stored]
+            self.stages = tuple(np.empty((4, *shape), dtype=np.complex128))
+            self.mid = np.empty(shape, dtype=np.complex128)
+
+    def _term(self, state: np.ndarray, out: np.ndarray) -> None:
+        """The quadratic term at the stored modes, written into ``out``."""
+        self.quad.product_spectrum(state, self.buffers)
+        np.divide(self.stored, self.quad.grid, out=out)
+
+    def step(self, coeffs: np.ndarray) -> None:
+        # No complex multiply or divide writes over one of its operands: on a
+        # single element NumPy then takes a loop without FMA, which rounds
+        # differently from the expression's fresh result.
+        dt, phase, phase2 = self.dt, self.half_phase, self.phase2
+        scratch = self.scratch
+        if self.quad is None:
+            np.multiply(phase2, coeffs, out=scratch)
+            np.copyto(coeffs, scratch)
+            return
+        k1, k2, k3, k4 = self.stages
+        mid = self.mid
+        self._term(coeffs, k1)
+        np.multiply(0.5 * dt, k1, out=scratch)
+        np.add(coeffs, scratch, out=scratch)
+        np.multiply(phase, scratch, out=mid)
+        self._term(mid, scratch)
+        np.divide(scratch, phase, out=k2)
+        np.multiply(phase, coeffs, out=mid)
+        np.multiply(self.half_dt_phase, k2, out=scratch)
+        np.add(mid, scratch, out=mid)
+        self._term(mid, scratch)
+        np.divide(scratch, phase, out=k3)
+        np.multiply(dt, k3, out=scratch)
+        np.add(coeffs, scratch, out=scratch)
+        np.multiply(phase2, scratch, out=mid)
+        self._term(mid, scratch)
+        np.divide(scratch, phase2, out=k4)
+        np.multiply(2.0, k2, out=mid)
+        np.add(k1, mid, out=mid)
+        np.multiply(2.0, k3, out=scratch)
+        np.add(mid, scratch, out=mid)
+        np.add(mid, k4, out=mid)
+        np.multiply(dt / 6.0, mid, out=scratch)
+        np.add(coeffs, scratch, out=scratch)
+        np.multiply(phase2, scratch, out=coeffs)
 
 
 def integrate(
@@ -272,11 +346,12 @@ def integrate(
     freq = dispersion_float(f.modes)
     half_phase = np.exp(-0.5j * freq * dt)
     quad = None if linear_only else _quadratic_term(f.m, f.n_max)
-    coeffs = f.coeffs
+    coeffs = f.coeffs.copy()
+    stepper = _Stepper(quad, dt, half_phase, coeffs.shape)
     # a blown-up state overflows before it is caught below, and is reported
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            coeffs = _rk4_step(coeffs, dt, half_phase, quad)
+            stepper.step(coeffs)
             if not np.all(np.isfinite(coeffs.view(np.float64))):
                 raise InstabilityError(k * dt, step=k + 1)
     return f.with_coeffs(coeffs)
@@ -327,8 +402,10 @@ def run(
 
 #: Fewest steps for which a sweep forks a stepping worker.  Importing
 #: ``multiprocessing``, forking and reaping the worker cost about 25 ms, and
-#: the two processes slow each other; at the perfbench ``normalform`` config
-#: on two vCPUs the fork is a loss at 500 steps and a gain from 1000.
+#: the two processes slow each other.  At the perfbench ``normalform`` config
+#: on two vCPUs (median of 15 fresh processes, chain built beforehand), the
+#: sweep takes 275 ms in one process and 319 ms forked at 500 steps, 463 and
+#: 314 ms at 1000, and 827 and 530 ms at 2000.
 FORK_MIN_STEPS = 1000
 
 
@@ -366,20 +443,22 @@ def _march(
     norm = norms(coeffs)
     blowup = BLOWUP_FACTOR * np.maximum([c.epsilon for c in configs], norm)
     failure = None
+    # built for the batch's shape, and again when runs leave the batch
+    stepper = None
 
     for k in range(n_steps + 1):
         if not active:
             break
         failed = False
         if k:
-            if len(active) == 1:
-                # A batch of one steps as its bare row.  NumPy multiplies a (1, 1)
-                # array by a length-1 one without FMA, so that batch would not
-                # round like its row; and at this size broadcasting costs more
-                # than the arithmetic.
-                coeffs = _rk4_step(coeffs[0], cfg.dt, half_phase, quad)[None, :]
-            else:
-                coeffs = _rk4_step(coeffs, cfg.dt, half_phase, quad)
+            # A batch of one steps as its bare row.  NumPy multiplies a (1, 1)
+            # array by a length-1 one without FMA, so that batch would not
+            # round like its row; and at this size broadcasting costs more
+            # than the arithmetic.
+            state = coeffs[0] if len(active) == 1 else coeffs
+            if stepper is None or stepper.shape != state.shape:
+                stepper = _Stepper(quad, cfg.dt, half_phase, state.shape)
+            stepper.step(state)
             norm = norms(coeffs)
             # a non-finite state has an infinite or NaN norm, so it fails here too
             failed = not (norm <= blowup).all()

@@ -233,14 +233,25 @@ def analyze(samples: np.ndarray, m: int, n_max: int, tol: float = 1e-10) -> Spec
 class _QuadraticTerm:
     """Pseudo-spectral evaluator of 2 (Kf) f' - f (Kf)' for fixed (m, n_max).
 
-    Precomputes the dealiased grid and the diagonal symbols; ``__call__``
-    maps a positive-mode coefficient array to the coefficient array of the
-    truncated quadratic term.  Both methods take a batch of shape (..., K)
-    and treat each row independently, bit for bit as a call on that row
-    alone.  Stateless between calls.
+    Precomputes the dealiased grid and the diagonal symbols, and binds
+    pocketfft's real-transform gufuncs with the factors ``np.fft.irfft`` and
+    ``np.fft.rfft`` pass them (1/grid and 1), so each transform is the call
+    ``np.fft`` makes, without its wrapper.  ``numpy.fft`` is imported here
+    rather than with the module, so jobs that build no quadratic term
+    (``resonance``, ``waves``) never load it.
+
+    ``product_spectrum`` writes the spectrum of the product into buffers the
+    caller owns (``_ProductBuffers``): the RK4 stepper in ``evolve`` keeps one set per
+    batch shape and reuses it at every stage.  ``full_product_spectrum`` and
+    ``__call__`` make fresh buffers on each call, so an instance holds no
+    mutable state and the cached one is safe to share between threads.  Each
+    method takes a batch of shape (..., K) and treats each row independently,
+    bit for bit as a call on that row alone.
     """
 
     def __init__(self, m: int, n_max: int):
+        from numpy.fft import _pocketfft_umath as pocketfft
+
         self.m = m
         self.n_max = n_max
         self.grid = _dealias_grid_size(n_max)
@@ -250,27 +261,59 @@ class _QuadraticTerm:
         # complex, as the product with a complex array casts it anyway
         self.sigma = smoothing_symbol_float(self.modes).astype(np.complex128)
         self.deriv = 1j * self.modes
+        self._irfft = pocketfft.irfft
+        self._inverse_grid = np.reciprocal(float(self.grid))
+        self._rfft = pocketfft.rfft_n_odd if self.grid % 2 else pocketfft.rfft_n_even
+
+    def product_spectrum(self, coeffs: np.ndarray, buffers: "_ProductBuffers") -> np.ndarray:
+        """grid times the rfft-layout spectrum of the quadratic term before
+        truncation, written into ``buffers.spectrum`` and returned.
+
+        Rewrites only the stored slots of ``buffers.spectra``; the others
+        stay zero from the buffers' creation.
+        """
+        base, smoothed, derived, smoothed_derived = buffers.slots
+        np.copyto(base, coeffs)
+        np.multiply(coeffs, self.sigma, out=smoothed)
+        np.multiply(coeffs, self.deriv, out=derived)
+        np.multiply(smoothed, self.deriv, out=smoothed_derived)
+        # in place: times a real factor, FMA cannot change the rounding
+        np.multiply(buffers.stored, self.grid, out=buffers.stored)
+        self._irfft(buffers.spectra, self._inverse_grid, out=buffers.samples)
+        base, smoothed, derived, smoothed_derived = buffers.columns
+        product = np.multiply(2.0, smoothed, out=buffers.product)
+        np.multiply(product, derived, out=product)
+        np.multiply(base, smoothed_derived, out=buffers.scratch)
+        np.subtract(product, buffers.scratch, out=product)
+        return self._rfft(product, 1, out=buffers.spectrum)
 
     def full_product_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
         """rfft-layout spectrum of the quadratic term before truncation."""
-        spectra = np.zeros(
-            coeffs.shape[:-1] + (4, self.grid // 2 + 1), dtype=np.complex128
-        )
-        smoothed = coeffs * self.sigma
-        spectra[..., 0, self.stored] = coeffs
-        spectra[..., 1, self.stored] = smoothed
-        spectra[..., 2, self.stored] = coeffs * self.deriv
-        spectra[..., 3, self.stored] = smoothed * self.deriv
-        spectra *= self.grid
-        samples = np.fft.irfft(spectra, n=self.grid, axis=-1)
-        base, smoothed, derived, smoothed_derived = np.swapaxes(samples, 0, -2)
-        product = 2.0 * smoothed * derived - base * smoothed_derived
-        spectrum = np.fft.rfft(product, axis=-1)
+        spectrum = self.product_spectrum(coeffs, _ProductBuffers(self, coeffs.shape))
         spectrum /= self.grid
         return spectrum
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         return self.full_product_spectrum(coeffs)[..., self.modes]
+
+
+class _ProductBuffers:
+    """The arrays ``_QuadraticTerm.product_spectrum`` writes, for batches of
+    one shape (..., K): the four zero-padded spectra (coefficients, smoothed,
+    derived, smoothed and derived), their samples, the product and its
+    spectrum, with views of the stored slots and of the sample columns."""
+
+    def __init__(self, op: _QuadraticTerm, shape: tuple):
+        lead = tuple(shape[:-1])
+        half = op.grid // 2 + 1
+        self.spectra = np.zeros(lead + (4, half), dtype=np.complex128)
+        self.stored = self.spectra[..., op.stored]
+        self.slots = tuple(np.moveaxis(self.stored, -2, 0))
+        self.samples = np.empty(lead + (4, op.grid))
+        self.columns = tuple(np.moveaxis(self.samples, -2, 0))
+        self.product = np.empty(lead + (op.grid,))
+        self.scratch = np.empty(lead + (op.grid,))
+        self.spectrum = np.empty(lead + (half,), dtype=np.complex128)
 
 
 _QUADRATIC_CACHE: dict = {}

@@ -7,6 +7,7 @@ arbitrate the pseudo-spectral results.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sqglab import forms as fm
 from sqglab import resonance as rs
@@ -82,6 +83,79 @@ def assert_same_bits(a, b):
     assert a.dtype == b.dtype, (a.dtype, b.dtype)
     assert a.shape == b.shape, (a.shape, b.shape)
     assert a.tobytes() == b.tobytes()
+
+
+def assert_same_values(a, b):
+    """``assert_same_bits``, except that a NaN component need only be NaN on
+    both sides: its sign and payload depend on which NumPy loop made it.
+
+    Every other component, infinities and the sign of zero included, keeps
+    its bits.
+    """
+    a, b = np.array(a, order="C"), np.array(b, order="C")
+    assert a.dtype == b.dtype, (a.dtype, b.dtype)
+    assert a.shape == b.shape, (a.shape, b.shape)
+    parts_a, parts_b = a.view(np.float64), b.view(np.float64)
+    nan = np.isnan(parts_a)
+    assert np.array_equal(nan, np.isnan(parts_b))
+    parts_a[nan] = parts_b[nan] = np.nan
+    assert a.tobytes() == b.tobytes()
+
+
+def fft_full_product_spectrum(op, coeffs):
+    """``_QuadraticTerm.full_product_spectrum`` through the ``np.fft``
+    wrappers, with fresh temporaries at every operation."""
+    spectra = np.zeros(coeffs.shape[:-1] + (4, op.grid // 2 + 1), dtype=np.complex128)
+    smoothed = coeffs * op.sigma
+    spectra[..., 0, op.stored] = coeffs
+    spectra[..., 1, op.stored] = smoothed
+    spectra[..., 2, op.stored] = coeffs * op.deriv
+    spectra[..., 3, op.stored] = smoothed * op.deriv
+    spectra *= op.grid
+    samples = np.fft.irfft(spectra, n=op.grid, axis=-1)
+    base, smoothed, derived, smoothed_derived = np.swapaxes(samples, 0, -2)
+    product = 2.0 * smoothed * derived - base * smoothed_derived
+    spectrum = np.fft.rfft(product, axis=-1)
+    spectrum /= op.grid
+    return spectrum
+
+
+def rk4_step(coeffs, dt, half_phase, op):
+    """One integrating-factor RK4 step as a fresh array, from the stored modes
+    of ``fft_full_product_spectrum`` (``op`` None steps the linear flow)."""
+    if op is None:
+        return half_phase * half_phase * coeffs
+
+    def quad(state):
+        return fft_full_product_spectrum(op, state)[..., op.modes]
+
+    k1 = quad(coeffs)
+    mid = half_phase * (coeffs + (0.5 * dt) * k1)
+    k2 = quad(mid) / half_phase
+    mid2 = half_phase * coeffs + (0.5 * dt) * half_phase * k2
+    k3 = quad(mid2) / half_phase
+    end = half_phase * half_phase * (coeffs + dt * k3)
+    k4 = quad(end) / (half_phase * half_phase)
+    return half_phase * half_phase * (
+        coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    )
+
+
+#: Values that ``coefficient_array`` writes over some parts.
+SPECIAL_PARTS = st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), max_size=3)
+
+
+def coefficient_array(shape, seed, specials):
+    """Complex array of ``shape`` with magnitudes from 1e-6 to 1e2 by row;
+    each value of ``specials`` (+0, -0, inf or NaN) overwrites a fifth of the
+    parts."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coeffs *= 10.0 ** rng.uniform(-6, 2, size=shape[:-1] + (1,))
+    parts = coeffs.view(np.float64)
+    for value in specials:
+        parts[rng.random(size=parts.shape) < 0.2] = value
+    return coeffs
 
 
 def reduction_product(space, amp):

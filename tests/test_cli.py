@@ -257,6 +257,26 @@ class TestResonanceCommand:
         assert result.stdout.split() == ["0", "[]"]
         assert out.exists()
 
+    def test_resonance_and_waves_leave_fft_unloaded(self, tmp_path):
+        """Only the quadratic term imports ``numpy.fft``: neither the CLI nor a
+        resonance or a waves job loads it."""
+        argvs = [
+            ["resonance", "--p", "3", "--bound", "9", "--out", str(tmp_path / "r.json")],
+            ["waves", "--m", "3", "--xi-max", "0.05", "--steps", "2",
+             "--out", str(tmp_path / "w.csv")],
+        ]
+        script = (
+            "import sys\n"
+            "import sqglab.cli\n"
+            "print('numpy.fft' in sys.modules)\n"
+            f"for argv in {argvs!r}:\n"
+            "    print(sqglab.cli.main(argv), 'numpy.fft' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["False", "0", "False", "0", "False"]
+
     @pytest.mark.parametrize(
         "module,name,argv,config",
         [

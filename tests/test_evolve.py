@@ -16,10 +16,17 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_bits, reduction_product
+from conftest import (
+    SPECIAL_PARTS,
+    assert_same_bits,
+    assert_same_values,
+    coefficient_array,
+    reduction_product,
+    rk4_step,
+)
 from sqglab import evolve as ev
 from sqglab import forms as fm
 from sqglab.dispersion import dispersion_float
@@ -127,6 +134,13 @@ class TestInitialData:
         assert not np.allclose(other.coeffs, f1.coeffs)
 
 
+def step_once(coeffs, dt, half_phase, quad):
+    """``coeffs`` after one step of a stepper built for its shape."""
+    state = coeffs.copy()
+    ev._Stepper(quad, dt, half_phase, state.shape).step(state)
+    return state
+
+
 class TestStep:
     def test_linear_phases_exact(self):
         cfg = ev.SimConfig(**CHEAP, epsilon=0.3, linear_only=True,
@@ -200,9 +214,44 @@ class TestStep:
         modes = m * np.arange(1, harmonics + 1)
         half_phase = np.exp(-0.5j * dispersion_float(modes) * dt)
         quad = _quadratic_term(m, m * harmonics)
-        stepped = ev._rk4_step(coeffs, dt, half_phase, quad)
+        stepped = step_once(coeffs, dt, half_phase, quad)
         for row, single in zip(stepped, coeffs):
-            assert row.tobytes() == ev._rk4_step(single, dt, half_phase, quad).tobytes()
+            assert row.tobytes() == step_once(single, dt, half_phase, quad).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(3, 7),
+        harmonics=st.integers(1, 13),
+        batch=st.integers(0, 5),
+        linear=st.booleans(),
+        dt=st.floats(0.001, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+        specials=SPECIAL_PARTS,
+    )
+    @example(m=3, harmonics=1, batch=0, linear=False, dt=0.01, seed=0, specials=[])
+    @example(m=3, harmonics=1, batch=0, linear=True, dt=0.01, seed=0, specials=[])
+    @example(m=3, harmonics=8, batch=3, linear=False, dt=0.01, seed=0, specials=[np.inf])
+    def test_stepper_matches_rk4_oracle(self, m, harmonics, batch, linear, dt, seed, specials):
+        """Two in-place steps on one workspace give the oracle's states, as
+        C-contiguous arrays, on bare rows (batch 0) and batches; a row with an
+        inf or NaN part steps to a non-finite row, which the blow-up check
+        then drops."""
+        shape = (harmonics,) if batch == 0 else (batch, harmonics)
+        coeffs = coefficient_array(shape, seed, specials)
+        modes = m * np.arange(1, harmonics + 1)
+        half_phase = np.exp(-0.5j * dispersion_float(modes) * dt)
+        op = None if linear else _quadratic_term(m, m * harmonics)
+        stepper = ev._Stepper(op, dt, half_phase, shape)
+        state, expected = coeffs.copy(), coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                stepper.step(state)
+                expected = rk4_step(expected, dt, half_phase, op)
+                assert state.flags.c_contiguous
+                assert_same_values(state, expected)
+        finite_in = np.isfinite(coeffs.view(np.float64)).reshape(-1, 2 * harmonics)
+        finite_out = np.isfinite(state.view(np.float64)).reshape(-1, 2 * harmonics)
+        assert not finite_out.all(axis=1)[~finite_in.all(axis=1)].any()
 
 
 class TestRun:
@@ -314,14 +363,15 @@ class TestLifespanExperiment:
         chain's own at each recorded state, bit for bit."""
         cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=1.0, diagnostics_stride=10)
         term = type(_quadratic_term(cfg.m, cfg.n_max))
-        spectrum = term.full_product_spectrum
+        spectrum = term.product_spectrum
         shapes = []
 
-        def counted(self, coeffs):
+        def counted(self, coeffs, buffers):
             shapes.append(coeffs.shape)
-            return spectrum(self, coeffs)
+            return spectrum(self, coeffs, buffers)
 
-        monkeypatch.setattr(term, "full_product_spectrum", counted)
+        # the stepper and full_product_spectrum both evaluate through it
+        monkeypatch.setattr(term, "product_spectrum", counted)
         report = ev.lifespan_experiment([0.1, 0.05], cfg)
         records = sum(len(t.states) for t in report.trajectories)
         assert records == 12 and report.doubling_times == [None, None]
@@ -556,7 +606,7 @@ class TestSteppingWorker:
         def failing(*args):
             raise ZeroDivisionError(f"stepped in {os.getpid()}")
 
-        monkeypatch.setattr(ev, "_rk4_step", failing)
+        monkeypatch.setattr(ev._Stepper, "step", failing)
         with pytest.raises(ZeroDivisionError, match=r"^stepped in \d+$") as info:
             ev.lifespan_experiment([0.1, 0.05], self.CFG)
         assert str(info.value) != f"stepped in {os.getpid()}"
@@ -571,7 +621,7 @@ class TestSteppingWorker:
         def failing(*args):
             raise Local("not picklable")
 
-        monkeypatch.setattr(ev, "_rk4_step", failing)
+        monkeypatch.setattr(ev._Stepper, "step", failing)
         with pytest.raises(RuntimeError, match="^Local: not picklable$"):
             ev.lifespan_experiment([0.1, 0.05], self.CFG)
         assert_no_child()

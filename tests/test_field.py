@@ -9,12 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqglab
 
-from conftest import brute_nonlinearity, l2_pairing, random_field
+from conftest import (
+    SPECIAL_PARTS,
+    assert_same_values,
+    brute_nonlinearity,
+    coefficient_array,
+    fft_full_product_spectrum,
+    l2_pairing,
+    random_field,
+)
 from sqglab.field import (
     SpectralField,
     _quadratic_term,
@@ -264,6 +272,28 @@ class TestQuadraticTerm:
         for r, row in enumerate(coeffs):
             assert term[r].tobytes() == op(row).tobytes()
             assert spectrum[r].tobytes() == op.full_product_spectrum(row).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(3, 7),
+        harmonics=st.integers(1, 13),
+        batch=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        specials=SPECIAL_PARTS,
+    )
+    @example(m=3, harmonics=1, batch=0, seed=0, specials=[])
+    @example(m=3, harmonics=8, batch=3, seed=0, specials=[-0.0, np.nan])
+    def test_spectrum_matches_fft_oracle(self, m, harmonics, batch, seed, specials):
+        """The gufunc kernel computes what the ``np.fft`` wrappers compute, on
+        bare rows (batch 0) and batches, at even grids (10 at n_max 3) and odd
+        ones (75 at n_max 24)."""
+        op = _quadratic_term(m, m * harmonics)
+        shape = (harmonics,) if batch == 0 else (batch, harmonics)
+        coeffs = coefficient_array(shape, seed, specials)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = fft_full_product_spectrum(op, coeffs)
+            assert_same_values(op.full_product_spectrum(coeffs), expected)
+            assert_same_values(op(coeffs), expected[..., op.modes])
 
     def test_symmetry_residual_structurally_zero(self, rng):
         f = random_field(3, 24, rng)
