@@ -106,6 +106,14 @@ class InstabilityError(RuntimeError):
 #: that decimal inputs such as t_end=0.3, dt=0.1 (ratio 2.9999999999999996) pass.
 _STEP_RTOL = 1e-9
 
+#: Largest n_max of a run.  With corrected energies, the chain's tuple
+#: tables bound it lower: n_max / m <= ``forms.max_table_harmonics`` at
+#: ``forms.CHAIN_ARITY``, 39 harmonics.  The quadratic term's buffers
+#: and a few recorded states take about 730 bytes per unit of n_max, so a run
+#: here needs about 75 MB, and an RK4 step takes about 0.12 s on a 2-vCPU
+#: Xeon host.
+MAX_N_MAX = 100_000
+
 
 def config_problems(values) -> list:
     """Every rule of a run config that ``values`` (one value per field of
@@ -120,11 +128,16 @@ def config_problems(values) -> list:
     m_ok = _integer(m) and m >= 3
     check("m", m_ok, "must be an integer >= 3")
     if m_ok:
-        check(
-            "n_max",
-            _integer(n_max) and n_max >= m and n_max % m == 0,
-            f"must be a positive multiple of m={m}",
-        )
+        n_max_ok = _integer(n_max) and n_max >= m and n_max % m == 0
+        check("n_max", n_max_ok, f"must be a positive multiple of m={m}")
+        if n_max_ok:
+            most, why = MAX_N_MAX, ""
+            if values["corrected_energies"] is True:
+                # the chain's largest tuple table must fit forms.MAX_TABLE_ROWS
+                tables = m * forms.max_table_harmonics(forms.CHAIN_ARITY)
+                if tables < most:
+                    most, why = tables, f" for m={m} with corrected energies"
+            check("n_max", n_max <= most, f"must be at most {most}{why}")
     check("s", _finite_real(s) and s >= 0, "must be a finite number >= 0")
     dt_ok = _finite_real(dt) and dt > 0
     check("dt", dt_ok, "must be a finite number > 0")
@@ -237,21 +250,91 @@ class Trajectory:
         return self.table[name]
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform_phases(seed: int, count: int) -> np.ndarray:
+    """``np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=count)``,
+    bit for bit, without importing ``numpy.random``.
+
+    That import also loads ``secrets``, ``hashlib`` and OpenSSL, about 6 MB
+    resident.  The stream is NumPy's: SeedSequence hashes the seed's
+    little-endian 32-bit words into a pool of four and generates eight words
+    from it; their four little-endian 64-bit pairs seed PCG64 (state from
+    the first two, increment from the last two, the higher word first),
+    whose XSL-RR output gives each draw its top 53 bits.
+    """
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    seed = int(seed)
+    # seed 0 gives no words, which pads the pool as its single zero word would
+    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length(), 32)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    generated = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        generated.append(value ^ value >> 16)
+    high_state, low_state, high_seq, low_seq = (
+        generated[i] | generated[i + 1] << 32 for i in range(0, 8, 2)
+    )
+    increment = ((high_seq << 64 | low_seq) << 1 | 1) & _MASK128
+    state = (increment + (high_state << 64 | low_state)) & _MASK128
+    state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+
+    phases = np.empty(count)
+    two_pi = 2.0 * math.pi
+    for i in range(count):
+        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+        rotation = state >> 122
+        folded = (state >> 64 ^ state) & _MASK64
+        bits = (folded >> rotation | folded << (64 - rotation)) & _MASK64
+        phases[i] = 0.0 + two_pi * ((bits >> 11) * 2.0**-53)
+    return phases
+
+
 def initial_state(cfg: SimConfig) -> SpectralField:
     """Initial data of the configured profile, H^s norm exactly epsilon.
 
     ``single_mode`` excites the fundamental; ``random_band`` fills every
     harmonic with amplitudes (1+n^2)^(-(s+1)/2) and phases drawn from the
-    seed, so runs with equal seeds are proportional across epsilon.
+    seed, so runs with equal seeds are proportional across epsilon.  The
+    phases are NumPy's ``default_rng(seed).uniform(0, 2 pi)`` stream,
+    reproduced here (``_uniform_phases``) so that the stream is part of
+    sqglab rather than of the installed NumPy.
     """
     harmonics = cfg.n_max // cfg.m
     coeffs = np.zeros(harmonics, dtype=np.complex128)
     if cfg.initial_profile == "single_mode":
         coeffs[0] = 0.5
     else:
-        rng = np.random.default_rng(cfg.seed)
         n = cfg.m * np.arange(1, harmonics + 1, dtype=np.float64)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=harmonics)
+        phases = _uniform_phases(cfg.seed, harmonics)
         coeffs = (1.0 + n * n) ** (-(cfg.s + 1.0) / 2.0) * np.exp(1j * phases)
     raw = SpectralField(cfg.m, cfg.n_max, coeffs)
     return raw.with_coeffs(raw.coeffs * (cfg.epsilon / hs_norm(raw, cfg.s)))

@@ -68,6 +68,9 @@ MAX_ARITY = 6
 #: Guard against accidentally huge tables ((2K)^(p-1) candidate rows).
 MAX_TABLE_ROWS = 40_000_000
 
+#: Arity of the largest tuple table ``build_chain`` makes (D5 and C5).
+CHAIN_ARITY = 5
+
 #: Rows handled at once by ``nonlinearity_extension`` and the diagonal
 #: product, so that their temporaries stay small whatever the table size.
 ROW_BLOCK = 8192
@@ -77,6 +80,18 @@ ROW_BLOCK = 8192
 #: first: products of up to MAX_ARITY such numbers, rounded at every step,
 #: neither underflow nor overflow.
 MIRROR_RANGE = (2.0**-100, 2.0**100)
+
+
+def max_table_harmonics(p: int) -> int:
+    """The most harmonics K for which an arity-p tuple table, of (2K)^(p-1)
+    candidate rows, stays within MAX_TABLE_ROWS."""
+    size = int(MAX_TABLE_ROWS ** (1.0 / (p - 1)))
+    # the float root may be one off either way
+    while size ** (p - 1) > MAX_TABLE_ROWS:
+        size -= 1
+    while (size + 1) ** (p - 1) <= MAX_TABLE_ROWS:
+        size += 1
+    return size // 2
 
 
 class ResonanceError(ValueError):
@@ -131,7 +146,7 @@ class TupleSpace:
             [-m * np.arange(k, 0, -1), m * np.arange(1, k + 1)]
         ).astype(np.int64)
         size = 2 * k
-        if size ** (p - 1) > MAX_TABLE_ROWS:
+        if k > max_table_harmonics(p):
             raise ValueError(
                 f"tuple table for m={m}, n_max={n_max}, p={p} would need "
                 f"{size ** (p - 1)} candidate rows; reduce n_max or arity"
@@ -747,7 +762,7 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
     c4 = normal_form_divide(d4_free).scaled(1j, label="quartic-correction")
     # D5 is the largest table built; nothing holds it once it is divided, and
     # the quintic orbits that the division needs are found before it exists
-    tuple_space(m, n_max, 5).orbits
+    tuple_space(m, n_max, CHAIN_ARITY).orbits
     c5 = normal_form_divide(
         nonlinearity_extension(c4).scaled(-1.0, label="quintic-derivative")
     ).scaled(1j, label="quintic-correction")

@@ -10,7 +10,9 @@ even (cosine) sector, which quotients out translations: u is a real cosine
 series on harmonics of m, the residual is then a pure sine series, and its
 even part vanishes identically.  The branch is parameterized by the
 amplitude xi of the fundamental (pinned), marching xi away from zero with
-the previous point as predictor and a damped Newton corrector.
+the previous point as predictor and a damped Newton corrector.  The march
+stops at the first point whose coefficient tail the truncation does not
+resolve (``MAX_TAIL_RATIO``).
 
 All products are short real convolutions of cosine/sine series truncated to
 the working harmonics, i.e. exact Galerkin (alias-free) arithmetic.  The
@@ -34,6 +36,19 @@ from .dispersion import (
     dispersion_float,
     smoothing_symbol_float,
 )
+
+
+#: Most harmonics ``continue_branch`` accepts.  Each Newton iteration
+#: assembles the dense K x K Jacobian (8 MiB at this bound) from about a dozen
+#: K x K index and gather arrays and solves it in O(K^3): one solve at this
+#: bound peaks near 90 MB above the module's import and takes about 0.6 s on a
+#: 2-vCPU Xeon host; doubling K quadruples the memory and octuples the solve.
+MAX_HARMONICS = 1024
+
+#: Largest tail ratio (the largest of the last three |cosine coefficients|
+#: over the largest one) of a point ``continue_branch`` keeps.  Past it the
+#: truncation no longer resolves the wave, however small the residual.
+MAX_TAIL_RATIO = 1e-8
 
 
 class NewtonError(RuntimeError):
@@ -67,6 +82,12 @@ class WavePoint:
     @property
     def num_harmonics(self) -> int:
         return self.cosine_coeffs.shape[0]
+
+    @property
+    def tail_ratio(self) -> float:
+        """Largest of the last three |cosine coefficients| over the largest."""
+        amps = np.abs(self.cosine_coeffs)
+        return float(amps[-3:].max() / amps.max())
 
     def to_dict(self) -> dict:
         return {
@@ -338,11 +359,16 @@ def continue_branch(
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> WaveBranch:
-    """March xi from xi_max/steps to xi_max; stop cleanly on Newton failure.
+    """March xi from xi_max/steps to xi_max; stop cleanly where the branch
+    can no longer be followed.
 
-    The previous point (with the fundamental re-pinned) predicts the next;
-    a partial branch is a valid result and records where the corrector gave
-    up.
+    The previous point (with the fundamental re-pinned) predicts the next.
+    The march stops, keeping the points before, when Newton fails or when a
+    converged point's ``tail_ratio`` exceeds MAX_TAIL_RATIO: the truncation
+    no longer resolves it, so it is not appended.  A partial branch is a
+    valid result; its provenance sets ``terminated_early`` and says in
+    ``termination`` where and why it stopped.  Raises ValueError naming each
+    bad argument, ``num_harmonics`` above MAX_HARMONICS included.
     """
     problems = []
     if not (_integer(m) and m >= 3):
@@ -351,8 +377,12 @@ def continue_branch(
         problems.append("xi_max: must be a finite number > 0")
     if not (_integer(steps) and steps >= 1):
         problems.append("steps: must be an integer >= 1")
-    if num_harmonics is not None and not (_integer(num_harmonics) and num_harmonics >= 1):
-        problems.append("num_harmonics: must be an integer >= 1")
+    # below four harmonics the tail of three holds the fundamental, so the
+    # resolution gate would pass no point
+    if num_harmonics is not None and not (
+        _integer(num_harmonics) and 4 <= num_harmonics <= MAX_HARMONICS
+    ):
+        problems.append(f"num_harmonics: must be an integer from 4 to {MAX_HARMONICS}")
     if problems:
         raise ValueError("; ".join(problems))
     if num_harmonics is None:
@@ -382,6 +412,13 @@ def continue_branch(
         except NewtonError as exc:
             provenance["terminated_early"] = True
             provenance["termination"] = str(exc)
+            break
+        tail = point.tail_ratio
+        if tail > MAX_TAIL_RATIO:
+            provenance["terminated_early"] = True
+            provenance["termination"] = (
+                f"unresolved at xi={xi:g}: tail ratio {tail:.3e} exceeds {MAX_TAIL_RATIO:g}"
+            )
             break
         points.append(point)
         prev_coeffs = point.cosine_coeffs

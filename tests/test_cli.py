@@ -31,6 +31,11 @@ JSON = JSON_LEAF | st.lists(JSON_LEAF, max_size=3) | st.dictionaries(
 )
 
 
+#: A run config small enough for a fresh process to run in well under a second.
+SMALL_RUN = {"m": 3, "n_max": 12, "s": 2.0, "dt": 0.02, "t_end": 0.4,
+             "diagnostics_stride": 5}
+
+
 def write_config(path, **overrides):
     cfg = {"m": 3, "n_max": 12, "s": 2.0, "dt": 0.02, "t_end": 1.0,
            "epsilon": 0.1, "seed": 3, "diagnostics_stride": 10}
@@ -80,6 +85,10 @@ class TestValidateConfig:
             ("seed", {"seed": -1}),
             ("diagnostics_stride", {"diagnostics_stride": True}),
             ("t_end", {"dt": 0.3, "t_end": 1.0}),
+            # the corrected energies' quintic table would be too large
+            ("n_max", {"n_max": 600}),
+            # the quadratic term's buffers would not fit in memory
+            ("n_max", {"n_max": 99_999_999, "corrected_energies": False}),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, field, overrides):
@@ -190,6 +199,26 @@ class TestEvolveCommand:
         assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "m:" in capsys.readouterr().err
 
+    def test_evolve_and_normalform_leave_numpy_random_unloaded(self, tmp_path):
+        """The ``random_band`` phases are drawn without ``numpy.random``."""
+        run, sweep = tmp_path / "run.json", tmp_path / "sweep.json"
+        run.write_text(json.dumps(SMALL_RUN))
+        sweep.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}))
+        argvs = [
+            ["evolve", "--config", str(run), "--out", str(tmp_path / "traj.csv")],
+            ["normalform", "--config", str(sweep), "--out-prefix", str(tmp_path / "nf")],
+        ]
+        script = (
+            "import sys\n"
+            "import sqglab.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    print(sqglab.cli.main(argv), 'numpy.random' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "False", "0", "False"]
+
     def test_restart_from_dumped_state(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", t_end=0.5)
         out1, state = tmp_path / "a.csv", tmp_path / "state.json"
@@ -285,29 +314,44 @@ class TestResonanceCommand:
             ("waves", "continue_branch", ["waves", "--m", "3", "--xi-max", "0.05",
                                           "--steps", "2"],
              {"m": 3, "xi_max": 0.05, "steps": 2, "harmonics": None}),
+            ("evolve", "run", ["evolve"], SMALL_RUN),
+            ("evolve", "lifespan_experiment", ["normalform"],
+             {**SMALL_RUN, "eps_list": [0.1, 0.05]}),
         ],
     )
     def test_work_runs_without_openssl(self, tmp_path, module, name, argv, config):
-        """OpenSSL's ``_hashlib`` loads only when the manifest takes its digest."""
+        """OpenSSL's ``_hashlib`` loads only when the manifest takes its digest:
+        it is still absent when the work returns."""
         out = tmp_path / "out"
+        manifest = tmp_path / "out.manifest.json"
+        if argv[0] in ("evolve", "normalform"):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config, sort_keys=True))
+            argv = [*argv, "--config", str(path)]
+        if argv[0] == "normalform":
+            argv = [*argv, "--out-prefix", str(out)]
+            manifest = tmp_path / "out.slopes.json.manifest.json"
+        else:
+            argv = [*argv, "--out", str(out)]
         script = (
             "import sys\n"
             "import sqglab.cli\n"
             f"from sqglab import {module}\n"
             f"work = {module}.{name}\n"
             "seen = []\n"
-            "def entered(*args, **kwargs):\n"
+            "def watched(*args, **kwargs):\n"
+            "    result = work(*args, **kwargs)\n"
             "    seen.append('_hashlib' in sys.modules)\n"
-            "    return work(*args, **kwargs)\n"
-            f"{module}.{name} = entered\n"
-            f"code = sqglab.cli.main({argv + ['--out', str(out)]!r})\n"
+            "    return result\n"
+            f"{module}.{name} = watched\n"
+            f"code = sqglab.cli.main({argv!r})\n"
             "print(code, seen)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split() == ["0", "[False]"]
-        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        manifest = json.loads(manifest.read_text())
         config_bytes = json.dumps(config, sort_keys=True).encode()
         assert manifest["config_sha256"] == hashlib.sha256(config_bytes).hexdigest()
 
@@ -336,6 +380,10 @@ class TestWavesCommand:
                                "--harmonics", "0"]),
             ("num_harmonics", ["--m", "3", "--xi-max", "0.05", "--steps", "2",
                                "--harmonics", "-3"]),
+            ("num_harmonics", ["--m", "3", "--xi-max", "0.05", "--steps", "2",
+                               "--harmonics", "3"]),
+            ("num_harmonics", ["--m", "3", "--xi-max", "0.05", "--steps", "2",
+                               "--harmonics", "100000000"]),
             ("m", ["--m", "2", "--xi-max", "0.05", "--steps", "2"]),
             ("steps", ["--m", "3", "--xi-max", "0.05", "--steps", "0"]),
         ],

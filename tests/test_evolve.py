@@ -133,6 +133,17 @@ class TestInitialData:
         other = ev.initial_state(ev.SimConfig(epsilon=0.1, seed=6))
         assert not np.allclose(other.coeffs, f1.coeffs)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 7])
+        | st.integers(0, 2**300),
+        count=st.integers(1, 64),
+    )
+    def test_phases_are_numpys_stream(self, seed, count):
+        # seeds of more than four 32-bit words take SeedSequence's extra mixing
+        expected = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=count)
+        assert_same_bits(ev._uniform_phases(seed, count), expected)
+
 
 def step_once(coeffs, dt, half_phase, quad):
     """``coeffs`` after one step of a stepper built for its shape."""

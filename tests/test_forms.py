@@ -133,6 +133,13 @@ class TestTupleSpace:
             prefix = prefix * size + space.idx[:, j]
         assert_same_bits(space.prefix, prefix)
 
+    @pytest.mark.parametrize("p", range(3, fm.MAX_ARITY + 1))
+    def test_table_row_limit(self, p):
+        k = fm.max_table_harmonics(p)
+        assert (2 * k) ** (p - 1) <= fm.MAX_TABLE_ROWS < (2 * k + 2) ** (p - 1)
+        with pytest.raises(ValueError, match=f"would need {(2 * k + 2) ** (p - 1)} "):
+            fm.TupleSpace(5, 5 * (k + 1), p)
+
     @pytest.mark.parametrize("m,n_max,p", SPACES)
     def test_exact_facts_row_by_row(self, m, n_max, p):
         space = fm.tuple_space(m, n_max, p)

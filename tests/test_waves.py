@@ -1,5 +1,7 @@
 """Travelling-wave residual, Newton continuation, and branch diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,27 @@ class TestBranch:
         branch = wv.continue_branch(3, 0.2, 10, max_iter=1)
         assert branch.provenance["terminated_early"]
         assert len(branch.points) < 10
+
+    def test_stops_at_first_unresolved_point(self):
+        # at 21 harmonics the m=3 branch is resolved up to xi = 0.34 only
+        branch = wv.continue_branch(3, 1.0, 50)
+        assert len(branch.points) == 17
+        assert all(p.tail_ratio <= wv.MAX_TAIL_RATIO for p in branch.points)
+        assert branch.provenance["terminated_early"]
+        assert re.fullmatch(
+            r"unresolved at xi=0\.36: tail ratio 1\.\d{3}e-08 exceeds 1e-08",
+            branch.provenance["termination"],
+        )
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_criterion_8_branches_resolved(self, m):
+        branch = wv.continue_branch(m, 0.12, 24)
+        assert len(branch.points) == 24
+        assert not branch.provenance["terminated_early"]
+
+    def test_tail_ratio(self):
+        coeffs = np.array([-0.5, 0.25, 1e-3, -4e-3, 2e-3])
+        assert wv.WavePoint(3, -0.5, 0.5, coeffs, 0.0).tail_ratio == 8e-3
 
     def test_json_round_trip(self):
         branch = wv.continue_branch(4, 0.05, 3)
