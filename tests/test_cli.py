@@ -380,12 +380,12 @@ class TestWavesCommand:
                                "--harmonics", "0"]),
             ("num_harmonics", ["--m", "3", "--xi-max", "0.05", "--steps", "2",
                                "--harmonics", "-3"]),
+            ("m", ["--m", "2", "--xi-max", "0.05", "--steps", "2"]),
+            ("steps", ["--m", "3", "--xi-max", "0.05", "--steps", "0"]),
             ("num_harmonics", ["--m", "3", "--xi-max", "0.05", "--steps", "2",
                                "--harmonics", "3"]),
             ("num_harmonics", ["--m", "3", "--xi-max", "0.05", "--steps", "2",
                                "--harmonics", "100000000"]),
-            ("m", ["--m", "2", "--xi-max", "0.05", "--steps", "2"]),
-            ("steps", ["--m", "3", "--xi-max", "0.05", "--steps", "0"]),
         ],
     )
     def test_bad_argument_exits_2_naming_field(self, tmp_path, capsys, field, argv):
