@@ -14,13 +14,15 @@ every rule on the values lives in ``evolve.config_problems``, which
 ``normalform`` sweep live in ``evolve.sweep_problems``, which
 ``lifespan_experiment`` enforces.  The arguments of ``waves`` and
 ``resonance`` are checked by the library functions they call, with the same
-number rules.  Exit code 2 means a bad config or bad arguments, naming
-each offending field; 1 means the run failed.
+number rules; ``dispersion`` bounds its ``n_max`` by
+``dispersion.MAX_TABLE_MODE``.  Exit code 2 means a bad config or bad
+arguments, naming each offending field; 1 means the run failed.
 
 Each subcommand imports the library module it runs (``evolve``,
 ``resonance``, ``waves``) when it runs, so a job loads only what it uses.
-``hashlib``, which maps OpenSSL, is imported by ``emit_manifest`` once the
-work is done.  Handlers call through the module attribute (``resonance.min_denominator``),
+The manifest's digest comes from the interpreter's built-in SHA-256
+(``_manifest_sha256``), so no job maps OpenSSL, which ``hashlib`` would load.
+Handlers call through the module attribute (``resonance.min_denominator``),
 so a wrapper installed on that name sees the call.
 """
 
@@ -37,7 +39,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .dispersion import dispersion, smoothing_symbol
+from .dispersion import MAX_TABLE_MODE, MIN_MODE, dispersion, smoothing_symbol
 from .field import SpectralField
 
 if TYPE_CHECKING:
@@ -71,6 +73,23 @@ def _write_json(path: str, data: dict) -> None:
     _atomic_write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
+def _manifest_sha256():
+    """The SHA-256 constructor of the built-in module, else of ``hashlib``.
+
+    Importing ``hashlib`` maps OpenSSL, about 3.7 MB resident on x86-64
+    Linux with Python 3.11; the built-in module maps almost nothing.  It is ``_sha2`` from Python 3.12 and
+    ``_sha256`` before; a build without it falls back to ``hashlib``.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def emit_manifest(
     primary_output: str,
     subcommand: str,
@@ -80,14 +99,13 @@ def emit_manifest(
     started: float,
 ) -> str:
     """Write the run manifest next to the primary output; returns its path."""
-    import hashlib  # loads OpenSSL, so only once the work is done
-
+    sha256 = _manifest_sha256()
     path = f"{primary_output}.manifest.json"
     _write_json(
         path,
         {
             "subcommand": subcommand,
-            "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
+            "config_sha256": sha256(config_bytes).hexdigest(),
             "version": __version__,
             "wall_time_seconds": time.monotonic() - started,
             "outputs": [os.path.basename(p) for p in outputs],
@@ -156,8 +174,12 @@ _TRAJ_HEADER = ["t", "Es", "Es_c3", "Es_c34", "Es_c345", "hs_norm", "mean_res", 
 
 def cmd_dispersion(args) -> int:
     started = time.monotonic()
+    if not MIN_MODE <= args.n_max <= MAX_TABLE_MODE:
+        raise ConfigError(
+            f"n_max: must be an integer from {MIN_MODE} to {MAX_TABLE_MODE}"
+        )
     rows = []
-    for n in range(3, args.n_max + 1):
+    for n in range(MIN_MODE, args.n_max + 1):
         lam = dispersion(n)
         sig = smoothing_symbol(n)
         rows.append(

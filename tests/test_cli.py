@@ -9,11 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqglab
 from sqglab import cli, resonance, waves
+from sqglab.dispersion import MAX_TABLE_MODE
 from sqglab.evolve import SimConfig
 
 #: Small ``evolve`` and ``normalform`` jobs with the bytes they must write.
@@ -149,6 +150,40 @@ class TestDispersionCommand:
         cli.main(["dispersion", "--n-max", "40", "--out", str(a)])
         cli.main(["dispersion", "--n-max", "40", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n_max", ["2", "-7", str(MAX_TABLE_MODE + 1), "10" * 10])
+    def test_bad_n_max_exits_2_naming_field(self, tmp_path, capsys, n_max):
+        out = tmp_path / "disp.csv"
+        assert cli.main(["dispersion", "--n-max", n_max, "--out", str(out)]) == 2
+        assert " n_max: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_n_max_gives_one_row(self, tmp_path):
+        out = tmp_path / "disp.csv"
+        assert cli.main(["dispersion", "--n-max", "3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+
+class TestManifestDigest:
+    @given(st.binary(max_size=200))
+    @example(b"\x00" * 55)
+    @example(b"\x00" * 56)
+    @example(b"\x00" * 64)
+    def test_matches_hashlib(self, data):
+        """The built-in constructor agrees with ``hashlib`` across the 55, 56
+        and 64-byte padding boundaries."""
+        sha256 = cli._manifest_sha256()
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_falls_back_to_hashlib(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert cli._manifest_sha256() is hashlib.sha256
+        out = tmp_path / "disp.csv"
+        assert cli.main(["dispersion", "--n-max", "9", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "disp.csv.manifest.json").read_text())
+        config_bytes = json.dumps({"n_max": 9}, sort_keys=True).encode()
+        assert manifest["config_sha256"] == hashlib.sha256(config_bytes).hexdigest()
 
 
 class TestEvolveCommand:
@@ -317,11 +352,12 @@ class TestResonanceCommand:
             ("evolve", "run", ["evolve"], SMALL_RUN),
             ("evolve", "lifespan_experiment", ["normalform"],
              {**SMALL_RUN, "eps_list": [0.1, 0.05]}),
+            ("cli", "_write_csv", ["dispersion", "--n-max", "9"], {"n_max": 9}),
         ],
     )
     def test_work_runs_without_openssl(self, tmp_path, module, name, argv, config):
-        """OpenSSL's ``_hashlib`` loads only when the manifest takes its digest:
-        it is still absent when the work returns."""
+        """No job maps OpenSSL: ``_hashlib`` is absent when the work returns
+        and after the manifest is written, whose digest is still SHA-256."""
         out = tmp_path / "out"
         manifest = tmp_path / "out.manifest.json"
         if argv[0] in ("evolve", "normalform"):
@@ -345,12 +381,12 @@ class TestResonanceCommand:
             "    return result\n"
             f"{module}.{name} = watched\n"
             f"code = sqglab.cli.main({argv!r})\n"
-            "print(code, seen)\n"
+            "print(code, seen, '_hashlib' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.split() == ["0", "[False]"]
+        assert result.stdout.split() == ["0", "[False]", "False"]
         manifest = json.loads(manifest.read_text())
         config_bytes = json.dumps(config, sort_keys=True).encode()
         assert manifest["config_sha256"] == hashlib.sha256(config_bytes).hexdigest()
