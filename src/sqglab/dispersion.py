@@ -59,6 +59,18 @@ def _integer(value) -> bool:
     return _finite_real(value) and isinstance(value, numbers.Integral)
 
 
+def _root_floor(limit: int, k: int) -> int:
+    """The largest integer r with r^k <= limit, for the size caps of
+    ``forms`` and ``resonance``."""
+    root = int(limit ** (1.0 / k))
+    # the float root may be one off either way
+    while root**k > limit:
+        root -= 1
+    while (root + 1) ** k <= limit:
+        root += 1
+    return root
+
+
 def _check_mode(n: int) -> int:
     n = int(n)
     if abs(n) < MIN_MODE:

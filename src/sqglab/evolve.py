@@ -61,10 +61,12 @@ from . import forms
 from .dispersion import _finite_real, _integer, dispersion_float
 from .field import (
     SpectralField,
+    _hs_norms,
     _ProductBuffers,
-    _quadratic_term,
+    _QuadraticTerm,
     hs_norm,
     mean_drift,
+    sobolev_weight,
     symmetry_residual,
 )
 
@@ -335,7 +337,7 @@ def initial_state(cfg: SimConfig) -> SpectralField:
     else:
         n = cfg.m * np.arange(1, harmonics + 1, dtype=np.float64)
         phases = _uniform_phases(cfg.seed, harmonics)
-        coeffs = (1.0 + n * n) ** (-(cfg.s + 1.0) / 2.0) * np.exp(1j * phases)
+        coeffs = sobolev_weight(n, -(cfg.s + 1.0) / 2.0) * np.exp(1j * phases)
     raw = SpectralField(cfg.m, cfg.n_max, coeffs)
     return raw.with_coeffs(raw.coeffs * (cfg.epsilon / hs_norm(raw, cfg.s)))
 
@@ -428,7 +430,7 @@ def integrate(
     """n_steps of size dt without recording; exact phases on the linear part."""
     freq = dispersion_float(f.modes)
     half_phase = np.exp(-0.5j * freq * dt)
-    quad = None if linear_only else _quadratic_term(f.m, f.n_max)
+    quad = None if linear_only else _QuadraticTerm(f.m, f.n_max)
     coeffs = f.coeffs.copy()
     stepper = _Stepper(quad, dt, half_phase, coeffs.shape)
     # a blown-up state overflows before it is caught below, and is reported
@@ -440,18 +442,6 @@ def integrate(
     return f.with_coeffs(coeffs)
 
 
-_CHAIN_CACHE: dict = {}
-
-
-def diagnostic_chain(m: int, n_max: int, s: float) -> forms.CorrectedEnergy:
-    """Corrected-energy chain shared across runs with equal parameters."""
-    key = (m, n_max, float(s))
-    chain = _CHAIN_CACHE.get(key)
-    if chain is None:
-        chain = _CHAIN_CACHE[key] = forms.build_chain(m, n_max, s)
-    return chain
-
-
 def run(
     cfg: SimConfig,
     stop_norm: float | None = None,
@@ -459,17 +449,18 @@ def run(
 ) -> Trajectory:
     """Integrate to t_end, recording diagnostics every stride steps.
 
-    Deterministic given the seed.  The corrected energies come from
-    ``diagnostic_chain`` when ``cfg.corrected_energies`` is set, and are NaN
-    otherwise.  ``initial`` (a restart state) overrides the configured
-    profile; it must live on the configured lattice.  Raises
+    Deterministic given the seed.  The corrected energies come from a chain
+    that ``forms.build_chain`` builds for this run when
+    ``cfg.corrected_energies`` is set, and are NaN otherwise.  ``initial``
+    (a restart state) overrides the configured profile; it must live on the
+    configured lattice.  Raises
     InstabilityError (carrying the last valid time and the partial
     trajectory) on blow-up; stops cleanly when the H^s norm first reaches
     ``stop_norm`` at a recorded time.
     """
     chain = None
     if cfg.corrected_energies:
-        chain = diagnostic_chain(cfg.m, cfg.n_max, cfg.s)
+        chain = forms.build_chain(cfg.m, cfg.n_max, cfg.s)
 
     if initial is None:
         f = initial_state(cfg)
@@ -509,21 +500,15 @@ def _march(
     cfg = configs[0]
     modes = initials[0].modes
     half_phase = np.exp(-0.5j * dispersion_float(modes) * cfg.dt)
-    quad = None if cfg.linear_only else _quadratic_term(cfg.m, cfg.n_max)
-    n = modes.astype(np.float64)
-    weights = (1.0 + n * n) ** cfg.s
-
-    def norms(coeffs: np.ndarray) -> np.ndarray:
-        # hs_norm of each row, reduced as hs_norm reduces a single state
-        return np.sqrt(2.0 * np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
-
+    quad = None if cfg.linear_only else _QuadraticTerm(cfg.m, cfg.n_max)
+    weights = sobolev_weight(modes, cfg.s)
     n_steps = int(round(cfg.t_end / cfg.dt))
     stop_times = [None] * len(configs)
     # ``active`` lists the runs still integrating, in sweep order; row r of
     # ``coeffs``, ``norm`` and ``blowup`` belongs to run active[r].
     active = list(range(len(configs)))
     coeffs = np.array([f.coeffs for f in initials])
-    norm = norms(coeffs)
+    norm = _hs_norms(coeffs, weights)
     blowup = BLOWUP_FACTOR * np.maximum([c.epsilon for c in configs], norm)
     failure = None
     # built for the batch's shape, and again when runs leave the batch
@@ -542,7 +527,7 @@ def _march(
             if stepper is None or stepper.shape != state.shape:
                 stepper = _Stepper(quad, cfg.dt, half_phase, state.shape)
             stepper.step(state)
-            norm = norms(coeffs)
+            norm = _hs_norms(coeffs, weights)
             # a non-finite state has an infinite or NaN norm, so it fails here too
             failed = not (norm <= blowup).all()
         recorded = k % cfg.diagnostics_stride == 0 or k == n_steps
@@ -682,7 +667,7 @@ def _lockstep(
     the same bits.
     """
     cfg = configs[0]
-    op = _quadratic_term(cfg.m, cfg.n_max)
+    op = _QuadraticTerm(cfg.m, cfg.n_max)
     # times, states, rows and derivatives of each run
     records = [([], [], [], []) for _ in configs]
 
@@ -700,7 +685,7 @@ def _lockstep(
             states.append(state)
             table.append([*levels, norm, mean_drift(state, spectrum), symmetry_residual(state)])
             if derivative_levels:
-                inserted = state.with_coeffs(spectrum[op.modes])
+                inserted = state.with_coeffs(spectrum[op.stored])
                 values = chain._derivatives(state, derivative_levels, inserted)
                 derivatives.append([value.real for value in values])
 
@@ -797,7 +782,7 @@ def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanRe
         raise ValueError("; ".join(problems))
     eps_list = [float(e) for e in eps_list]
 
-    chain = diagnostic_chain(cfg.m, cfg.n_max, cfg.s)
+    chain = forms.build_chain(cfg.m, cfg.n_max, cfg.s)
     configs = [replace(cfg, epsilon=eps) for eps in eps_list]
     trajectories = _lockstep(
         configs,

@@ -141,12 +141,24 @@ def reflect(f: SpectralField) -> SpectralField:
     return f.with_coeffs(np.conj(f.coeffs))
 
 
+def sobolev_weight(modes, s: float) -> np.ndarray:
+    """(1 + n^2)^s for each mode n, the H^s weight."""
+    n = np.asarray(modes, dtype=np.float64)
+    return (1.0 + n * n) ** s
+
+
+def _hs_norms(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The H^s norm of each row of stored coefficients (the last axis),
+    counting both mode signs, from the ``sobolev_weight`` of the stored
+    modes.  A row reduces as a lone state of the same length does."""
+    return np.sqrt(2.0 * np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
+
+
 def hs_norm(f: SpectralField, s: float) -> float:
     """Sobolev norm sqrt(sum_n (1+n^2)^s |fhat(n)|^2) over both mode signs."""
     if s < 0:
         raise ValueError("Sobolev index s must be >= 0")
-    n = f.modes.astype(np.float64)
-    return float(np.sqrt(2.0 * np.sum((1.0 + n * n) ** s * np.abs(f.coeffs) ** 2)))
+    return float(_hs_norms(f.coeffs, sobolev_weight(f.modes, s)))
 
 
 def sobolev_energy(f: SpectralField, s: float) -> float:
@@ -244,23 +256,21 @@ class _QuadraticTerm:
     caller owns (``_ProductBuffers``): the RK4 stepper in ``evolve`` keeps one set per
     batch shape and reuses it at every stage.  ``full_product_spectrum`` and
     ``__call__`` make fresh buffers on each call, so an instance holds no
-    mutable state and the cached one is safe to share between threads.  Each
-    method takes a batch of shape (..., K) and treats each row independently,
-    bit for bit as a call on that row alone.
+    mutable state and is safe to share between threads.  Each method takes a
+    batch of shape (..., K) and treats each row independently, bit for bit
+    as a call on that row alone.
     """
 
     def __init__(self, m: int, n_max: int):
         from numpy.fft import _pocketfft_umath as pocketfft
 
-        self.m = m
-        self.n_max = n_max
         self.grid = _dealias_grid_size(n_max)
-        self.modes = m * np.arange(1, n_max // m + 1)
         # the stored modes m, 2m, ..., n_max as a slice of the rfft layout
         self.stored = slice(m, n_max + 1, m)
+        modes = m * np.arange(1, n_max // m + 1)
         # complex, as the product with a complex array casts it anyway
-        self.sigma = smoothing_symbol_float(self.modes).astype(np.complex128)
-        self.deriv = 1j * self.modes
+        self.sigma = smoothing_symbol_float(modes).astype(np.complex128)
+        self.deriv = 1j * modes
         self._irfft = pocketfft.irfft
         self._inverse_grid = np.reciprocal(float(self.grid))
         self._rfft = pocketfft.rfft_n_odd if self.grid % 2 else pocketfft.rfft_n_even
@@ -294,7 +304,7 @@ class _QuadraticTerm:
         return spectrum
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.full_product_spectrum(coeffs)[..., self.modes]
+        return self.full_product_spectrum(coeffs)[..., self.stored]
 
 
 class _ProductBuffers:
@@ -316,17 +326,6 @@ class _ProductBuffers:
         self.spectrum = np.empty(lead + (half,), dtype=np.complex128)
 
 
-_QUADRATIC_CACHE: dict = {}
-
-
-def _quadratic_term(m: int, n_max: int) -> _QuadraticTerm:
-    key = (m, n_max)
-    op = _QUADRATIC_CACHE.get(key)
-    if op is None:
-        op = _QUADRATIC_CACHE[key] = _QuadraticTerm(m, n_max)
-    return op
-
-
 def nonlinearity(f: SpectralField) -> SpectralField:
     """Truncation to |n| <= n_max of 2 (Kf) f' - f (Kf)'.
 
@@ -334,7 +333,7 @@ def nonlinearity(f: SpectralField) -> SpectralField:
     output lives on the same lattice; its mean mode vanishes identically
     because the convolution symbol is even.
     """
-    return f.with_coeffs(_quadratic_term(f.m, f.n_max)(f.coeffs))
+    return f.with_coeffs(_QuadraticTerm(f.m, f.n_max)(f.coeffs))
 
 
 def mean_drift(f: SpectralField, spectrum: np.ndarray | None = None) -> float:
@@ -345,7 +344,7 @@ def mean_drift(f: SpectralField, spectrum: np.ndarray | None = None) -> float:
     ``spectrum`` is f's ``full_product_spectrum`` when the caller has it.
     """
     if spectrum is None:
-        spectrum = _quadratic_term(f.m, f.n_max).full_product_spectrum(f.coeffs)
+        spectrum = _QuadraticTerm(f.m, f.n_max).full_product_spectrum(f.coeffs)
     return float(np.abs(spectrum[0]))
 
 

@@ -58,8 +58,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dispersion import dispersion_float, smoothing_symbol_float
-from .field import SpectralField, nonlinearity, sobolev_energy
+from .dispersion import _root_floor, dispersion_float, smoothing_symbol_float
+from .field import SpectralField, nonlinearity, sobolev_energy, sobolev_weight
 from .resonance import _degenerate_rows, lambda_sums
 
 #: Largest arity supported by the table representation.
@@ -85,13 +85,7 @@ MIRROR_RANGE = (2.0**-100, 2.0**100)
 def max_table_harmonics(p: int) -> int:
     """The most harmonics K for which an arity-p tuple table, of (2K)^(p-1)
     candidate rows, stays within MAX_TABLE_ROWS."""
-    size = int(MAX_TABLE_ROWS ** (1.0 / (p - 1)))
-    # the float root may be one off either way
-    while size ** (p - 1) > MAX_TABLE_ROWS:
-        size -= 1
-    while (size + 1) ** (p - 1) <= MAX_TABLE_ROWS:
-        size += 1
-    return size // 2
+    return _root_floor(MAX_TABLE_ROWS, p - 1) // 2
 
 
 class ResonanceError(ValueError):
@@ -300,7 +294,6 @@ class MultilinearForm:
     space: TupleSpace
     values: np.ndarray
     parity: str = "none"
-    label: str = ""
     symmetric: bool = False
 
     def __post_init__(self):
@@ -336,16 +329,15 @@ class MultilinearForm:
             and np.array_equal(head.imag, -mirror.imag)
         )
 
-    def scaled(self, factor: complex, label: str | None = None) -> "MultilinearForm":
+    def scaled(self, factor: complex) -> "MultilinearForm":
         return MultilinearForm(
             self.space,
             _Fresh(self.values * factor),
             parity=self.parity,
-            label=label if label is not None else self.label,
             symmetric=self.symmetric,
         )
 
-    def plus(self, other: "MultilinearForm", label: str = "") -> "MultilinearForm":
+    def plus(self, other: "MultilinearForm") -> "MultilinearForm":
         if other.space is not self.space:
             raise ValueError("cannot add forms over different tuple spaces")
         parity = self.parity if self.parity == other.parity else "none"
@@ -353,7 +345,6 @@ class MultilinearForm:
             self.space,
             _Fresh(self.values + other.values),
             parity=parity,
-            label=label or f"{self.label}+{other.label}",
             symmetric=self.symmetric and other.symmetric,
         )
 
@@ -364,7 +355,6 @@ def make_form(
     p: int,
     multiplier: Callable,
     parity: str = "none",
-    label: str = "",
 ) -> MultilinearForm:
     """Build a form from a vectorized multiplier on mode tuples.
 
@@ -374,7 +364,7 @@ def make_form(
     """
     space = tuple_space(m, n_max, p)
     values = np.asarray(multiplier(space.mode_values), dtype=np.complex128)
-    return symmetrize(MultilinearForm(space, values, parity=parity, label=label))
+    return symmetrize(MultilinearForm(space, values, parity=parity))
 
 
 def symmetrize(form: MultilinearForm) -> MultilinearForm:
@@ -389,7 +379,6 @@ def symmetrize(form: MultilinearForm) -> MultilinearForm:
         form.space,
         _Fresh(means[orbits.inverse]),
         parity=form.parity,
-        label=form.label,
         symmetric=True,
     )
 
@@ -567,7 +556,6 @@ def normal_form_divide(form: MultilinearForm) -> MultilinearForm:
         space,
         _Fresh(form.values / denom),
         parity=_PARITY_FLIP[form.parity],
-        label=f"divide({form.label})",
         symmetric=form.symmetric,
     )
 
@@ -580,7 +568,6 @@ def degenerate_projection(form: MultilinearForm) -> MultilinearForm:
         form.space,
         _Fresh(np.where(form.space.degenerate, form.values, 0.0)),
         parity=form.parity,
-        label=f"project({form.label})",
         symmetric=form.symmetric,
     )
 
@@ -648,7 +635,6 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
         out_space,
         _Fresh(values),
         parity=_PARITY_FLIP[form.parity],
-        label=f"insert-quadratic({form.label})",
         symmetric=True,
     )
 
@@ -667,15 +653,9 @@ def build_energy_form(m: int, n_max: int, s: float) -> MultilinearForm:
     sig = smoothing_symbol_float(space.mode_values)
     total = np.zeros(space.count, dtype=np.float64)
     for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        weight = (1.0 + mv[:, c] ** 2) ** s
+        weight = sobolev_weight(mv[:, c], s)
         total += weight * (2.0 * mv[:, a] * sig[:, b] - mv[:, b] * sig[:, b])
-    return MultilinearForm(
-        space,
-        _Fresh((1j / 6.0) * total),
-        parity="odd",
-        label=f"energy-derivative(s={s:g})",
-        symmetric=True,
-    )
+    return MultilinearForm(space, _Fresh((1j / 6.0) * total), parity="odd", symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -691,8 +671,6 @@ class CorrectedEnergy:
     up to round-off.
     """
 
-    m: int
-    n_max: int
     s: float
     corrections: tuple
     energy_derivative: MultilinearForm
@@ -754,23 +732,12 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
     as inputs of C4 and C5; the sextic D6 is evaluated by insertion alone.
     """
     d3 = build_energy_form(m, n_max, s)
-    c3 = normal_form_divide(d3).scaled(1j, label="cubic-correction")
-    d4 = nonlinearity_extension(c3).scaled(-1.0, label="quartic-derivative")
-    d4_free = d4.plus(
-        degenerate_projection(d4).scaled(-1.0), label="quartic-derivative-nonresonant"
-    )
-    c4 = normal_form_divide(d4_free).scaled(1j, label="quartic-correction")
+    c3 = normal_form_divide(d3).scaled(1j)
+    d4 = nonlinearity_extension(c3).scaled(-1.0)
+    c4 = normal_form_divide(d4.plus(degenerate_projection(d4).scaled(-1.0))).scaled(1j)
     # D5 is the largest table built; nothing holds it once it is divided, and
     # the quintic orbits that the division needs are found before it exists
     tuple_space(m, n_max, CHAIN_ARITY).orbits
-    c5 = normal_form_divide(
-        nonlinearity_extension(c4).scaled(-1.0, label="quintic-derivative")
-    ).scaled(1j, label="quintic-correction")
-    return CorrectedEnergy(
-        m=m,
-        n_max=n_max,
-        s=float(s),
-        corrections=(c3, c4, c5),
-        energy_derivative=d3,
-    )
+    c5 = normal_form_divide(nonlinearity_extension(c4).scaled(-1.0)).scaled(1j)
+    return CorrectedEnergy(s=float(s), corrections=(c3, c4, c5), energy_derivative=d3)
 

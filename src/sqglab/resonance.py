@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dispersion import MIN_MODE, _integer, dispersion, dispersion_float
+from .dispersion import MIN_MODE, _integer, _root_floor, dispersion, dispersion_float
 
 #: Margin added to float pre-filters before exact confirmation.  For
 #: |n| < 2**26, n*n - 1 and n*n - 4 are exact, so ``dispersion_float`` errs
@@ -66,6 +66,17 @@ FLOAT_MARGIN = 1e-12
 #: inside would make the band's count exceed the degenerate total, and the
 #: search would then build the band and test its rows.
 DEGENERATE_BAND = 1e-13
+
+#: Most rows in the larger half set of a search of arity p, the ordered
+#: (p - p // 2)-tuples of the 2 (bound - 2) modes; ``max_bound`` turns each
+#: limit into the largest bound accepted.  At its largest bound a search
+#: peaks at 1.10 GB resident for p = 3 (bound 3164, 5.3 s), 0.85 GB for
+#: p = 4 (bound 1734, 308 s), 1.16 GB for p = 5 (bound 172, 8.5 s) and
+#: 1.16 GB for p = 6 (bound 172, 113 s), on a 2-vCPU Xeon host.  The
+#: per-min windows of p = 4 hold complex keys and masks over the whole pair
+#: set, about 71 bytes a row against 28-30 for the others, hence its lower
+#: limit.
+MAX_HALF_ROWS = {3: 40_000_000, 4: 12_000_000, 5: 40_000_000, 6: 40_000_000}
 
 
 def check_tuple(entries: Sequence[int]) -> tuple:
@@ -221,12 +232,10 @@ class _Halves(NamedTuple):
 
 
 def _half_tuples(bound: int, k: int, searched: bool = True) -> _Halves:
-    # int16 holds every mode and value index of a search that fits in memory:
-    # at bound 2**14 the pair set alone has 2**30 rows
-    small = np.int16 if bound < 2**14 else np.int32
-    pos = np.arange(MIN_MODE, bound + 1, dtype=small)
+    # MAX_HALF_ROWS keeps every mode and value index below 2**15
+    pos = np.arange(MIN_MODE, bound + 1, dtype=np.int16)
     values = np.concatenate([-pos[::-1], pos])
-    slots = np.indices((values.shape[0],) * k, dtype=small).reshape(k, -1)
+    slots = np.indices((values.shape[0],) * k, dtype=np.int16).reshape(k, -1)
     lam = dispersion_float(values)
     sums = sum(lam[i] for i in slots)
     rows = values[slots]
@@ -433,13 +442,22 @@ def _search(p: int, bound: int) -> ResonanceReport:
     )
 
 
+def max_bound(p: int) -> int:
+    """The largest bound of a search of arity p: its larger half set, of
+    (2 (bound - 2))^(p - p // 2) rows, stays within MAX_HALF_ROWS[p]."""
+    return _root_floor(MAX_HALF_ROWS[p], p - p // 2) // 2 + MIN_MODE - 1
+
+
 def _check_request(p, bound, arities: tuple) -> None:
     """Raise ValueError naming each of ``p`` and ``bound`` that breaks its rule."""
     problems = []
-    if not (_integer(p) and p in arities):
+    p_ok = _integer(p) and p in arities
+    if not p_ok:
         problems.append("p: must be one of " + ", ".join(map(str, arities)))
     if not (_integer(bound) and bound >= 9):
         problems.append("bound: must be an integer >= 9")
+    elif p_ok and bound > max_bound(p):
+        problems.append(f"bound: must be at most {max_bound(p)} for p={p}")
     if problems:
         raise ValueError("; ".join(problems))
 
@@ -454,8 +472,8 @@ def min_denominator(p: int, bound: int) -> ResonanceReport:
     For p = 3, 5 the result is checked against the proven constants 2/5 and
     9/35 (a violation raises).  For p = 4 the report also carries the exact
     minimum for each value of min |n_j|, exhibiting the fourth-power decay.
-    Raises ValueError unless p is one of 3, 4, 5 and bound an integer >= 9,
-    naming each offending argument as ``"<name>: <rule>"``.
+    Raises ValueError unless p is one of 3, 4, 5 and bound an integer from 9
+    to ``max_bound(p)``, naming each offending argument as ``"<name>: <rule>"``.
     """
     _check_request(p, bound, (3, 4, 5))
     report = _search(p, bound)

@@ -50,6 +50,9 @@ MAX_HARMONICS = 1024
 #: truncation no longer resolves the wave, however small the residual.
 MAX_TAIL_RATIO = 1e-8
 
+#: |cosine coefficients| at or below this are left out of ``decay_rate``'s fit.
+NOISE_FLOOR = 1e-14
+
 
 class NewtonError(RuntimeError):
     """Newton failed to converge; signals clean branch termination."""
@@ -428,20 +431,20 @@ def continue_branch(
     )
 
 
-def decay_rate(point: WavePoint, noise_floor: float = 1e-14) -> float:
+def decay_rate(point: WavePoint) -> float:
     """Least-squares exponential decay rate of the cosine coefficients.
 
-    Fits -log|a_k| against the mode k*m over coefficients above the noise
-    floor; the slope estimates the width of the strip of analyticity.
+    Fits -log|a_k| against the mode k*m over coefficients above NOISE_FLOOR;
+    the slope estimates the width of the strip of analyticity.
     Raises ValueError when fewer than four coefficients are resolved.
     """
     amps = np.abs(point.cosine_coeffs)
     modes = point.m * np.arange(1, point.num_harmonics + 1)
-    resolved = amps > noise_floor
+    resolved = amps > NOISE_FLOOR
     if np.count_nonzero(resolved) < 4:
         raise ValueError(
             f"only {np.count_nonzero(resolved)} coefficients above the noise "
-            f"floor {noise_floor:g}; need at least 4"
+            f"floor {NOISE_FLOOR:g}; need at least 4"
         )
     slope = np.polyfit(modes[resolved], -np.log(amps[resolved]), 1)[0]
     return float(slope)

@@ -127,7 +127,7 @@ def rk4_step(coeffs, dt, half_phase, op):
         return half_phase * half_phase * coeffs
 
     def quad(state):
-        return fft_full_product_spectrum(op, state)[..., op.modes]
+        return fft_full_product_spectrum(op, state)[..., op.stored]
 
     k1 = quad(coeffs)
     mid = half_phase * (coeffs + (0.5 * dt) * k1)
@@ -215,7 +215,6 @@ def whole_table_extension(form):
         out_space,
         (advection / q) * 2.0 - stretching / q,
         parity={"even": "odd", "odd": "even", "none": "none"}[form.parity],
-        label=f"insert-quadratic({form.label})",
         symmetric=True,
     )
 

@@ -162,7 +162,7 @@ def test_criterion_6_algebraic_identities():
         p = 3 if trial % 2 == 0 else 4
         space = fm.tuple_space(m, n_max, p)
         raw = rng.normal(size=space.count) + 1j * rng.normal(size=space.count)
-        form = fm.make_form(m, n_max, p, lambda mv: raw, label=f"trial{trial}")
+        form = fm.make_form(m, n_max, p, lambda mv: raw)
         neg_rows = space.rows_of(space.modes.shape[0] - 1 - space.idx)
         odd = fm.MultilinearForm(
             space, 0.5 * (form.values - form.values[neg_rows]),

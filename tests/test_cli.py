@@ -290,7 +290,10 @@ class TestEvolveCommand:
 
 
 class TestResonanceCommand:
-    @pytest.mark.parametrize("p,bound", [("4", "5"), ("6", "8")])
+    @pytest.mark.parametrize(
+        "p,bound",
+        [("4", "5"), ("6", "8"), ("3", "100000"), ("4", "1735"), ("5", "173"), ("6", "400")],
+    )
     def test_bad_bound_exits_2_naming_field(self, tmp_path, capsys, p, bound):
         out = tmp_path / "cert.json"
         assert cli.main(["resonance", "--p", p, "--bound", bound, "--out", str(out)]) == 2

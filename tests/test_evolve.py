@@ -13,6 +13,7 @@ import re
 import signal
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -30,14 +31,14 @@ from conftest import (
 from sqglab import evolve as ev
 from sqglab import forms as fm
 from sqglab.dispersion import dispersion_float
-from sqglab.field import SpectralField, _quadratic_term, hs_norm, reflect
+from sqglab.field import SpectralField, _QuadraticTerm, hs_norm, reflect, sobolev_energy
 
 
 CHEAP = dict(m=3, n_max=12, s=2.0)
 
 
 def cheap_chain():
-    return ev.diagnostic_chain(**CHEAP)
+    return fm.build_chain(**CHEAP)
 
 
 class TestConfig:
@@ -224,7 +225,7 @@ class TestStep:
         dt = float(rng.uniform(0.001, 0.1))
         modes = m * np.arange(1, harmonics + 1)
         half_phase = np.exp(-0.5j * dispersion_float(modes) * dt)
-        quad = _quadratic_term(m, m * harmonics)
+        quad = _QuadraticTerm(m, m * harmonics)
         stepped = step_once(coeffs, dt, half_phase, quad)
         for row, single in zip(stepped, coeffs):
             assert row.tobytes() == step_once(single, dt, half_phase, quad).tobytes()
@@ -251,7 +252,7 @@ class TestStep:
         coeffs = coefficient_array(shape, seed, specials)
         modes = m * np.arange(1, harmonics + 1)
         half_phase = np.exp(-0.5j * dispersion_float(modes) * dt)
-        op = None if linear else _quadratic_term(m, m * harmonics)
+        op = None if linear else _QuadraticTerm(m, m * harmonics)
         stepper = ev._Stepper(op, dt, half_phase, shape)
         state, expected = coeffs.copy(), coeffs
         with np.errstate(over="ignore", invalid="ignore"):
@@ -293,6 +294,27 @@ class TestRun:
         for t, state in zip(trajectory.times, trajectory.states):
             alone = ev.integrate(trajectory.states[0], cfg.dt, round(t / cfg.dt))
             assert np.array_equal(state.coeffs, alone.coeffs)
+
+    def test_chain_follows_each_run_and_is_released(self, monkeypatch):
+        """Runs that differ only in s record the energy of their own s, and
+        the chain a run builds is gone once it returns: no cache can hand a
+        run the chain of other parameters."""
+        build_chain, built = fm.build_chain, []
+
+        def tracked(*args):
+            chain = build_chain(*args)
+            built.append(weakref.ref(chain))
+            return chain
+
+        monkeypatch.setattr(fm, "build_chain", tracked)
+        cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=0.4, diagnostics_stride=5)
+        runs = [ev.run(dataclasses.replace(cfg, s=s)) for s in (2.0, 3.0)]
+        assert len(built) == 2 and all(ref() is None for ref in built)
+        es = [trajectory.column("es") for trajectory in runs]
+        assert not np.array_equal(es[0], es[1])
+        for trajectory, column in zip(runs, es):
+            s = trajectory.config.s
+            assert np.array_equal(column, [sobolev_energy(f, s) for f in trajectory.states])
 
     def test_stop_norm(self):
         cfg = ev.SimConfig(**CHEAP, dt=0.01, t_end=1.0, epsilon=0.1,
@@ -373,7 +395,7 @@ class TestLifespanExperiment:
         the inserted derivatives alike, and the derivatives it keeps are the
         chain's own at each recorded state, bit for bit."""
         cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=1.0, diagnostics_stride=10)
-        term = type(_quadratic_term(cfg.m, cfg.n_max))
+        term = type(_QuadraticTerm(cfg.m, cfg.n_max))
         spectrum = term.product_spectrum
         shapes = []
 

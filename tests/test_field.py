@@ -25,7 +25,7 @@ from conftest import (
 )
 from sqglab.field import (
     SpectralField,
-    _quadratic_term,
+    _QuadraticTerm,
     analyze,
     differentiate,
     hs_norm,
@@ -263,7 +263,7 @@ class TestQuadraticTerm:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_batch_rows_match_single_calls(self, m, harmonics, batch, seed):
-        op = _quadratic_term(m, m * harmonics)
+        op = _QuadraticTerm(m, m * harmonics)
         rng = np.random.default_rng(seed)
         coeffs = rng.normal(size=(batch, harmonics)) + 1j * rng.normal(size=(batch, harmonics))
         coeffs *= 10.0 ** rng.uniform(-6, 2, size=(batch, 1))
@@ -287,14 +287,20 @@ class TestQuadraticTerm:
         """The gufunc kernel computes what the ``np.fft`` wrappers compute, on
         bare rows (batch 0) and batches, at even grids (10 at n_max 3) and odd
         ones (75 at n_max 24)."""
-        op = _quadratic_term(m, m * harmonics)
+        op = _QuadraticTerm(m, m * harmonics)
         shape = (harmonics,) if batch == 0 else (batch, harmonics)
         coeffs = coefficient_array(shape, seed, specials)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = fft_full_product_spectrum(op, coeffs)
             assert_same_values(op.full_product_spectrum(coeffs), expected)
-            assert_same_values(op(coeffs), expected[..., op.modes])
+            assert_same_values(op(coeffs), expected[..., op.stored])
 
     def test_symmetry_residual_structurally_zero(self, rng):
         f = random_field(3, 24, rng)
         assert symmetry_residual(f) == 0.0
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_symmetry_residual_of_non_finite_state_is_inf(self, rng, part):
+        coeffs = random_field(3, 24, rng).coeffs.copy()
+        getattr(coeffs, part)[2] = np.nan
+        assert symmetry_residual(SpectralField(3, 24, coeffs)) == np.inf

@@ -30,15 +30,14 @@ from sqglab.field import SpectralField, differentiate, nonlinearity, smooth
 def random_form(m, n_max, p, rng, parity=None):
     space = fm.tuple_space(m, n_max, p)
     values = rng.normal(size=space.count) + 1j * rng.normal(size=space.count)
-    form = fm.make_form(m, n_max, p, lambda mv: values, label="random")
+    form = fm.make_form(m, n_max, p, lambda mv: values)
     if parity is None:
         return form
     # project onto the requested parity sector, keeping the table symmetric
     neg_rows = space.rows_of(space.modes.shape[0] - 1 - space.idx)
     sign = 1.0 if parity == "even" else -1.0
     projected = 0.5 * (form.values + sign * form.values[neg_rows])
-    return fm.MultilinearForm(space, projected, parity=parity, label="random",
-                              symmetric=True)
+    return fm.MultilinearForm(space, projected, parity=parity, symmetric=True)
 
 
 def extension_derivatives(chain):
@@ -271,7 +270,7 @@ class TestEvaluate:
     def test_evaluate_matches_whole_table(self, chain_key, kind, seed, spread,
                                           zero_share):
         m, n_max, s = chain_key
-        chain = ev.diagnostic_chain(m, n_max, s)
+        chain = fm.build_chain(m, n_max, s)
         rng = np.random.default_rng(seed)
         if kind in ("C3", "C4", "C5"):
             form = chain.corrections[int(kind[1]) - 3]
@@ -293,7 +292,7 @@ class TestEvaluate:
 
     def test_half_table_for_every_chain_form(self, monkeypatch):
         calls = mirror_calls(monkeypatch)
-        chain = ev.diagnostic_chain(3, 24, 3.0)
+        chain = fm.build_chain(3, 24, 3.0)
         f = ev.initial_state(ev.SimConfig(m=3, n_max=24, s=3.0, epsilon=0.1))
         chain.levels(f)
         chain._derivatives(f, inserted=nonlinearity(f))
@@ -347,9 +346,7 @@ class TestDivision:
         for p in (3, 4):
             form = random_form(3, 24, p, rng)
             if p % 2 == 0:
-                form = form.plus(
-                    fm.degenerate_projection(form).scaled(-1.0), label="projected"
-                )
+                form = form.plus(fm.degenerate_projection(form).scaled(-1.0))
             divided = fm.normal_form_divide(form)
             fields = [random_field(3, 24, rng) for _ in range(p)]
             lhs = 0.0 + 0.0j
@@ -538,7 +535,6 @@ class TestChain:
 
     def test_lifespan_experiment_builds_no_sextic_space(self, monkeypatch):
         monkeypatch.setattr(fm, "_SPACE_CACHE", {})
-        monkeypatch.setattr(ev, "_CHAIN_CACHE", {})
         cfg = ev.SimConfig(m=3, n_max=12, s=2.0, dt=0.02, t_end=0.2,
                            diagnostics_stride=5)
         ev.lifespan_experiment([0.1, 0.05], cfg)

@@ -210,12 +210,32 @@ class TestSearches:
             (rs.min_denominator, (3.0, 9), "p: must be one of 3, 4, 5"),
             (rs.min_denominator, (6, 8),
              "p: must be one of 3, 4, 5; bound: must be an integer >= 9"),
+            (rs.min_denominator, (7, 10**30), "p: must be one of 3, 4, 5"),
         ],
     )
     def test_arguments_follow_run_config_number_rules(self, search, args, message):
         with pytest.raises(ValueError) as info:
             search(*args)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_bound_limit(self, monkeypatch, p):
+        """The largest bound keeps the larger half set within MAX_HALF_ROWS,
+        and any bound above it is refused before a half set is built."""
+        bound, k = rs.max_bound(p), p - p // 2
+        assert (2 * (bound - 2)) ** k <= rs.MAX_HALF_ROWS[p] < (2 * (bound - 1)) ** k
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a half set was built")
+
+        monkeypatch.setattr(rs, "_half_tuples", unexpected)
+        for excess in (1, 10**6, 10**30):
+            with pytest.raises(ValueError) as info:
+                if p == 6:
+                    rs.search_resonances_p6(bound + excess)
+                else:
+                    rs.min_denominator(p, bound + excess)
+            assert str(info.value) == f"bound: must be at most {bound} for p={p}"
 
     @pytest.mark.parametrize(
         "p,bound,share", [(4, 12, 1.0), (4, 60, 0.002), (5, 12, 0.0), (6, 12, 0.01)]

@@ -126,6 +126,33 @@ class TestNewton:
         with pytest.raises(wv.NewtonError):
             wv.newton_solve(3, 0.4, max_iter=1)
 
+    def test_backtracking_halves_and_converges(self, monkeypatch):
+        # a speed guess far below the branch overshoots the full Newton step
+        speed = wv.newton_solve(3, 0.3).speed
+        residual, jacobian = wv.residual, wv.jacobian_matrix
+        calls = {"residual": 0, "jacobian": 0}
+
+        def counted_residual(*args):
+            calls["residual"] += 1
+            return residual(*args)
+
+        def counted_jacobian(*args):
+            calls["jacobian"] += 1
+            return jacobian(*args)
+
+        monkeypatch.setattr(wv, "residual", counted_residual)
+        monkeypatch.setattr(wv, "jacobian_matrix", counted_jacobian)
+        point = wv.newton_solve(3, 0.3, guess_speed=0.3)
+        # one residual for the start and one per full step; the rest are halvings
+        assert calls["residual"] - 1 - calls["jacobian"] >= 1
+        assert point.residual_norm <= 1e-12
+        assert point.speed == pytest.approx(speed, rel=1e-10)
+
+    def test_backtracking_stall_signals_cleanly(self):
+        # no trial step lowers a residual at round-off, so tol 0 stalls
+        with pytest.raises(wv.NewtonError, match="^backtracking stalled at xi=0.05$"):
+            wv.newton_solve(3, 0.05, tol=0.0)
+
     def test_negative_amplitude_is_half_period_translate(self):
         # u(-xi) equals u(xi) shifted by half a symmetry period:
         # cosine coefficients flip sign on odd harmonics, speed is unchanged
