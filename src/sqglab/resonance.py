@@ -17,16 +17,17 @@ exactly before anything is concluded.
 
 The searches meet in the middle (Horowitz & Sahni, J. ACM 21(2), 1974): a
 p-tuple is a left and a right half with opposite momenta (integer sums).
-Each set of halves is enumerated once and grouped by momentum; the right
-halves are sorted by float frequency sum within each group, and binary
-search builds only the tuples whose sum lies in a window around zero.  The
+The larger halves are streamed one slab of whole momentum groups at a time,
+so memory holds one slab, never the whole half set.  The right halves that
+meet a slab, its mirror (even p) or a slice of the shorter set (odd p), are
+sorted by momentum and float frequency sum, and binary search builds only
+the tuples whose sum lies in a window around zero.  The
 totally degenerate tuples (about 15 N^3 of them for p = 6) all lie in a thin
 band around zero; binary search counts the band without building it, and
 when the count equals the number of degenerate tuples, which a multiset
 formula gives, the band holds nothing else and only its two flanks are
 built.  For p = 4 the minimum for each value of min |n_j| comes from one
-such window per value, over masks of the same pair set, never from every
-tuple.
+such window per value and slab, never from every tuple.
 """
 
 from __future__ import annotations
@@ -67,15 +68,20 @@ FLOAT_MARGIN = 1e-12
 #: search would then build the band and test its rows.
 DEGENERATE_BAND = 1e-13
 
+#: Rows of the larger half set built at a time, in whole momentum groups
+#: (a slab can exceed it by one group).  Chosen from measurements: the
+#: benchmark's jobs peak lower with smaller slabs, but p = 4 pays per slab
+#: (bound 600: 15.2 s with 2**12 rows, 11.4 s with 2**13, 14.7 s whole).
+SLAB_ROWS = 2**13
+
 #: Most rows in the larger half set of a search of arity p, the ordered
 #: (p - p // 2)-tuples of the 2 (bound - 2) modes; ``max_bound`` turns each
-#: limit into the largest bound accepted.  At its largest bound a search
-#: peaks at 1.10 GB resident for p = 3 (bound 3164, 5.3 s), 0.85 GB for
-#: p = 4 (bound 1734, 308 s), 1.16 GB for p = 5 (bound 172, 8.5 s) and
-#: 1.16 GB for p = 6 (bound 172, 113 s), on a 2-vCPU Xeon host.  The
-#: per-min windows of p = 4 hold complex keys and masks over the whole pair
-#: set, about 71 bytes a row against 28-30 for the others, hence its lower
-#: limit.
+#: limit into the largest bound accepted.  Streamed by slab, at its largest
+#: bound a search peaks at 33 MB resident for p = 3 (bound 3164, 4.7 s),
+#: 45 MB for p = 5 (bound 172, 9.6 s) and 142 MB for p = 6 (bound 172,
+#: 123 s, with the band fallback), on a 2-vCPU Xeon host.  p = 4 keeps the
+#: lower limit set when it held the whole pair set (0.85 GB and 308 s at
+#: bound 1734); it was not re-measured.
 MAX_HALF_ROWS = {3: 40_000_000, 4: 12_000_000, 5: 40_000_000, 6: 40_000_000}
 
 
@@ -221,84 +227,58 @@ def _degenerate_total(p: int, bound: int) -> int:
     return 0
 
 
-class _Halves(NamedTuple):
-    """All ordered k-tuples of modes 3 <= |n| <= bound, grouped by momentum
-    (integer sum); ``groups`` maps each momentum to its rows' slice.  Halves
-    that are searched are sorted by float frequency sum within each group."""
+class _Slab(NamedTuple):
+    """Ordered k-tuples of modes and their keys, momentum (integer sum) +
+    i * float frequency sum.  NumPy orders complex numbers lexicographically,
+    so sorted keys group the tuples by momentum, and by float sum within
+    each group."""
 
     rows: np.ndarray
-    sums: np.ndarray
-    groups: dict
+    keys: np.ndarray
 
 
-def _half_tuples(bound: int, k: int, searched: bool = True) -> _Halves:
-    # MAX_HALF_ROWS keeps every mode and value index below 2**15
-    pos = np.arange(MIN_MODE, bound + 1, dtype=np.int16)
-    values = np.concatenate([-pos[::-1], pos])
-    slots = np.indices((values.shape[0],) * k, dtype=np.int16).reshape(k, -1)
-    lam = dispersion_float(values)
-    sums = sum(lam[i] for i in slots)
-    rows = values[slots]
-    # the sort sets the peak memory: free each array as soon as it is spent
-    del slots
-    momentum = rows.sum(axis=0, dtype=np.int32)
-    if searched:
-        order = np.lexsort((sums, momentum))
-    else:
-        order = np.argsort(momentum, kind="stable")
-    momentum = momentum[order]
-    starts = np.flatnonzero(np.concatenate([[True], momentum[1:] != momentum[:-1]]))
-    ends = starts[1:].tolist() + [momentum.shape[0]]
-    groups = {s: slice(a, b) for s, a, b in zip(momentum[starts].tolist(), starts.tolist(), ends)}
-    del momentum
-    rows = rows[:, order].T
-    return _Halves(rows, sums[order], groups)
+def _slab(prefixes: _Slab, modes: _Slab, lo: int, hi: int) -> _Slab:
+    """The tuples prefix + (n,) whose momentum lies in lo..hi.
 
-
-class _ChunkStats:
-    """Reduction state of one window, fed one momentum bucket at a time.
-
-    Besides the degenerate count and the float minimum it keeps the
-    candidate rows and their float sums: the nondegenerate rows within
-    FLOAT_MARGIN of the minimum.  The minimum only falls, so filtering after
-    each bucket keeps exactly those rows, in memory bounded by the largest
-    bucket.
+    The modes are sorted, so for each prefix ``searchsorted`` finds the run
+    of last entries n that puts the momentum in range.  Keys add
+    componentwise, so every float sum is formed in the order
+    ((0 + lam_0) + lam_1) + ... and keeps its bits whatever the slab.
     """
-
-    def __init__(self, p: int):
-        self.degenerate = 0
-        self.min_float = np.inf
-        self.rows = np.empty((0, p), dtype=np.int16)
-        self.sums = np.empty(0)
-
-    def add(self, rows: np.ndarray, sums: np.ndarray):
-        """Fold in one bucket's rows and their float |frequency sums|."""
-        if rows.shape[1] % 2 == 0:
-            degenerate = _degenerate_rows(rows)
-            self.degenerate += int(np.count_nonzero(degenerate))
-            rows, sums = rows[~degenerate], sums[~degenerate]
-        self.min_float = min(self.min_float, float(sums.min(initial=np.inf)))
-        self.rows = np.concatenate([self.rows, rows])
-        self.sums = np.concatenate([self.sums, sums])
-        near = self.sums <= self.min_float + FLOAT_MARGIN
-        self.rows, self.sums = self.rows[near], self.sums[near]
+    momenta = prefixes.keys.real
+    first = np.searchsorted(modes.keys.real, lo - momenta, side="left")
+    pi, ni = _pairs(first, np.searchsorted(modes.keys.real, hi - momenta, side="right"))
+    # MAX_HALF_ROWS keeps every mode below 2**15
+    return _Slab(np.concatenate([prefixes.rows[pi], modes.rows[ni]], axis=1),
+                 prefixes.keys[pi] + modes.keys[ni])
 
 
-def _run(a: np.ndarray, b: np.ndarray, width: float):
-    """For each left half's float sum a, the run lo:hi of the sorted right
-    sums b in [-a - width, -a + width]."""
-    lo = np.searchsorted(b, -a - width, side="left")
-    return lo, np.searchsorted(b, -a + width, side="right")
+def _sorted(slab: _Slab) -> _Slab:
+    """The slab in order of its keys."""
+    order = np.argsort(slab.keys, kind="stable")
+    return _Slab(slab.rows[order], slab.keys[order])
 
 
-def _runs(left: _Halves, right: _Halves, width: float):
-    """Per momentum S: the slices of the left halves at S and the right ones
-    at -S, their float sums a and b, and each left half's ``_run``."""
-    for momentum, lsl in left.groups.items():
-        rsl = right.groups.get(-momentum)
-        if rsl is not None:
-            a, b = left.sums[lsl], right.sums[rsl]
-            yield lsl, rsl, a, b, *_run(a, b, width)
+def _slabs(counts: np.ndarray, first: int) -> list:
+    """Momentum ranges lo..hi of runs of whole groups, about SLAB_ROWS rows
+    each, given the group sizes ``counts`` at momenta first, first + 1, ...:
+    a group joins the slab in which its first row falls."""
+    ids = (np.cumsum(counts) - counts) // SLAB_ROWS
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    ends = np.append(starts[1:], counts.shape[0]) - 1
+    return [(first + a, first + b) for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def _key_runs(keys: np.ndarray, halves: np.ndarray, width: float):
+    """For each left half's key (momentum S, float sum a) the run lo:hi of
+    the sorted keys with momentum -S and sum in [-a - width, -a + width]."""
+    query = np.empty(halves.shape[0], dtype=complex)
+    # set the parts one at a time: 1j * inf has a NaN real part
+    query.real = -halves.real
+    query.imag = -halves.imag - width
+    lo = np.searchsorted(keys, query, side="left")
+    query.imag = -halves.imag + width
+    return lo, np.searchsorted(keys, query, side="right")
 
 
 def _pairs(lo: np.ndarray, hi: np.ndarray, skip=None):
@@ -314,130 +294,168 @@ def _pairs(lo: np.ndarray, hi: np.ndarray, skip=None):
     return li, ri
 
 
-def _band(left: _Halves, right: _Halves) -> tuple:
-    """Count of the tuples in the DEGENERATE_BAND, and the smallest float
-    |frequency sum| outside it: for each left half that lies next to its
-    run, at right half lo - 1 or hi."""
-    count, nearest = 0, np.inf
-    for _, _, a, b, lo, hi in _runs(left, right, DEGENERATE_BAND):
-        count += int((hi - lo).sum())
-        for j in (lo - 1, hi):
-            ok = (j >= 0) & (j < b.shape[0])
-            nearest = min(nearest, float(np.abs(a[ok] + b[j[ok]]).min(initial=np.inf)))
-    return count, nearest
+class _ChunkStats:
+    """Reduction state of one window, fed one slab at a time.
+
+    ``band`` counts the tuples in the DEGENERATE_BAND and ``nearest`` is the
+    smallest float |frequency sum| outside it, over the slabs so far.
+    Besides the degenerate count and the float minimum it keeps the
+    candidate rows and their float sums: the nondegenerate rows within
+    FLOAT_MARGIN of the minimum.  The minimum only falls, so filtering after
+    each slab keeps exactly those rows, in memory bounded by one slab.
+    """
+
+    def __init__(self, p: int):
+        self.band, self.nearest = 0, np.inf
+        self.degenerate = 0
+        self.min_float = np.inf
+        self.rows = np.empty((0, p), dtype=np.int16)
+        self.sums = np.empty(0)
+
+    def add(self, rows: np.ndarray, sums: np.ndarray):
+        """Fold in one slab's rows and their float |frequency sums|."""
+        if rows.shape[1] % 2 == 0:
+            degenerate = _degenerate_rows(rows)
+            self.degenerate += int(np.count_nonzero(degenerate))
+            rows, sums = rows[~degenerate], sums[~degenerate]
+        self.min_float = min(self.min_float, float(sums.min(initial=np.inf)))
+        self.rows = np.concatenate([self.rows, rows])
+        self.sums = np.concatenate([self.sums, sums])
+        near = self.sums <= self.min_float + FLOAT_MARGIN
+        self.rows, self.sums = self.rows[near], self.sums[near]
+
+    def scan(self, left: _Slab, right: _Slab, band_only: bool):
+        """Fold in the tuples that pair a left half with a right half (sorted
+        by key) of opposite momentum: only those in the band if
+        ``band_only``.  Otherwise count the band, lower ``nearest`` with the
+        gap to the partners next to it (right half lo - 1 or hi), and build
+        the window of width nearest + FLOAT_MARGIN less the band.  No window
+        is narrower than the one at the final ``nearest``, so the candidates
+        do not depend on where the slabs end.
+        """
+        a, b = left.keys.imag, right.keys.imag
+        lo, hi = _key_runs(right.keys, left.keys, DEGENERATE_BAND)
+        if band_only:
+            li, ri = _pairs(lo, hi)
+        else:
+            self.band += int((hi - lo).sum())
+            gap = np.full(a.shape[0], np.inf)
+            for j in (lo - 1, hi):
+                ok = (j >= 0) & (j < b.shape[0])
+                ok[ok] = right.keys.real[j[ok]] == -left.keys.real[ok]
+                gap[ok] = np.minimum(gap[ok], np.abs(a[ok] + b[j[ok]]))
+            self.nearest = min(self.nearest, float(gap.min(initial=np.inf)))
+            width = self.nearest + FLOAT_MARGIN
+            # a gap over width + FLOAT_MARGIN puts both partners outside the
+            # window's float ends, which err by < 1e-14: only the band is left
+            reach = np.flatnonzero(gap <= width + FLOAT_MARGIN)
+            window = _key_runs(right.keys, left.keys[reach], width)
+            li, ri = _pairs(*window, (lo[reach], hi[reach]))
+            li = reach[li]
+        if li.shape[0]:
+            self.add(np.concatenate([left.rows[li], right.rows[ri]], axis=1), np.abs(a[li] + b[ri]))
 
 
-def _window(left: _Halves, right: _Halves, width: float, p: int, skip_band: bool) -> _ChunkStats:
-    """Build and reduce the tuples whose float |frequency sum| is <= ``width``,
-    leaving out those in the DEGENERATE_BAND if ``skip_band``."""
-    stats = _ChunkStats(p)
-    for lsl, rsl, a, b, lo, hi in _runs(left, right, width):
-        li, ri = _pairs(lo, hi, _run(a, b, DEGENERATE_BAND) if skip_band else None)
-        rows = np.concatenate([left.rows[lsl][li], right.rows[rsl][ri]], axis=1)
-        stats.add(rows, np.abs(a[li] + b[ri]))
-    return stats
-
-
-def _key_runs(keys: np.ndarray, momenta: np.ndarray, a: np.ndarray, width: float):
-    """For each left half (momentum S, float sum a) the run lo:hi of the
-    sorted keys momentum + i*sum with momentum -S and sum in
-    [-a - width, -a + width]."""
-    query = np.empty(a.shape[0], dtype=complex)
-    # set the parts one at a time: 1j * inf has a NaN real part
-    query.real = -momenta
-    query.imag = -a - width
-    lo = np.searchsorted(keys, query, side="left")
-    query.imag = -a + width
-    return lo, np.searchsorted(keys, query, side="right")
-
-
-def _scaling_by_min(halves: _Halves, bound: int, skip_band: bool) -> dict:
-    """Exact nondegenerate minimum of |frequency sum| for each min |n_j| (p = 4).
+def _scaling_by_min(windows: dict, left: _Slab, right: _Slab, band_only: bool):
+    """Feed one slab to the per-min windows of p = 4, ``windows[v]`` for
+    v = min |n_j|.
 
     A 4-tuple with min |n_j| = v has an ordering whose left pair holds the
     entry +-v and whose right pair has every |n| >= v, and the frequency sum
     does not depend on the ordering.  So for each v the left halves are the
     pairs whose smaller |entry| is v and the right halves those with both
-    |entries| >= v.  As in ``_search``, the window reaches FLOAT_MARGIN past
-    the nearest partner outside the DEGENERATE_BAND, leaving the band out if
-    ``skip_band`` (the band then holds degenerate tuples only); its
-    nondegenerate rows within FLOAT_MARGIN of their float minimum are
-    confirmed exactly.  Masks keep the pairs' order, so the right halves
-    stay sorted by (momentum, float sum): as complex keys, which NumPy
-    orders lexicographically, one ``searchsorted`` covers every momentum of
-    one v.
+    |entries| >= v, reduced as the main window is; the rows kept are
+    confirmed exactly.  Masks keep the right halves sorted by key.
     """
-    momenta = halves.rows.sum(axis=1, dtype=np.int32)
-    smaller = np.abs(halves.rows).min(axis=1)
-    keys = np.empty(momenta.shape[0], dtype=complex)
-    keys.real, keys.imag = momenta, halves.sums
-    scaling = {}
-    for v in range(MIN_MODE, bound + 1):
-        at_v, right = smaller == v, smaller >= v
-        s, a, rkeys = momenta[at_v], halves.sums[at_v], keys[right]
-        lo, hi = _key_runs(rkeys, s, a, DEGENERATE_BAND)
-        nearest = np.inf
-        for j in (lo - 1, hi):
-            ok = (j >= 0) & (j < rkeys.shape[0])
-            ok[ok] = rkeys.real[j[ok]] == -s[ok]
-            nearest = min(nearest, float(np.abs(a[ok] + rkeys.imag[j[ok]]).min(initial=np.inf)))
-        window = _key_runs(rkeys, s, a, nearest + FLOAT_MARGIN)
-        li, ri = _pairs(*window, (lo, hi) if skip_band else None)
-        rows = np.concatenate([halves.rows[at_v][li], halves.rows[right][ri]], axis=1)
-        sums = np.abs(a[li] + rkeys.imag[ri])
-        keep = ~_degenerate_rows(rows)
-        rows, sums = rows[keep], sums[keep]
-        if rows.shape[0]:
-            near = rows[sums <= sums.min() + FLOAT_MARGIN]
-            scaling[v] = min(abs(lambda_sum(rep)) for rep in set(map(canonical_tuple, near)))
-    return scaling
+    smaller, partner = np.abs(left.rows).min(axis=1), np.abs(right.rows).min(axis=1)
+    for v in np.flatnonzero(np.bincount(smaller)).tolist():
+        at_v, above = smaller == v, partner >= v
+        windows.setdefault(v, _ChunkStats(4)).scan(
+            _Slab(left.rows[at_v], left.keys[at_v]),
+            _Slab(right.rows[above], right.keys[above]),
+            band_only,
+        )
+
+
+def _exact(rows: np.ndarray) -> list:
+    """(exact |frequency sum|, canonical tuple) of each orbit among the rows."""
+    return [(abs(lambda_sum(rep)), rep) for rep in set(map(canonical_tuple, rows))]
 
 
 def _search(p: int, bound: int) -> ResonanceReport:
     """Split search over all ordered p-tuples, then exact confirmation.
 
-    Halves are p - p // 2 (left) and p // 2 (right) entries long; one set
-    serves both sides for even p, and for odd p only the shorter right
-    halves, the ones binary search runs over, are sorted by float sum.
+    Left halves are k = p - p // 2 entries long and right halves p // 2.
+    The (k - 1)-entry prefixes are built once, and the left halves one slab
+    of momenta at a time from them.  For even p the right halves at -S are
+    the left halves at S negated, in reverse order (``dispersion_float`` is
+    odd), so each slab is sorted once and mirrored; for odd p the right
+    halves are the prefixes, sorted once.  The group sizes c_k(S), repeated
+    convolutions of the mode indicator, set the slabs, and
     ``tuples_scanned`` is the size of the unbounded window, sum over S of
     c_left(S) * c_right(-S).
     Every degenerate tuple (exact sum 0) lies in the DEGENERATE_BAND, so the
     nondegenerate float minimum is at most the smallest sum m outside it,
-    and only the window of width m + FLOAT_MARGIN is built.  If binary
-    search counts as many tuples in the band as ``_degenerate_total`` says
-    there are degenerate ones, the band holds nothing else: that count is
-    ``degenerate_count``, and only the window's two flanks outside the band
-    are built.  Otherwise the band is built too and its rows are tested.
+    and only windows of width m + FLOAT_MARGIN or more, less the band, are
+    built.  If the band holds as many tuples as ``_degenerate_total`` says
+    there are degenerate ones, it holds nothing else, and that count is
+    ``degenerate_count``.  Otherwise a second pass builds the band and tests
+    its rows.
 
     The candidate rows are confirmed exactly.  Every minimum is >= 0, so the
     rows within FLOAT_MARGIN of zero, which hold every exact resonance, are
     among those within FLOAT_MARGIN of the minimum.  For p = 4,
     ``_scaling_by_min`` adds the minimum for each min |n_j| from per-min
-    windows of the same pair set.
+    windows of the same slabs.
     """
-    right = _half_tuples(bound, p // 2)
-    left = right if p % 2 == 0 else _half_tuples(bound, p - p // 2, searched=False)
-    in_band, nearest = _band(left, right)
-    proven = in_band == _degenerate_total(p, bound)
-    # odd p has an empty band, and nothing to leave out of the window
-    skip_band = proven and in_band > 0
-    stats = _window(left, right, nearest + FLOAT_MARGIN, p, skip_band)
-    scanned = sum(
-        (lsl.stop - lsl.start) * (right.groups[-s].stop - right.groups[-s].start)
-        for s, lsl in left.groups.items()
-        if -s in right.groups
-    )
+    k = p - p // 2
+    pos = np.arange(MIN_MODE, bound + 1, dtype=np.int16)
+    values = np.concatenate([-pos[::-1], pos])
+    keys = np.empty(values.shape[0], dtype=complex)
+    keys.real, keys.imag = values, dispersion_float(values)
+    modes = _Slab(values[:, None], keys)
+    prefixes = _Slab(np.empty((1, 0), dtype=np.int16), np.zeros(1, dtype=complex))
+    indicator = (np.abs(np.arange(-bound, bound + 1)) >= MIN_MODE).astype(np.int64)
+    prefix_counts = np.ones(1, dtype=np.int64)
+    for _ in range(k - 1):
+        prefixes = _slab(prefixes, modes, -k * bound, k * bound)
+        prefix_counts = np.convolve(prefix_counts, indicator)
+    counts = np.convolve(prefix_counts, indicator)
+    # c_right(-S) = c_right(S) at each momentum S of the left halves
+    partners = counts if p % 2 == 0 else prefix_counts
+    edge = (counts.shape[0] - partners.shape[0]) // 2
+    scanned = int(counts[edge:counts.shape[0] - edge] @ partners)
+    short_halves = None if p % 2 == 0 else _sorted(prefixes)
 
-    ranked = [(abs(lambda_sum(rep)), rep) for rep in set(map(canonical_tuple, stats.rows))]
+    window, by_min = _ChunkStats(p), {}
+    for band_only in (False, True):
+        for lo, hi in _slabs(counts, -k * bound):
+            left = _slab(prefixes, modes, lo, hi)
+            if short_halves is None:
+                left = _sorted(left)
+                right = _Slab(-left.rows[::-1], -left.keys[::-1])
+            else:
+                # the right halves of momentum -hi..-lo
+                first, last = np.searchsorted(short_halves.keys.real, (-hi - 0.5, -lo + 0.5))
+                right = _Slab(short_halves.rows[first:last], short_halves.keys[first:last])
+            window.scan(left, right, band_only)
+            if p == 4:
+                _scaling_by_min(by_min, left, right, band_only)
+        proven = window.band == _degenerate_total(p, bound)
+        if proven:
+            break
+
+    ranked = _exact(window.rows)
     min_value, argmin = min(ranked, default=(None, None))
     return ResonanceReport(
         p=p,
         bound=bound,
         min_value=min_value,
         argmin=argmin,
-        degenerate_count=stats.degenerate + (in_band if skip_band else 0),
+        degenerate_count=window.degenerate + (window.band if proven else 0),
         exact_zero_tuples=sorted({rep for value, rep in ranked if value == 0}),
-        scaling_by_min=_scaling_by_min(right, bound, skip_band) if p == 4 else None,
+        scaling_by_min={v: min(_exact(w.rows))[0] for v, w in by_min.items() if len(w.rows)}
+        if p == 4 else None,
         tuples_scanned=scanned,
     )
 

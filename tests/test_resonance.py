@@ -8,6 +8,7 @@ tuples; larger ones against certificates kept under ``tests/certificates``.
 import itertools
 import re
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -221,14 +222,14 @@ class TestSearches:
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_bound_limit(self, monkeypatch, p):
         """The largest bound keeps the larger half set within MAX_HALF_ROWS,
-        and any bound above it is refused before a half set is built."""
+        and any bound above it is refused before a prefix or a slab is built."""
         bound, k = rs.max_bound(p), p - p // 2
         assert (2 * (bound - 2)) ** k <= rs.MAX_HALF_ROWS[p] < (2 * (bound - 1)) ** k
 
         def unexpected(*args, **kwargs):
-            raise AssertionError("a half set was built")
+            raise AssertionError("a prefix or a slab was built")
 
-        monkeypatch.setattr(rs, "_half_tuples", unexpected)
+        monkeypatch.setattr(rs, "_slab", unexpected)
         for excess in (1, 10**6, 10**30):
             with pytest.raises(ValueError) as info:
                 if p == 6:
@@ -241,24 +242,33 @@ class TestSearches:
         "p,bound,share", [(4, 12, 1.0), (4, 60, 0.002), (5, 12, 0.0), (6, 12, 0.01)]
     )
     def test_each_half_built_once(self, monkeypatch, p, bound, share):
-        """One build per distinct half length; p = 4 (global and per-min
+        """Each prefix length is built once and each momentum group of the
+        larger halves in exactly one of about eight slabs, which together
+        hold every ordered (p - p // 2)-tuple; p = 4 (global and per-min
         windows together) and p = 6 build few tuples, none of the degenerate
         band, and odd p has no degenerate tuples to test."""
-        builds, built = [], []
-        half_tuples, degenerate_rows = rs._half_tuples, rs._degenerate_rows
+        k = p - p // 2
+        monkeypatch.setattr(rs, "SLAB_ROWS", (2 * (bound - 2)) ** k // 8)
+        slabs, prefixes, built = [], [], []
+        slab, degenerate_rows = rs._slab, rs._degenerate_rows
 
-        def counted_halves(bound, k, *args, **kwargs):
-            builds.append(k)
-            return half_tuples(bound, k, *args, **kwargs)
+        def counted_slab(*args):
+            made = slab(*args)
+            (slabs if made.rows.shape[1] == k else prefixes).append(made.rows)
+            return made
 
         def counted_rows(rows):
             built.append(rows.shape[0])
             return degenerate_rows(rows)
 
-        monkeypatch.setattr(rs, "_half_tuples", counted_halves)
+        monkeypatch.setattr(rs, "_slab", counted_slab)
         monkeypatch.setattr(rs, "_degenerate_rows", counted_rows)
         report = search(p, bound)
-        assert sorted(builds) == sorted({p // 2, p - p // 2})
+        assert [rows.shape[1] for rows in prefixes] == list(range(1, k))
+        momenta = [set(rows.sum(axis=1).tolist()) for rows in slabs]
+        assert len(slabs) > 4 and sum(map(len, momenta)) == len(set().union(*momenta))
+        rows = np.concatenate(slabs)
+        assert rows.shape[0] == np.unique(rows, axis=0).shape[0] == (2 * (bound - 2)) ** k
         assert sum(built) <= share * report.tuples_scanned
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
@@ -279,8 +289,11 @@ class TestSearches:
         rs.certify(search(p, 40), tmp_path / name)
         assert (tmp_path / name).read_bytes() == (CERTIFICATES / name).read_bytes()
 
-    @pytest.mark.parametrize("p", [4, 6])
-    @pytest.mark.parametrize("disagreement", ["wide_band", "wrong_total"])
+    @pytest.mark.parametrize(
+        "disagreement,p",
+        [("wide_band", 4), ("wide_band", 6), ("wrong_total", 3), ("wrong_total", 4),
+         ("wrong_total", 5), ("wrong_total", 6)],
+    )
     def test_band_fallback_keeps_certificate(self, monkeypatch, tmp_path, p, disagreement):
         """If the band count disagrees with the degenerate total, the band is
         built and its rows tested, and the certificate keeps its bytes."""
@@ -297,48 +310,85 @@ class TestSearches:
             return degenerate_rows(rows)
 
         monkeypatch.setattr(rs, "_degenerate_rows", counted_rows)
-        reference = REFERENCE / {4: "p4_b60.json", 6: "p6_b20.json"}[p]
-        report = search(p, {4: 60, 6: 20}[p])
-        assert sum(built) > report.degenerate_count > 0
+        reference = REFERENCE / {3: "p3_b200.json", 4: "p4_b60.json",
+                                 5: "p5_b30.json", 6: "p6_b20.json"}[p]
+        report = search(p, int(reference.stem.split("_b")[1]))
+        if p % 2 == 0:  # odd p has no degenerate tuples, and an empty band
+            assert sum(built) > report.degenerate_count > 0
         rs.certify(report, tmp_path / reference.name)
         assert (tmp_path / reference.name).read_bytes() == reference.read_bytes()
 
-    @pytest.mark.parametrize("skip_band", [False, True])
-    def test_scaling_by_min_partner_shares_momentum(self, skip_band):
+    @pytest.mark.parametrize("band_built", [False, True])
+    def test_scaling_by_min_partner_shares_momentum(self, band_built):
         """The nearest partner outside the band must have the opposite momentum.
 
         The left half (3, 10) has momentum 13; its one nondegenerate partner
         is (-7, -6), at |frequency sum| 0.471.  In the sorted keys the pair
         (-10, -4) of momentum -14 sits just below the band, at 0.350: taken
         for a partner, it would narrow the window and leave (-7, -6) out.
+        Building the band as well adds only the degenerate (3, 10, -3, -10).
         """
-        rows = np.array([(3, 10), (-3, -10), (-7, -6), (-10, -4)], dtype=np.int16)
-        sums = dispersion_float(rows).sum(axis=1)
-        order = np.lexsort((sums, rows.sum(axis=1)))
-        rows, sums = rows[order], sums[order]
-        assert rows.tolist() == [[-10, -4], [-3, -10], [-7, -6], [3, 10]]
-        halves = rs._Halves(rows, sums, {-14: slice(0, 1), -13: slice(1, 3), 13: slice(3, 4)})
-        scaling = rs._scaling_by_min(halves, 10, skip_band)
-        assert scaling == {3: abs(rs.lambda_sum((3, 10, -7, -6)))}
+
+        def slab(rows):
+            rows = np.array(rows, dtype=np.int16)
+            keys = np.empty(rows.shape[0], dtype=complex)
+            keys.real, keys.imag = rows.sum(axis=1), dispersion_float(rows).sum(axis=1)
+            return rs._Slab(rows, keys)
+
+        right = slab([(-10, -4), (-3, -10), (-7, -6)])
+        assert np.all(np.diff(right.keys) > 0)
+        windows = {}
+        for band_only in (False, True)[: 1 + band_built]:
+            rs._scaling_by_min(windows, slab([(3, 10)]), right, band_only)
+        assert windows[3].degenerate == band_built
+        assert {v: min(rs._exact(w.rows))[0] for v, w in windows.items()} == {
+            3: abs(rs.lambda_sum((3, 10, -7, -6)))
+        }
 
     def test_window_reaches_past_empty_band(self, monkeypatch):
         """Every quintic sum exceeds 9/35, so the DEGENERATE_BAND is empty
         and only the nearest partners outside it locate the minimum."""
-        widths = []
-        window = rs._window
+        runs = []
+        key_runs = rs._key_runs
 
-        def recorded(left, right, width, *args):
-            widths.append(width)
-            return window(left, right, width, *args)
+        def recorded(keys, halves, width):
+            lo, hi = key_runs(keys, halves, width)
+            runs.append((width, int((hi - lo).sum())))
+            return lo, hi
 
-        monkeypatch.setattr(rs, "_window", recorded)
+        monkeypatch.setattr(rs, "_key_runs", recorded)
         report = rs.min_denominator(5, 10)
-        assert rs._band(rs._half_tuples(10, 2), rs._half_tuples(10, 3))[0] == 0
-        assert len(widths) == 1 and widths[0] > rs.KNOWN_LOWER_BOUNDS[5]
+        band = [count for width, count in runs if width == rs.DEGENERATE_BAND]
+        windows = [width for width, count in runs if width != rs.DEGENERATE_BAND]
+        assert band and not any(band)
+        assert windows and min(windows) > rs.KNOWN_LOWER_BOUNDS[5]
         oracle_min, oracle_degenerate, oracle_scanned = brute_force_min(5, 10)
         assert report.min_value == oracle_min
         assert report.degenerate_count == oracle_degenerate
         assert report.tuples_scanned == oracle_scanned
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_slab_boundaries_keep_certificates(self, monkeypatch, tmp_path, p):
+        """With one momentum group per slab, the certificates at bound 40 and
+        at the reference sizes keep their bytes."""
+        monkeypatch.setattr(rs, "SLAB_ROWS", 1)
+        expected = [CERTIFICATES / f"p{p}_b40.json", *sorted(REFERENCE.glob(f"p{p}_b*.json"))]
+        for reference in expected:
+            rs.certify(search(p, int(reference.stem.split("_b")[1])), tmp_path / reference.name)
+            assert (tmp_path / reference.name).read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("p,bound,ceiling_mb", [(5, 60, 6), (6, 40, 5)])
+    def test_peak_memory_is_one_slab(self, p, bound, ceiling_mb):
+        """Streaming the larger half set by slab bounds the peak that
+        tracemalloc sees: building the whole set, these searches peaked at
+        47.1 MB (p = 5) and 13.2 MB (p = 6)."""
+        tracemalloc.start()
+        try:
+            search(p, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling_mb * 1e6
 
 
 def degenerate_tuple_count(p, bound):
