@@ -9,7 +9,6 @@ continuation.  The ``sqglab`` CLI exposes each as a subcommand.
 __version__ = "0.1.0"
 
 from .dispersion import dispersion, smoothing_symbol, smoothing_kernel
-from .field import SpectralField, hs_norm, sobolev_energy
 
 __all__ = [
     "__version__",
@@ -20,3 +19,13 @@ __all__ = [
     "hs_norm",
     "sobolev_energy",
 ]
+
+
+def __getattr__(name):
+    # import the field module on first use, so a job that never touches a
+    # field (resonance, waves) does not load it
+    if name in ("SpectralField", "hs_norm", "sobolev_energy"):
+        from . import field
+
+        return getattr(field, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,8 @@ number rules; ``dispersion`` bounds its ``n_max`` by
 arguments, naming each offending field; 1 means the run failed.
 
 Each subcommand imports the library module it runs (``evolve``,
-``resonance``, ``waves``) when it runs, so a job loads only what it uses.
+``resonance``, ``waves``) when it runs, and the package imports ``field``
+on first use, so a job loads only what it uses.
 The manifest's digest comes from the interpreter's built-in SHA-256
 (``_manifest_sha256``), so no job maps OpenSSL, which ``hashlib`` would load.
 Handlers call through the module attribute (``resonance.min_denominator``),
@@ -40,7 +41,6 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .dispersion import MAX_TABLE_MODE, MIN_MODE, dispersion, smoothing_symbol
-from .field import SpectralField
 
 if TYPE_CHECKING:
     from . import evolve
@@ -220,6 +220,7 @@ def cmd_resonance(args) -> int:
 
 def cmd_evolve(args) -> int:
     from . import evolve
+    from .field import SpectralField
 
     started = time.monotonic()
     sim, extras = validate_config(args.config)

@@ -8,7 +8,8 @@ reach of exact search:
 
   p = 3, 5   no resonances; the frequency sum stays above 2/5 resp. 9/35;
   p = 4      resonances are exactly the totally degenerate tuples, and the
-             nondegenerate minimum decays like min(|n_j|)^-4;
+             nondegenerate minimum decays like min(|n_j|)^-4 (a lemma in
+             ``_quartic_minima`` names the tuples that attain it);
   p = 6      open; the search below is evidence, never proof.
 
 Every decision is made in exact rational arithmetic.  Floats appear only as
@@ -21,13 +22,11 @@ The larger halves are streamed one slab of whole momentum groups at a time,
 so memory holds one slab, never the whole half set.  The right halves that
 meet a slab, its mirror (even p) or a slice of the shorter set (odd p), are
 sorted by momentum and float frequency sum, and binary search builds only
-the tuples whose sum lies in a window around zero.  The
-totally degenerate tuples (about 15 N^3 of them for p = 6) all lie in a thin
-band around zero; binary search counts the band without building it, and
-when the count equals the number of degenerate tuples, which a multiset
-formula gives, the band holds nothing else and only its two flanks are
-built.  For p = 4 the minimum for each value of min |n_j| comes from one
-such window per value and slab, never from every tuple.
+the tuples whose sum lies in a window around zero.  The totally degenerate
+tuples (about 15 N^3 of them for p = 6) all lie in a thin band around zero;
+binary search counts the band without building it, and when the count
+equals the number of degenerate tuples, which a multiset formula gives, the
+band holds nothing else and only its two flanks are built.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ from .dispersion import MIN_MODE, _integer, _root_floor, dispersion, dispersion_
 #: width w >= m + 1e-12 (m the float minimum), a row at the exact minimum has
 #: |A_left + A_right| <= m + 2e-14, and rounding the window ends
 #: -A_left -/+ w errs by < 1e-14, so binary search cannot leave that row out.
-#: The per-min windows of p = 4 repeat the argument for each v = min |n_j|:
-#: with m_v the float minimum over the rows of that v, the window has width
-#: w_v >= m_v + 1e-12 and the exact per-v minimum lies within 2e-14 of m_v.
 FLOAT_MARGIN = 1e-12
 
 #: Half-width of the band around zero that holds every totally degenerate
@@ -69,20 +65,19 @@ FLOAT_MARGIN = 1e-12
 DEGENERATE_BAND = 1e-13
 
 #: Rows of the larger half set built at a time, in whole momentum groups
-#: (a slab can exceed it by one group).  Chosen from measurements: the
-#: benchmark's jobs peak lower with smaller slabs, but p = 4 pays per slab
-#: (bound 600: 15.2 s with 2**12 rows, 11.4 s with 2**13, 14.7 s whole).
+#: (a slab can exceed it by one group).  Smaller slabs lower the peak of
+#: the benchmark's jobs but cost a few NumPy calls each; the benchmark's
+#: peaks were measured with this value.
 SLAB_ROWS = 2**13
 
 #: Most rows in the larger half set of a search of arity p, the ordered
-#: (p - p // 2)-tuples of the 2 (bound - 2) modes; ``max_bound`` turns each
-#: limit into the largest bound accepted.  Streamed by slab, at its largest
-#: bound a search peaks at 33 MB resident for p = 3 (bound 3164, 4.7 s),
-#: 45 MB for p = 5 (bound 172, 9.6 s) and 142 MB for p = 6 (bound 172,
-#: 123 s, with the band fallback), on a 2-vCPU Xeon host.  p = 4 keeps the
-#: lower limit set when it held the whole pair set (0.85 GB and 308 s at
-#: bound 1734); it was not re-measured.
-MAX_HALF_ROWS = {3: 40_000_000, 4: 12_000_000, 5: 40_000_000, 6: 40_000_000}
+#: (p - p // 2)-tuples of the 2 (bound - 2) modes; ``max_bound`` turns it
+#: into the largest bound accepted.  Streamed by slab, at its largest bound
+#: a search peaks at 32 MB resident for p = 3 (bound 3164, 5.2 s), 38 MB
+#: for p = 4 (bound 3164, 13.8 s), 44 MB for p = 5 (bound 172, 9.3 s) and
+#: 142 MB for p = 6 (bound 172, 123 s, with the band fallback), on a 2-vCPU
+#: Xeon host.
+MAX_HALF_ROWS = 40_000_000
 
 
 def check_tuple(entries: Sequence[int]) -> tuple:
@@ -152,8 +147,8 @@ class ResonanceReport:
     ``min_value``/``argmin`` describe the nondegenerate minimum of the
     absolute frequency sum (exact); ``exact_zero_tuples`` lists any
     nondegenerate exact resonances found (canonical representatives).
-    ``scaling_by_min`` (p = 4 only) maps each value v of min |n_j| to the
-    exact minimum over nondegenerate tuples attaining it.
+    ``scaling_by_min`` (p = 4 only, from ``_quartic_minima``) maps each
+    v = min |n_j| to the exact minimum over the nondegenerate tuples with it.
     """
 
     p: int
@@ -220,11 +215,8 @@ def _degenerate_total(p: int, bound: int) -> int:
     for p = 6: C(N, 3) * 6! + N(N - 1) * 6!/2!^2 + N * 6!/3!^2.
     """
     n = bound - MIN_MODE + 1
-    if p == 4:
-        return 12 * n * (n - 1) + 6 * n
-    if p == 6:
-        return 120 * n * (n - 1) * (n - 2) + 180 * n * (n - 1) + 20 * n
-    return 0
+    return {4: 12 * n * (n - 1) + 6 * n,
+            6: 120 * n * (n - 1) * (n - 2) + 180 * n * (n - 1) + 20 * n}.get(p, 0)
 
 
 class _Slab(NamedTuple):
@@ -299,16 +291,16 @@ class _ChunkStats:
 
     ``band`` counts the tuples in the DEGENERATE_BAND and ``nearest`` is the
     smallest float |frequency sum| outside it, over the slabs so far.
-    Besides the degenerate count and the float minimum it keeps the
-    candidate rows and their float sums: the nondegenerate rows within
-    FLOAT_MARGIN of the minimum.  The minimum only falls, so filtering after
-    each slab keeps exactly those rows, in memory bounded by one slab.
+    Besides the degenerate count it keeps the candidate rows and their float
+    sums: the nondegenerate rows within FLOAT_MARGIN of the float minimum.
+    The row at the minimum is always kept, and the minimum only falls, so
+    filtering after each slab keeps exactly those rows, in memory bounded by
+    one slab.
     """
 
     def __init__(self, p: int):
         self.band, self.nearest = 0, np.inf
         self.degenerate = 0
-        self.min_float = np.inf
         self.rows = np.empty((0, p), dtype=np.int16)
         self.sums = np.empty(0)
 
@@ -318,10 +310,9 @@ class _ChunkStats:
             degenerate = _degenerate_rows(rows)
             self.degenerate += int(np.count_nonzero(degenerate))
             rows, sums = rows[~degenerate], sums[~degenerate]
-        self.min_float = min(self.min_float, float(sums.min(initial=np.inf)))
         self.rows = np.concatenate([self.rows, rows])
         self.sums = np.concatenate([self.sums, sums])
-        near = self.sums <= self.min_float + FLOAT_MARGIN
+        near = self.sums <= self.sums.min(initial=np.inf) + FLOAT_MARGIN
         self.rows, self.sums = self.rows[near], self.sums[near]
 
     def scan(self, left: _Slab, right: _Slab, band_only: bool):
@@ -356,27 +347,6 @@ class _ChunkStats:
             self.add(np.concatenate([left.rows[li], right.rows[ri]], axis=1), np.abs(a[li] + b[ri]))
 
 
-def _scaling_by_min(windows: dict, left: _Slab, right: _Slab, band_only: bool):
-    """Feed one slab to the per-min windows of p = 4, ``windows[v]`` for
-    v = min |n_j|.
-
-    A 4-tuple with min |n_j| = v has an ordering whose left pair holds the
-    entry +-v and whose right pair has every |n| >= v, and the frequency sum
-    does not depend on the ordering.  So for each v the left halves are the
-    pairs whose smaller |entry| is v and the right halves those with both
-    |entries| >= v, reduced as the main window is; the rows kept are
-    confirmed exactly.  Masks keep the right halves sorted by key.
-    """
-    smaller, partner = np.abs(left.rows).min(axis=1), np.abs(right.rows).min(axis=1)
-    for v in np.flatnonzero(np.bincount(smaller)).tolist():
-        at_v, above = smaller == v, partner >= v
-        windows.setdefault(v, _ChunkStats(4)).scan(
-            _Slab(left.rows[at_v], left.keys[at_v]),
-            _Slab(right.rows[above], right.keys[above]),
-            band_only,
-        )
-
-
 def _exact(rows: np.ndarray) -> list:
     """(exact |frequency sum|, canonical tuple) of each orbit among the rows."""
     return [(abs(lambda_sum(rep)), rep) for rep in set(map(canonical_tuple, rows))]
@@ -404,9 +374,7 @@ def _search(p: int, bound: int) -> ResonanceReport:
 
     The candidate rows are confirmed exactly.  Every minimum is >= 0, so the
     rows within FLOAT_MARGIN of zero, which hold every exact resonance, are
-    among those within FLOAT_MARGIN of the minimum.  For p = 4,
-    ``_scaling_by_min`` adds the minimum for each min |n_j| from per-min
-    windows of the same slabs.
+    among those within FLOAT_MARGIN of the minimum.
     """
     k = p - p // 2
     pos = np.arange(MIN_MODE, bound + 1, dtype=np.int16)
@@ -427,7 +395,7 @@ def _search(p: int, bound: int) -> ResonanceReport:
     scanned = int(counts[edge:counts.shape[0] - edge] @ partners)
     short_halves = None if p % 2 == 0 else _sorted(prefixes)
 
-    window, by_min = _ChunkStats(p), {}
+    window = _ChunkStats(p)
     for band_only in (False, True):
         for lo, hi in _slabs(counts, -k * bound):
             left = _slab(prefixes, modes, lo, hi)
@@ -439,8 +407,6 @@ def _search(p: int, bound: int) -> ResonanceReport:
                 first, last = np.searchsorted(short_halves.keys.real, (-hi - 0.5, -lo + 0.5))
                 right = _Slab(short_halves.rows[first:last], short_halves.keys[first:last])
             window.scan(left, right, band_only)
-            if p == 4:
-                _scaling_by_min(by_min, left, right, band_only)
         proven = window.band == _degenerate_total(p, bound)
         if proven:
             break
@@ -454,16 +420,14 @@ def _search(p: int, bound: int) -> ResonanceReport:
         argmin=argmin,
         degenerate_count=window.degenerate + (window.band if proven else 0),
         exact_zero_tuples=sorted({rep for value, rep in ranked if value == 0}),
-        scaling_by_min={v: min(_exact(w.rows))[0] for v, w in by_min.items() if len(w.rows)}
-        if p == 4 else None,
         tuples_scanned=scanned,
     )
 
 
 def max_bound(p: int) -> int:
     """The largest bound of a search of arity p: its larger half set, of
-    (2 (bound - 2))^(p - p // 2) rows, stays within MAX_HALF_ROWS[p]."""
-    return _root_floor(MAX_HALF_ROWS[p], p - p // 2) // 2 + MIN_MODE - 1
+    (2 (bound - 2))^(p - p // 2) rows, stays within MAX_HALF_ROWS."""
+    return _root_floor(MAX_HALF_ROWS, p - p // 2) // 2 + MIN_MODE - 1
 
 
 def _check_request(p, bound, arities: tuple) -> None:
@@ -484,19 +448,54 @@ def _check_request(p, bound, arities: tuple) -> None:
 KNOWN_LOWER_BOUNDS = {3: Fraction(2, 5), 5: Fraction(9, 35)}
 
 
+def _quartic_minima(report: ResonanceReport) -> None:
+    """Check a p = 4 search against its proven minimizer, and set
+    ``scaling_by_min`` from the tuples that attain each entry.
+
+    Write lam(n) = sgn(n) (1 + g(|n|)) with g(x) = 3/(x^2 - 4): for x >= 3,
+    g is positive, decreasing and strictly convex, and g''' < 0.  Take a
+    nondegenerate zero-sum 4-tuple with v = min |n_j|.  With three entries
+    of one sign, |Lambda| = 2 + g(a) + g(b) + g(c) - g(d) >= 2 - g(3) = 7/5.
+    Otherwise it is (a, b, -c, -d) up to order and overall sign, with
+    a <= b, c <= d and a + b = c + d = S, and Lambda = h(a) - h(c) for
+    h(x) = g(x) + g(S - x), which convexity makes fall strictly towards S/2.
+    Nondegenerate means a != c; say a = v < c <= S/2.  Then |Lambda| is least
+    at c = v + 1, and h(v) - h(v + 1) = g(v) - g(v + 1) - (g(S - v - 1) -
+    g(S - v)) grows with S, so it is least at S = 2v + 2.  Hence for
+    3 <= v <= bound - 2 the minimum is M_v = lam(v) - 2 lam(v + 1) +
+    lam(v + 2) (at most M_3 < 7/5), attained only by the orbit of
+    (v, v + 2, -v - 1, -v - 1).  For v >= bound - 1 no tuple is
+    nondegenerate: c > v needs b = S - v >= v + 2 > bound, and three entries
+    of one sign need |d| >= 3v > bound.  As g''' < 0, the second difference
+    M_v falls strictly with v, so the global minimum is M_{bound - 2}, at
+    (bound, bound - 2, 1 - bound, 1 - bound).
+    """
+    bound = report.bound
+    v = np.arange(MIN_MODE, bound - 1)
+    minima = lambda_sums(np.stack([v, v + 2, -v - 1, -v - 1], axis=1))
+    expected = (minima[-1], (bound, bound - 2, 1 - bound, 1 - bound))
+    if (report.min_value, report.argmin) != expected:
+        raise AssertionError(f"p=4 minimum {report.min_value} at {report.argmin} "
+                             f"is not the proven {expected[0]} at {expected[1]}")
+    report.scaling_by_min = dict(zip(v.tolist(), minima))
+
+
 def min_denominator(p: int, bound: int) -> ResonanceReport:
     """Exact nondegenerate minimum of |frequency sum| over |n_j| <= bound.
 
     For p = 3, 5 the result is checked against the proven constants 2/5 and
-    9/35 (a violation raises).  For p = 4 the report also carries the exact
-    minimum for each value of min |n_j|, exhibiting the fourth-power decay.
+    9/35, for p = 4 against the proven minimizer (a violation raises), which
+    also gives the exact minimum for each value of min |n_j|, exhibiting the
+    fourth-power decay.
     Raises ValueError unless p is one of 3, 4, 5 and bound an integer from 9
     to ``max_bound(p)``, naming each offending argument as ``"<name>: <rule>"``.
     """
     _check_request(p, bound, (3, 4, 5))
     report = _search(p, bound)
     known = KNOWN_LOWER_BOUNDS.get(p)
-    if known is not None and not report.exact_zero_tuples and report.min_value < known:
+    if known is None:
+        _quartic_minima(report)
+    elif not report.exact_zero_tuples and report.min_value < known:
         raise AssertionError(
             f"p={p} minimum {report.min_value} violates the proven bound {known}"
         )

@@ -292,7 +292,7 @@ class TestEvolveCommand:
 class TestResonanceCommand:
     @pytest.mark.parametrize(
         "p,bound",
-        [("4", "5"), ("6", "8"), ("3", "100000"), ("4", "1735"), ("5", "173"), ("6", "400")],
+        [("4", "5"), ("6", "8"), ("3", "100000"), ("4", "3165"), ("5", "173"), ("6", "400")],
     )
     def test_bad_bound_exits_2_naming_field(self, tmp_path, capsys, p, bound):
         out = tmp_path / "cert.json"
@@ -309,19 +309,26 @@ class TestResonanceCommand:
         assert (tmp_path / "report.json.manifest.json").exists()
 
     def test_loads_no_other_library_module(self, tmp_path):
-        """A resonance job imports neither forms, evolve nor waves."""
+        """A resonance job imports neither forms, evolve, field nor waves, and
+        a waves job after it adds only waves."""
         out = tmp_path / "report.json"
+        argvs = [
+            ["resonance", "--p", "3", "--bound", "9", "--out", str(out)],
+            ["waves", "--m", "3", "--xi-max", "0.05", "--steps", "2",
+             "--out", str(tmp_path / "w.csv")],
+        ]
+        modules = ("sqglab.forms", "sqglab.evolve", "sqglab.field", "sqglab.waves")
         script = (
             "import sys\n"
             "import sqglab.cli\n"
-            f"code = sqglab.cli.main(['resonance', '--p', '3', '--bound', '9', '--out', {str(out)!r}])\n"
-            "print(code, [m for m in ('sqglab.forms', 'sqglab.evolve', 'sqglab.waves')"
-            " if m in sys.modules])\n"
+            f"for argv in {argvs!r}:\n"
+            "    code = sqglab.cli.main(argv)\n"
+            f"    print(code, [m for m in {modules!r} if m in sys.modules])\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.split() == ["0", "[]"]
+        assert result.stdout.splitlines() == ["0 []", "0 ['sqglab.waves']"]
         assert out.exists()
 
     def test_resonance_and_waves_leave_fft_unloaded(self, tmp_path):

@@ -196,6 +196,47 @@ class TestSearches:
         report = rs.min_denominator(4, bound)
         assert report.scaling_by_min == brute_force_scaling(bound)
 
+    def test_scaling_by_min_decays_like_18_over_v4(self):
+        """v^4 M_v < 18 < (v + 1)^4 M_v for every v from 4, exactly; at v = 3,
+        3^4 M_3 = 19.67 exceeds 18."""
+        table = rs.min_denominator(4, 200).scaling_by_min
+        assert set(table) == set(range(3, 199))
+        assert 3**4 * table[3] > 18
+        for v in range(4, 199):
+            assert v**4 * table[v] < 18 < (v + 1) ** 4 * table[v]
+
+    def test_search_disagreeing_with_quartic_law_raises(self, monkeypatch):
+        search = rs._search
+
+        def wrong_minimum(p, bound):
+            report = search(p, bound)
+            report.min_value *= 2
+            return report
+
+        monkeypatch.setattr(rs, "_search", wrong_minimum)
+        with pytest.raises(AssertionError, match="p=4 minimum"):
+            rs.min_denominator(4, 60)
+
+    def test_quartic_search_scans_once_per_slab(self, monkeypatch):
+        """p = 4 runs the one window of every arity: one scan per slab."""
+        monkeypatch.setattr(rs, "SLAB_ROWS", (2 * (60 - 2)) ** 2 // 8)
+        slabs, scans = [], []
+        slab, scan = rs._slab, rs._ChunkStats.scan
+
+        def counted_slab(*args):
+            made = slab(*args)
+            slabs.append(made.rows.shape[1])
+            return made
+
+        def counted_scan(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(rs, "_slab", counted_slab)
+        monkeypatch.setattr(rs._ChunkStats, "scan", counted_scan)
+        rs.min_denominator(4, 60)
+        assert slabs.count(2) > 4 and len(scans) == slabs.count(2)
+
     def test_invalid_requests(self):
         with pytest.raises(ValueError):
             rs.min_denominator(6, 20)
@@ -224,7 +265,7 @@ class TestSearches:
         """The largest bound keeps the larger half set within MAX_HALF_ROWS,
         and any bound above it is refused before a prefix or a slab is built."""
         bound, k = rs.max_bound(p), p - p // 2
-        assert (2 * (bound - 2)) ** k <= rs.MAX_HALF_ROWS[p] < (2 * (bound - 1)) ** k
+        assert (2 * (bound - 2)) ** k <= rs.MAX_HALF_ROWS < (2 * (bound - 1)) ** k
 
         def unexpected(*args, **kwargs):
             raise AssertionError("a prefix or a slab was built")
@@ -244,9 +285,9 @@ class TestSearches:
     def test_each_half_built_once(self, monkeypatch, p, bound, share):
         """Each prefix length is built once and each momentum group of the
         larger halves in exactly one of about eight slabs, which together
-        hold every ordered (p - p // 2)-tuple; p = 4 (global and per-min
-        windows together) and p = 6 build few tuples, none of the degenerate
-        band, and odd p has no degenerate tuples to test."""
+        hold every ordered (p - p // 2)-tuple; p = 4 and p = 6 build few
+        tuples, none of the degenerate band, and odd p has no degenerate
+        tuples to test."""
         k = p - p // 2
         monkeypatch.setattr(rs, "SLAB_ROWS", (2 * (bound - 2)) ** k // 8)
         slabs, prefixes, built = [], [], []
@@ -337,13 +378,11 @@ class TestSearches:
 
         right = slab([(-10, -4), (-3, -10), (-7, -6)])
         assert np.all(np.diff(right.keys) > 0)
-        windows = {}
+        window = rs._ChunkStats(4)
         for band_only in (False, True)[: 1 + band_built]:
-            rs._scaling_by_min(windows, slab([(3, 10)]), right, band_only)
-        assert windows[3].degenerate == band_built
-        assert {v: min(rs._exact(w.rows))[0] for v, w in windows.items()} == {
-            3: abs(rs.lambda_sum((3, 10, -7, -6)))
-        }
+            window.scan(slab([(3, 10)]), right, band_only)
+        assert window.degenerate == band_built
+        assert min(rs._exact(window.rows))[0] == abs(rs.lambda_sum((3, 10, -7, -6)))
 
     def test_window_reaches_past_empty_band(self, monkeypatch):
         """Every quintic sum exceeds 9/35, so the DEGENERATE_BAND is empty
