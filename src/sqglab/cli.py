@@ -15,8 +15,11 @@ every rule on the values lives in ``evolve.config_problems``, which
 ``lifespan_experiment`` enforces.  The arguments of ``waves`` and
 ``resonance`` are checked by the library functions they call, with the same
 number rules; ``dispersion`` bounds its ``n_max`` by
-``dispersion.MAX_TABLE_MODE``.  Exit code 2 means a bad config or bad
-arguments, naming each offending field; 1 means the run failed.
+``dispersion.MAX_TABLE_MODE``.  An ``evolve`` restart state
+(``initial_state``) must be a ``SpectralField.to_dict`` on the configured
+lattice; ``normalform`` takes none.  Exit code 2 means a bad config, restart
+state or arguments, naming each offending field, before any work starts; 1
+means the run failed.
 
 Each subcommand imports the library module it runs (``evolve``,
 ``resonance``, ``waves``) when it runs, and the package imports ``field``
@@ -228,8 +231,16 @@ def cmd_evolve(args) -> int:
     if extras["initial_state"]:
         try:
             with open(extras["initial_state"]) as handle:
-                initial = SpectralField.from_dict(json.load(handle))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+                data = json.load(handle)
+            if not isinstance(data, dict):
+                raise ValueError("top level must be a JSON object")
+            # the lattice first: the config's is bounded, the file's is not
+            lattice = (data.get("m"), data.get("n_max"))
+            if lattice != (sim.m, sim.n_max):
+                raise ValueError(f"lattice (m, n_max) = {lattice} does not match "
+                                 f"the config's ({sim.m}, {sim.n_max})")
+            initial = SpectralField.from_dict(data)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"initial_state: {exc}") from exc
     try:
         trajectory = evolve.run(sim, initial=initial)
@@ -253,6 +264,9 @@ def cmd_normalform(args) -> int:
     sim, extras = validate_config(
         args.config, extra_defaults={"eps_list": [0.1, 0.05, 0.025]}
     )
+    if extras["initial_state"] is not None:
+        raise ConfigError(f"invalid config {args.config}: "
+                          "initial_state: normalform starts from the configured profile")
 
     series_path = f"{args.out_prefix}.series.csv"
     slopes_path = f"{args.out_prefix}.slopes.json"

@@ -116,12 +116,16 @@ class SpectralField:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectralField":
-        field = cls.zero(int(data["m"]), int(data["n_max"]))
+        """Inverse of ``to_dict``: ``m``, ``n_max`` and each mode must be
+        JSON integers, so that no value is rounded to one."""
+        m, n_max = data["m"], data["n_max"]
+        if type(m) is not int or type(n_max) is not int:
+            raise ValueError(f"m={m!r} and n_max={n_max!r} must be integers")
+        field = cls.zero(m, n_max)
         coeffs = np.zeros_like(field.coeffs)
         for n, re, im in data["modes"]:
-            n = int(n)
-            if n <= 0 or n % field.m != 0 or n > field.n_max:
-                raise ValueError(f"serialized mode {n} not admissible")
+            if type(n) is not int or n <= 0 or n % field.m != 0 or n > field.n_max:
+                raise ValueError(f"serialized mode {n!r} not admissible")
             coeffs[n // field.m - 1] = complex(re, im)
         return cls(field.m, field.n_max, coeffs)
 

@@ -8,15 +8,17 @@ zero-sum mode tuples:
 
 every n_j on the m-fold lattice with 3 <= |n_j| <= n_max.  Forms are stored
 as dense value tables over the ordered admissible tuples, symmetrized over
-slot permutations so that parity and evaluation are canonical.  Each tuple
+slot permutations so that each multiplier has one table.  A form is nothing
+but that table: properties such as parity under negating every mode are read
+from the values when asked for (``parity_defect``), not declared.  Each tuple
 space groups its tuples into permutation orbits once; symmetrization averages
 over them, and the exact frequency sum and total degeneracy that decide
 resonance come from ``sqglab.resonance``, once per orbit.
 
 The operators implemented here drive the corrected-energy construction:
 
-  normal_form_divide   divide the multiplier by the frequency sum (flips
-                       parity; rejects nonzero values on resonant tuples);
+  normal_form_divide   divide the multiplier by the frequency sum (rejects
+                       nonzero values on resonant tuples);
   degenerate_projection  restrict to totally degenerate tuples (even arity);
   nonlinearity_extension  arity p -> p+1 insertion of the quadratic term
                        N(f) = 2 (Kf) f' - f (Kf)' into each slot.
@@ -44,10 +46,10 @@ m(-n) = conj m(n), which every chain table is.  Otherwise the whole table
 is multiplied out.  The full-length sum is kept, so every result has the
 bits of the whole-table product.
 
-The chain is built in bounded memory: a tuple space stores its index table
-and keys (the mode table is derived when asked for), and an extension is
-accumulated one block of output rows at a time, with every row rounded as a
-whole-table pass would round it.
+The chain is built in bounded memory: a tuple space stores only its index
+table (the modes, the raveled keys and the prefix ids derive from it), and
+an extension is accumulated one block of output rows at a time, with every
+row rounded as a whole-table pass would round it.
 """
 
 from __future__ import annotations
@@ -118,13 +120,13 @@ class TupleSpace:
 
     Modes are the nonzero multiples of m with |n| <= n_max, listed
     ascending; ``idx`` holds mode indices per tuple slot (column-major, one
-    contiguous column per slot) and ``keys`` the raveled index tuples, which
-    ascend strictly with the row number.  The actual modes, ``mode_values``,
-    are ``modes[idx]``, built when asked for and not stored.  Negating the
-    modes maps index i to size - 1 - i and a key to size^p - 1 - key, so
-    row ``count - 1 - r`` holds the negation of row r.  Instances are
-    immutable and cached per (m, n_max, p); the orbit table (and with it the
-    per-tuple frequency sums and degeneracy) and the prefix ids are built
+    contiguous column per slot), and its rows raveled in base ``size``
+    (``ravel_keys``) ascend strictly with the row number.  The actual modes,
+    ``mode_values``, are ``modes[idx]``, built when asked for and not
+    stored.  Negating the modes maps index i to size - 1 - i, so row
+    ``count - 1 - r`` holds the negation of row r.  Instances are immutable
+    and cached per (m, n_max, p); the orbit table (and with it the
+    per-orbit frequency sums and degeneracy) and the prefix ids are built
     lazily.
     """
 
@@ -147,7 +149,7 @@ class TupleSpace:
             )
         # Candidate rows are built one first-slot block at a time: the middle
         # p-2 slots run over every index combination in raveled order and the
-        # last slot follows from the zero sum, so the keys ascend block by
+        # last slot follows from the zero sum, so the rows ascend block by
         # block and no more than size^(p-2) candidates are held at once.  A
         # block keeps the middle sums s for which -n_first - s is a mode, so
         # its row count is the histogram of s convolved with the lattice and
@@ -171,9 +173,6 @@ class TupleSpace:
             rows[:, -1] = last[keep]
             start = end
         self.count = self.idx.shape[0]
-        self.keys = self.ravel_keys(self.idx)
-        self._orbits = None
-        self._prefix = None
 
     # -- lattice helpers ---------------------------------------------------
 
@@ -187,22 +186,14 @@ class TupleSpace:
         return np.where(inside, idx, -1)
 
     def ravel_keys(self, idx: np.ndarray) -> np.ndarray:
+        """The rows of an index table, however many columns, raveled in
+        base ``size`` with the first column most significant."""
         size = self.modes.shape[0]
         keys = idx[:, 0].astype(np.int64)
-        for j in range(1, self.p):
+        for j in range(1, idx.shape[1]):
             keys *= size
             keys += idx[:, j]
         return keys
-
-    def rows_of(self, idx: np.ndarray) -> np.ndarray:
-        """Row numbers of given tuples (index representation)."""
-        wanted = self.ravel_keys(idx)
-        pos = np.searchsorted(self.keys, wanted)
-        if np.any(pos >= self.count) or np.any(
-            self.keys[pos.clip(max=self.count - 1)] != wanted
-        ):
-            raise KeyError("tuple not present in this space")
-        return pos
 
     # -- derived per-tuple data ---------------------------------------------
 
@@ -211,47 +202,29 @@ class TupleSpace:
         """The (count, p) table of modes, column-major like ``idx``."""
         return self.modes[self.idx]
 
-    @property
+    @cached_property
     def orbits(self) -> Orbits:
         """The permutation orbits of the tuples, with their exact facts."""
-        if self._orbits is None:
-            # indices are below size, so a one- or two-byte copy sorts alike
-            index_type = np.min_scalar_type(self.modes.shape[0] - 1)
-            _, first, inverse, counts = np.unique(
-                self.ravel_keys(np.sort(self.idx.astype(index_type), axis=1)),
-                return_index=True,
-                return_inverse=True,
-                return_counts=True,
-            )
-            reps = self.modes[self.idx[first]]
-            sums = [float(value) for value in lambda_sums(reps)]
-            self._orbits = Orbits(inverse, counts, np.array(sums), _degenerate_rows(reps))
-        return self._orbits
+        # indices are below size, so a one- or two-byte copy sorts alike
+        index_type = np.min_scalar_type(self.modes.shape[0] - 1)
+        _, first, inverse, counts = np.unique(
+            self.ravel_keys(np.sort(self.idx.astype(index_type), axis=1)),
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        reps = self.modes[self.idx[first]]
+        sums = [float(value) for value in lambda_sums(reps)]
+        return Orbits(inverse, counts, np.array(sums), _degenerate_rows(reps))
 
-    @property
+    @cached_property
     def prefix(self) -> np.ndarray:
         """Per-row id of the first p-2 slots, raveled in base ``size``.
 
-        The keys are raveled in the same base and ascend, so the ids ascend
-        too, and they index a table over all size^(p-2) prefixes.
+        The rows ascend in the same raveling, so the ids ascend too, and
+        they index a table over all size^(p-2) prefixes.
         """
-        if self._prefix is None:
-            self._prefix = self.keys // self.modes.shape[0] ** 2
-        return self._prefix
-
-    @property
-    def frequency_sum(self) -> np.ndarray:
-        """Per-tuple frequency sum, exact rationals rounded once to double."""
-        return self.orbits.frequency_sum[self.orbits.inverse]
-
-    @property
-    def resonant(self) -> np.ndarray:
-        """Mask of tuples whose frequency sum is exactly zero.
-
-        The common denominator of p <= 6 terms (n^2 - 1)/(n^2 - 4) with int64
-        modes is below 2^756, so a nonzero exact sum cannot round to 0.
-        """
-        return self.frequency_sum == 0
+        return self.ravel_keys(self.idx[:, :-2])
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -270,9 +243,6 @@ def tuple_space(m: int, n_max: int, p: int) -> TupleSpace:
     return space
 
 
-_PARITY_FLIP = {"even": "odd", "odd": "even", "none": "none"}
-
-
 class _Fresh(NamedTuple):
     """A value table that nothing else holds, such as a fresh arithmetic
     result: a MultilinearForm takes it over instead of copying it."""
@@ -284,21 +254,18 @@ class _Fresh(NamedTuple):
 class MultilinearForm:
     """A p-linear form given by its value table over a TupleSpace.
 
-    ``parity`` declares the behaviour of the multiplier under negating every
-    mode; ``symmetric`` records that the table is invariant under slot
-    permutations (all constructors in this module produce symmetric tables).
+    ``symmetric`` records that the table is invariant under slot
+    permutations (all constructors in this module produce symmetric tables);
+    every other property of the multiplier is read from ``values``.
     The form keeps a read-only copy of ``values``; the operators below hand
     over the tables they compute, wrapped in ``_Fresh``, uncopied.
     """
 
     space: TupleSpace
     values: np.ndarray
-    parity: str = "none"
     symmetric: bool = False
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd", "none"):
-            raise ValueError(f"parity must be even/odd/none, got {self.parity!r}")
         if isinstance(self.values, _Fresh):
             values = np.asarray(self.values.table, dtype=np.complex128)
         else:
@@ -330,32 +297,19 @@ class MultilinearForm:
         )
 
     def scaled(self, factor: complex) -> "MultilinearForm":
-        return MultilinearForm(
-            self.space,
-            _Fresh(self.values * factor),
-            parity=self.parity,
-            symmetric=self.symmetric,
-        )
+        return MultilinearForm(self.space, _Fresh(self.values * factor), self.symmetric)
 
     def plus(self, other: "MultilinearForm") -> "MultilinearForm":
         if other.space is not self.space:
             raise ValueError("cannot add forms over different tuple spaces")
-        parity = self.parity if self.parity == other.parity else "none"
         return MultilinearForm(
             self.space,
             _Fresh(self.values + other.values),
-            parity=parity,
-            symmetric=self.symmetric and other.symmetric,
+            self.symmetric and other.symmetric,
         )
 
 
-def make_form(
-    m: int,
-    n_max: int,
-    p: int,
-    multiplier: Callable,
-    parity: str = "none",
-) -> MultilinearForm:
+def make_form(m: int, n_max: int, p: int, multiplier: Callable) -> MultilinearForm:
     """Build a form from a vectorized multiplier on mode tuples.
 
     ``multiplier`` receives the (count, p) array of mode values and returns
@@ -364,7 +318,7 @@ def make_form(
     """
     space = tuple_space(m, n_max, p)
     values = np.asarray(multiplier(space.mode_values), dtype=np.complex128)
-    return symmetrize(MultilinearForm(space, values, parity=parity))
+    return symmetrize(MultilinearForm(space, values))
 
 
 def symmetrize(form: MultilinearForm) -> MultilinearForm:
@@ -375,12 +329,7 @@ def symmetrize(form: MultilinearForm) -> MultilinearForm:
     sums = np.zeros(orbits.counts.shape[0], dtype=np.complex128)
     np.add.at(sums, orbits.inverse, form.values)
     means = sums / orbits.counts
-    return MultilinearForm(
-        form.space,
-        _Fresh(means[orbits.inverse]),
-        parity=form.parity,
-        symmetric=True,
-    )
+    return MultilinearForm(form.space, _Fresh(means[orbits.inverse]), symmetric=True)
 
 
 def _mode_amplitudes(f: SpectralField, space: TupleSpace) -> np.ndarray:
@@ -523,15 +472,14 @@ def _diagonal_product(space: TupleSpace, amp: np.ndarray) -> np.ndarray:
     return product
 
 
-def parity_defect(form: MultilinearForm) -> float:
-    """Worst violation of the declared parity over every row of the table.
+def parity_defect(form: MultilinearForm, parity: str) -> float:
+    """Worst violation of ``parity`` ("even" or "odd" under negating every
+    mode) over every row of the table.
 
     Row count-1-r is the negation of row r, so the negated table is the
     value table reversed.
     """
-    if form.parity == "none":
-        return 0.0
-    sign = 1.0 if form.parity == "even" else -1.0
+    sign = {"even": 1.0, "odd": -1.0}[parity]
     return float(np.max(np.abs(form.values[::-1] - sign * form.values)))
 
 
@@ -539,10 +487,14 @@ def normal_form_divide(form: MultilinearForm) -> MultilinearForm:
     """Divide the multiplier by the per-tuple frequency sum.
 
     The divided form, scaled by i, integrates the original form along the
-    linear flow; division by an odd quantity flips the declared parity.
-    Tuples with exactly zero frequency sum must carry value zero (for even
-    arity: project the degenerate set away first), otherwise a
-    ResonanceError names the offending tuple.
+    linear flow; the frequency sum is odd under negating every mode, so the
+    quotient has the opposite parity.  Tuples with exactly zero frequency
+    sum must carry value zero (for even arity: project the degenerate set
+    away first), otherwise a ResonanceError names the offending tuple.  The
+    orbit sums are exact rationals rounded once, and the common denominator
+    of p <= 6 terms (n^2 - 1)/(n^2 - 4) with int64 modes is below 2^756, so
+    a nonzero exact sum cannot round to 0: comparing with 0 finds exactly
+    the resonant tuples.
     """
     space = form.space
     orbits = space.orbits
@@ -552,12 +504,7 @@ def normal_form_divide(form: MultilinearForm) -> MultilinearForm:
         row = int(np.argmax(bad))
         raise ResonanceError(tuple(space.modes[space.idx[row]]))
     denom = np.where(resonant, 1.0, orbits.frequency_sum)[orbits.inverse]
-    return MultilinearForm(
-        space,
-        _Fresh(form.values / denom),
-        parity=_PARITY_FLIP[form.parity],
-        symmetric=form.symmetric,
-    )
+    return MultilinearForm(space, _Fresh(form.values / denom), form.symmetric)
 
 
 def degenerate_projection(form: MultilinearForm) -> MultilinearForm:
@@ -567,8 +514,7 @@ def degenerate_projection(form: MultilinearForm) -> MultilinearForm:
     return MultilinearForm(
         form.space,
         _Fresh(np.where(form.space.degenerate, form.values, 0.0)),
-        parity=form.parity,
-        symmetric=form.symmetric,
+        form.symmetric,
     )
 
 
@@ -581,8 +527,8 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
     off the lattice (zero or beyond n_max) contribute nothing, matching the
     truncated product.  Normalized by 1/(p+1), so that on equal arguments
     the result is p C(N(f), f, ..., f).  The advection and stretching halves
-    are accumulated apart and combined last.  The inserted factor is odd, so
-    the declared parity flips.
+    are accumulated apart and combined last.  The inserted factor is odd
+    under negating every mode, so the result has the opposite parity.
 
     The output is built ROW_BLOCK rows at a time, so the temporaries
     stay bounded whatever the table size.  Every row takes the same complex
@@ -599,11 +545,11 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
     modes = space.modes
     size = modes.shape[0]
     q = out_space.p
-    # Source values by their first p-1 slot indices (the last follows from
-    # the zero sum); first index ``size`` marks a merged mode off the lattice
-    # and reads zero.
+    # Source values by their first p-1 slot indices, raveled (the last
+    # follows from the zero sum); first index ``size`` marks a merged mode
+    # off the lattice and reads zero.
     table = np.zeros((size + 1) * size ** (space.p - 2), dtype=np.complex128)
-    table[space.keys // size] = src.values
+    table[space.ravel_keys(space.idx[:, :-1])] = src.values
     merge = space.index_of_mode(modes[:, None] + modes).ravel()
     merge[merge < 0] = size
     nk = modes[:, None].astype(np.float64)
@@ -631,12 +577,7 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
             advection += vals * advect_factor[pair]
             stretching += vals * stretch_factor[idx[:, l]]
         values[start:start + ROW_BLOCK] = (advection / q) * 2.0 - stretching / q
-    return MultilinearForm(
-        out_space,
-        _Fresh(values),
-        parity=_PARITY_FLIP[form.parity],
-        symmetric=True,
-    )
+    return MultilinearForm(out_space, _Fresh(values), symmetric=True)
 
 
 def build_energy_form(m: int, n_max: int, s: float) -> MultilinearForm:
@@ -655,7 +596,7 @@ def build_energy_form(m: int, n_max: int, s: float) -> MultilinearForm:
     for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         weight = sobolev_weight(mv[:, c], s)
         total += weight * (2.0 * mv[:, a] * sig[:, b] - mv[:, b] * sig[:, b])
-    return MultilinearForm(space, _Fresh((1j / 6.0) * total), parity="odd", symmetric=True)
+    return MultilinearForm(space, _Fresh((1j / 6.0) * total), symmetric=True)
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,7 @@ def whole_table_extension(form):
     out_space = fm.tuple_space(space.m, space.n_max, space.p + 1)
     size = space.modes.shape[0]
     dense = np.zeros(size**space.p, dtype=np.complex128)
-    dense[space.keys] = src.values
+    dense[np.ravel_multi_index(space.idx.T, (size,) * space.p)] = src.values
     q = out_space.p
     mv = out_space.mode_values
     idx = out_space.idx
@@ -211,12 +211,8 @@ def whole_table_extension(form):
             nk, nl = mv[:, k].astype(np.float64), mv[:, l]
             advection += vals * (1j * nk * smoothing_symbol_float(nl))
             stretching += vals * (1j * dispersion_float(nl))
-    return fm.MultilinearForm(
-        out_space,
-        (advection / q) * 2.0 - stretching / q,
-        parity={"even": "odd", "odd": "even", "none": "none"}[form.parity],
-        symmetric=True,
-    )
+    values = (advection / q) * 2.0 - stretching / q
+    return fm.MultilinearForm(out_space, values, symmetric=True)
 
 
 def whole_table_orbits(space):

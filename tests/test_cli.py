@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqglab
-from sqglab import cli, resonance, waves
+from sqglab import cli, evolve, resonance, waves
 from sqglab.dispersion import MAX_TABLE_MODE
 from sqglab.evolve import SimConfig
 
@@ -277,8 +277,37 @@ class TestEvolveCommand:
         bad_cfg = write_config(tmp_path / "bad.json", n_max=24,
                                initial_state=str(state))
         assert cli.main(["evolve", "--config", str(bad_cfg),
-                         "--out", str(tmp_path / "b.csv")]) == 1
-        assert "lattice" in capsys.readouterr().err
+                         "--out", str(tmp_path / "b.csv")]) == 2
+        assert "initial_state: lattice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"m": 3, "n_max": 12, "modes": 5},
+            {"m": 3, "n_max": 12, "modes": [[3, None, 0]]},
+            {"m": 3, "n_max": 12, "modes": [[3.0, 1.0, 0.0]]},
+            {"m": 3, "n_max": 12},
+            [3, 12, []],
+            {"m": 1e400, "n_max": 12, "modes": []},
+            {"m": 3.7, "n_max": 12, "modes": []},
+            {"m": 3.0, "n_max": 12, "modes": []},
+        ],
+        ids=["modes_int", "null_part", "float_mode", "no_modes", "top_level_list",
+             "m_overflow", "m_fraction", "m_float"],
+    )
+    def test_bad_restart_state_exits_2_before_running(self, tmp_path, capsys,
+                                                      monkeypatch, state):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(evolve, "run", unreachable)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        cfg = write_config(tmp_path / "cfg.json", initial_state=str(path))
+        out = tmp_path / "traj.csv"
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: initial_state: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_blow_up_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", epsilon=20.0, dt=1.0, t_end=50.0,
@@ -535,4 +564,13 @@ class TestNormalformCommand:
                          "--out-prefix", str(prefix)])
         assert code == 2
         assert " corrected_energies: must be true" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nf.json"]
+
+    def test_initial_state_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "nf.json", eps_list=[0.1, 0.05],
+                           initial_state=str(tmp_path / "missing.json"))
+        code = cli.main(["normalform", "--config", str(cfg),
+                         "--out-prefix", str(tmp_path / "nf")])
+        assert code == 2
+        assert " initial_state: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nf.json"]

@@ -106,6 +106,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             SpectralField.from_dict({"m": 3, "n_max": 12, "modes": [[4, 1.0, 0.0]]})
 
+    @pytest.mark.parametrize("m,n_max", [(3.7, 12), (3.0, 12), (3, float("inf")), (3, True)])
+    def test_rejects_non_integer_lattice(self, m, n_max):
+        with pytest.raises(ValueError, match="must be integers"):
+            SpectralField.from_dict({"m": m, "n_max": n_max, "modes": []})
+
 
 class TestLinearOperators:
     def test_smoothing_on_pure_cosine(self):
