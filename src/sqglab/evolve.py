@@ -36,21 +36,22 @@ without its wrappers, and each stage keeps the operations and order of the
 plain RK4 expression, so every state has the bits that expression gives.
 
 A long sweep runs in two processes.  Once the chain and the initial states
-exist, ``_lockstep`` forks one worker (POSIX ``fork``) that runs the RK4
-loop, with the norms, stopping and blow-up, and sends each recorded step's
-states as it takes them.  This process evaluates those records (quadratic
-term, corrected energies, their derivatives and the residuals) while the
-worker steps on.  Every output is bit for bit what one process computes,
-and one process computes it for ``run``, for a short sweep, while other
-threads are running, or where the platform cannot fork.  An error in the
-worker is raised in the caller with its type and message, and the worker is
-reaped on every path.
+exist, ``_lockstep`` forks a worker (a bare ``os.fork``) that runs the RK4
+loop, with the norms, stopping and blow-up, and pickles each recorded step's
+states onto a pipe as it takes them, while this process evaluates them
+(quadratic term, corrected energies, their derivatives and the residuals).
+Every output is bit for bit what one process computes, and one process
+computes it for ``run``, a short sweep, while other threads are running, or
+where the platform cannot fork.  A worker error is raised here with its type
+and message, and the worker is reaped on every path.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -129,18 +130,22 @@ def config_problems(values) -> list:
     m, n_max, s, dt, t_end = (values[k] for k in ("m", "n_max", "s", "dt", "t_end"))
     m_ok = _integer(m) and m >= 3
     check("m", m_ok, "must be an integer >= 3")
+    n_max_ok = m_ok and _integer(n_max) and n_max >= m and n_max % m == 0
     if m_ok:
-        n_max_ok = _integer(n_max) and n_max >= m and n_max % m == 0
         check("n_max", n_max_ok, f"must be a positive multiple of m={m}")
-        if n_max_ok:
-            most, why = MAX_N_MAX, ""
-            if values["corrected_energies"] is True:
-                # the chain's largest tuple table must fit forms.MAX_TABLE_ROWS
-                tables = m * forms.max_table_harmonics(forms.CHAIN_ARITY)
-                if tables < most:
-                    most, why = tables, f" for m={m} with corrected energies"
-            check("n_max", n_max <= most, f"must be at most {most}{why}")
+    if n_max_ok:
+        most, why = MAX_N_MAX, ""
+        if values["corrected_energies"] is True:
+            # the chain's largest tuple table must fit forms.MAX_TABLE_ROWS
+            tables = m * forms.max_table_harmonics(forms.CHAIN_ARITY)
+            if tables < most:
+                most, why = tables, f" for m={m} with corrected energies"
+        check("n_max", n_max <= most, f"must be at most {most}{why}")
     check("s", _finite_real(s) and s >= 0, "must be a finite number >= 0")
+    if _finite_real(s) and n_max_ok:
+        # a largest H^s weight (1 + n_max^2)^s past 2^900 overflows the chain
+        most = 900 / math.log2(1 + n_max * n_max)
+        check("s", s <= most, f"must be at most {most:.4g} for n_max={n_max}")
     dt_ok = _finite_real(dt) and dt > 0
     check("dt", dt_ok, "must be a finite number > 0")
     t_end_ok = _finite_real(t_end) and (not dt_ok or t_end >= dt)
@@ -474,12 +479,12 @@ def run(
     return _lockstep([cfg], [f], chain, [stop_norm])[0]
 
 
-#: Fewest steps for which a sweep forks a stepping worker.  Importing
-#: ``multiprocessing``, forking and reaping the worker cost about 25 ms, and
-#: the two processes slow each other.  At the perfbench ``normalform`` config
-#: on two vCPUs (median of 15 fresh processes, chain built beforehand), the
-#: sweep takes 275 ms in one process and 319 ms forked at 500 steps, 463 and
-#: 314 ms at 1000, and 827 and 530 ms at 2000.
+#: Fewest steps for which a sweep forks a stepping worker.  Forking and
+#: reaping it cost about 8 ms, and the two processes slow each other.  At the
+#: perfbench ``normalform`` config on two vCPUs (median of 15 fresh processes,
+#: chain built beforehand), the sweep takes 74 ms in one process and 88 ms
+#: forked at 250 steps, 205 and 126 ms at 500, 390 and 230 ms at 1000, and 777
+#: and 488 ms at 2000.
 FORK_MIN_STEPS = 1000
 
 
@@ -557,67 +562,64 @@ def _march(
 
 
 def _serve_march(receiver, sender, configs, initials, stop_norms) -> None:
-    """The stepping worker: ``_march``, sending each record down ``sender``
-    as it is taken, then the number of states sent and the outcome, or the
-    error that ended it (its type and message, with its traceback)."""
-    import pickle
-    import signal
+    """The forked worker: ``_march``, pickling each record onto ``sender`` as
+    it is taken, then the states sent and the outcome, or the error that ended
+    it.  It leaves only through ``os._exit``, 1 if it raised what it could not send."""
     import traceback
 
-    # an interrupt is the caller's to handle; it ends this process
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    receiver.close()
     sent = 0
 
     def emit(t, runs, rows, norms):
         nonlocal sent
-        sender.send(("record", (t, runs, rows, norms)))
+        pickle.dump(("record", (t, runs, rows, norms)), sender)
+        sender.flush()
         sent += len(runs)
 
     try:
-        outcome = _march(configs, initials, stop_norms, emit)
-    except Exception as exc:
-        trace = traceback.format_exc()
+        # an interrupt is the caller's to handle; it ends this process
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        receiver.close()
         try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        sender.send(("error", (exc, trace)))
-    else:
-        sender.send(("done", (sent, outcome)))
-    sender.close()
+            outcome = _march(configs, initials, stop_norms, emit)
+            last = ("done", (sent, outcome))
+        except Exception as exc:
+            trace = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            last = ("error", (exc, trace))
+        pickle.dump(last, sender)
+        sender.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def _march_in_worker(configs, initials, stop_norms, emit) -> tuple:
-    """``_march`` in a forked worker, with ``emit`` called here on each
-    record as it arrives, so the records are evaluated while the worker
-    steps on.
-
-    Re-raises an error of the worker with its type and message, its
-    traceback as the cause; checks that every state the worker sent
-    arrived.  The worker is killed if still running and reaped, and both
-    pipe ends closed, on every path.
-    """
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(
-        target=_serve_march,
-        args=(receiver, sender, configs, initials, stop_norms),
-        name="sqglab-stepper",
-    )
+    """``_march`` in the forked worker ``_serve_march``, with ``emit`` called
+    here on each record as it arrives.  Re-raises a worker error with its type
+    and message, its traceback as the cause, and checks that every state sent
+    arrived.  On every path the worker is killed if still running and
+    reaped, and both pipe ends closed."""
+    read_end, write_end = os.pipe()
+    receiver, sender = os.fdopen(read_end, "rb"), os.fdopen(write_end, "wb")
+    pid = 0
     try:
-        worker.start()
+        pid = os.fork()
+        if not pid:
+            _serve_march(receiver, sender, configs, initials, stop_norms)
         sender.close()
         received = 0
         while True:
             try:
-                kind, payload = receiver.recv()
-            except EOFError:
-                worker.join()
+                kind, payload = pickle.load(receiver)
+            except (EOFError, pickle.UnpicklingError):
+                # the worker has exited, at a message boundary or inside one
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pid = 0
                 raise RuntimeError(
-                    f"the stepping worker ended with exit status {worker.exitcode} "
+                    f"the stepping worker ended with exit status {status} "
                     "before its last record"
                 ) from None
             if kind == "record":
@@ -634,10 +636,9 @@ def _march_in_worker(configs, initials, stop_norms, emit) -> tuple:
                     )
                 return outcome
     finally:
-        if worker.pid is not None:
-            worker.kill()
-            worker.join()
-            worker.close()
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         receiver.close()
         sender.close()
 
@@ -662,9 +663,7 @@ def _lockstep(
 
     ``_march`` steps and this function evaluates the records it emits.  A
     sweep (``derivative_levels`` given) of at least FORK_MIN_STEPS steps
-    marches in a forked worker while this process evaluates, unless other
-    threads are running here or the platform cannot fork.  Both ways record
-    the same bits.
+    marches in a forked worker when it can; both ways record the same bits.
     """
     cfg = configs[0]
     op = _QuadraticTerm(cfg.m, cfg.n_max)

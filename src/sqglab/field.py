@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dispersion import smoothing_symbol_float
+from .dispersion import _finite_real, smoothing_symbol_float
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,15 +117,22 @@ class SpectralField:
     @classmethod
     def from_dict(cls, data: dict) -> "SpectralField":
         """Inverse of ``to_dict``: ``m``, ``n_max`` and each mode must be
-        JSON integers, so that no value is rounded to one."""
+        JSON integers, so that no value is rounded to one; each mode appears
+        once, and its parts are finite numbers."""
         m, n_max = data["m"], data["n_max"]
         if type(m) is not int or type(n_max) is not int:
             raise ValueError(f"m={m!r} and n_max={n_max!r} must be integers")
         field = cls.zero(m, n_max)
         coeffs = np.zeros_like(field.coeffs)
+        seen = set()
         for n, re, im in data["modes"]:
             if type(n) is not int or n <= 0 or n % field.m != 0 or n > field.n_max:
                 raise ValueError(f"serialized mode {n!r} not admissible")
+            if n in seen:
+                raise ValueError(f"serialized mode {n} appears twice")
+            if not (_finite_real(re) and _finite_real(im)):
+                raise ValueError(f"serialized mode {n}: each part must be a finite number")
+            seen.add(n)
             coeffs[n // field.m - 1] = complex(re, im)
         return cls(field.m, field.n_max, coeffs)
 

@@ -90,6 +90,8 @@ class TestValidateConfig:
             ("n_max", {"n_max": 600}),
             # the quadratic term's buffers would not fit in memory
             ("n_max", {"n_max": 99_999_999, "corrected_energies": False}),
+            # the H^s weights would overflow
+            ("s", {"s": 150, "n_max": 12}),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, field, overrides):
@@ -254,6 +256,26 @@ class TestEvolveCommand:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split() == ["0", "False", "0", "False"]
 
+    def test_forked_sweep_leaves_multiprocessing_unloaded(self, tmp_path):
+        """A sweep long enough to step in a forked worker forks it with
+        ``os.fork`` alone."""
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({**SMALL_RUN, "t_end": 0.02 * evolve.FORK_MIN_STEPS,
+                                     "diagnostics_stride": 100, "eps_list": [0.1, 0.05]}))
+        argv = ["normalform", "--config", str(sweep), "--out-prefix", str(tmp_path / "nf")]
+        script = (
+            "import os, sys\n"
+            "import sqglab.cli\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            f"code = sqglab.cli.main({argv!r})\n"
+            "print(code, len(forks), 'multiprocessing' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "1", "False"]
+
     def test_restart_from_dumped_state(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", t_end=0.5)
         out1, state = tmp_path / "a.csv", tmp_path / "state.json"
@@ -291,9 +313,15 @@ class TestEvolveCommand:
             {"m": 1e400, "n_max": 12, "modes": []},
             {"m": 3.7, "n_max": 12, "modes": []},
             {"m": 3.0, "n_max": 12, "modes": []},
+            {"m": 3, "n_max": 12, "modes": [[3, float("nan"), 0]]},
+            {"m": 3, "n_max": 12, "modes": [[3, float("inf"), 0]]},
+            {"m": 3, "n_max": 12, "modes": [[3, 10**400, 0]]},
+            {"m": 3, "n_max": 12, "modes": [[3, 0.01, 0], [3, 5.0, 0]]},
+            {"m": 3, "n_max": 12, "modes": [[3, True, 0]]},
         ],
         ids=["modes_int", "null_part", "float_mode", "no_modes", "top_level_list",
-             "m_overflow", "m_fraction", "m_float"],
+             "m_overflow", "m_fraction", "m_float", "nan_part", "infinite_part",
+             "part_overflow", "repeated_mode", "bool_part"],
     )
     def test_bad_restart_state_exits_2_before_running(self, tmp_path, capsys,
                                                       monkeypatch, state):

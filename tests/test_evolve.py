@@ -7,8 +7,8 @@ the multilinear derivative forms with second-order accuracy in dt.
 
 import dataclasses
 import math
-import multiprocessing.connection as mpc
 import os
+import pickle
 import re
 import signal
 import threading
@@ -578,6 +578,12 @@ class TestSteppingWorker:
         diagnostics_stride=ev.FORK_MIN_STEPS // 10,
     )
 
+    @pytest.fixture(autouse=True)
+    def reaped(self):
+        """No test of this class leaves a child behind."""
+        yield
+        assert_no_child()
+
     def test_records_what_one_process_records(self, forks, monkeypatch):
         # runs stop at 0.8 and 1.0 and the third goes on: the batch shrinks twice
         cfg = ev.SimConfig(**CHEAP, dt=0.004, t_end=4.0, diagnostics_stride=50)
@@ -660,16 +666,16 @@ class TestSteppingWorker:
         assert_no_child()
 
     def test_lost_state_detected(self, monkeypatch):
-        send = mpc.Connection.send
+        dump = pickle.dump
         dropped = []
 
-        def lossy(self, message):
+        def lossy(message, file):
             if message[0] == "record" and not dropped:
                 dropped.append(message)
                 return
-            send(self, message)
+            dump(message, file)
 
-        monkeypatch.setattr(mpc.Connection, "send", lossy)
+        monkeypatch.setattr(pickle, "dump", lossy)
         with pytest.raises(RuntimeError, match="^the stepping worker sent 22 states; 20 arrived$"):
             ev.lifespan_experiment([0.1, 0.05], self.CFG)
         assert_no_child()
@@ -677,6 +683,18 @@ class TestSteppingWorker:
     def test_worker_exit_detected(self, monkeypatch):
         monkeypatch.setattr(ev, "_march", lambda *args: os._exit(3))
         with pytest.raises(RuntimeError, match="exit status 3 before its last record"):
+            ev.lifespan_experiment([0.1, 0.05], self.CFG)
+        assert_no_child()
+
+    def test_truncated_record_detected(self, monkeypatch):
+        def truncating(message, file):
+            data = pickle.dumps(message)
+            file.write(data[: len(data) // 2])
+            file.flush()
+            os._exit(5)
+
+        monkeypatch.setattr(pickle, "dump", truncating)
+        with pytest.raises(RuntimeError, match="exit status 5 before its last record"):
             ev.lifespan_experiment([0.1, 0.05], self.CFG)
         assert_no_child()
 
