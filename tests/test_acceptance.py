@@ -119,6 +119,28 @@ def test_criterion_4_sextic_search_evidence():
     )
 
 
+def test_criterion_4_sextic_resonance_at_bound_174():
+    started = time.perf_counter()
+    resonance = (174, 78, 74, -68, -88, -170)
+    result = rs.search_resonances_p6(174)
+    ok = (
+        sum(resonance) == 0
+        and rs.lambda_sum(resonance) == 0
+        and not rs.is_totally_degenerate(resonance)
+        and result.exact_zero_tuples == [resonance]
+        and result.min_value == 0
+    )
+    report(
+        "C4b",
+        "sextic resonance",
+        ok,
+        f"{resonance}: zero momentum, exact frequency sum 0, not totally "
+        f"degenerate, the one zero of the search to bound 174",
+        time.perf_counter() - started,
+        budget=60.0,
+    )
+
+
 def test_criterion_5_normal_form_cancellation():
     started = time.perf_counter()
     cfg = ev.SimConfig(

@@ -349,7 +349,8 @@ class TestEvolveCommand:
 class TestResonanceCommand:
     @pytest.mark.parametrize(
         "p,bound",
-        [("4", "5"), ("6", "8"), ("3", "100000"), ("4", "3165"), ("5", "173"), ("6", "400")],
+        [("4", "5"), ("6", "8"), ("3", "100000"),
+         *((str(p), str(resonance.max_bound(p) + 1)) for p in (4, 5, 6))],
     )
     def test_bad_bound_exits_2_naming_field(self, tmp_path, capsys, p, bound):
         out = tmp_path / "cert.json"

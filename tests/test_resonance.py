@@ -1,8 +1,9 @@
 """Exact frequency-sum arithmetic and the exhaustive search machinery.
 
 Small-radius searches are cross-checked against an unpruned itertools
-enumeration and against an independent multiset count of the degenerate
-tuples; larger ones against certificates kept under ``tests/certificates``.
+enumeration, a Fraction enumeration of every sign split over multisets and
+an independent multiset count of the degenerate tuples; larger ones against
+certificates kept under ``tests/certificates``.
 """
 
 import itertools
@@ -10,6 +11,7 @@ import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -217,25 +219,48 @@ class TestSearches:
         with pytest.raises(AssertionError, match="p=4 minimum"):
             rs.min_denominator(4, 60)
 
-    def test_quartic_search_scans_once_per_slab(self, monkeypatch):
-        """p = 4 runs the one window of every arity: one scan per slab."""
-        monkeypatch.setattr(rs, "SLAB_ROWS", (2 * (60 - 2)) ** 2 // 8)
-        slabs, scans = [], []
-        slab, scan = rs._slab, rs._ChunkStats.scan
+    @pytest.mark.parametrize("p", [4, 5, 6])
+    def test_search_at_unbalanced_bound_raises(self, monkeypatch, p):
+        """A near-balanced minimum at the lemma's bound for the unbalanced
+        splits could hide a smaller unsearched tuple: it raises."""
+        balanced_search = rs._search
 
-        def counted_slab(*args):
-            made = slab(*args)
-            slabs.append(made.rows.shape[1])
+        def at_bound(p, bound):
+            report = balanced_search(p, bound)
+            report.min_value = rs.UNBALANCED_BOUNDS[p]
+            return report
+
+        monkeypatch.setattr(rs, "_search", at_bound)
+        with pytest.raises(AssertionError, match=f"p={p} minimum .* unbalanced"):
+            search(p, 12)
+
+    def test_unbalanced_bounds_are_the_least_over_splits(self):
+        """Each bound is the least (q' - r') - 3 r'/5 over the unbalanced
+        splits, q' >= r' + 2 and r' >= 1; p = 3 has none."""
+        for p in (3, 4, 5, 6):
+            bounds = [Fraction(p - 2 * r) - Fraction(3 * r, 5)
+                      for r in range(1, p) if p - 2 * r >= 2]
+            assert rs.UNBALANCED_BOUNDS.get(p) == min(bounds, default=None)
+
+    def test_quartic_search_scans_once_per_chunk(self, monkeypatch):
+        """p = 4 runs one window per chunk of pairs."""
+        monkeypatch.setattr(rs, "CHUNK_ROWS", comb(60 - 2 + 1, 2) // 8)
+        chunks, windows = [], []
+        extend, window = rs._extend, rs._window
+
+        def counted_extend(*args):
+            made = extend(*args)
+            chunks.append(made[0].shape[1])
             return made
 
-        def counted_scan(*args):
-            scans.append(args)
-            return scan(*args)
+        def counted_window(*args):
+            windows.append(args)
+            return window(*args)
 
-        monkeypatch.setattr(rs, "_slab", counted_slab)
-        monkeypatch.setattr(rs._ChunkStats, "scan", counted_scan)
+        monkeypatch.setattr(rs, "_extend", counted_extend)
+        monkeypatch.setattr(rs, "_window", counted_window)
         rs.min_denominator(4, 60)
-        assert slabs.count(2) > 4 and len(scans) == slabs.count(2)
+        assert chunks.count(2) > 4 and len(windows) == chunks.count(2)
 
     def test_invalid_requests(self):
         with pytest.raises(ValueError):
@@ -262,55 +287,63 @@ class TestSearches:
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_bound_limit(self, monkeypatch, p):
-        """The largest bound keeps the larger half set within MAX_HALF_ROWS,
-        and any bound above it is refused before a prefix or a slab is built."""
-        bound, k = rs.max_bound(p), p - p // 2
-        assert (2 * (bound - 2)) ** k <= rs.MAX_HALF_ROWS < (2 * (bound - 1)) ** k
+        """The largest bound keeps the C(N + q - 1, q) q-multisets of its
+        N = bound - 2 magnitudes within MAX_ROWS and every mode below 2**15;
+        it accepts every bound the ordered search took, and 174 for p = 6.
+        Any bound above it is refused before a multiset is built."""
+        bound, q = rs.max_bound(p), p - p // 2
+        assert comb(bound - 2 + q - 1, q) <= rs.MAX_ROWS < comb(bound - 1 + q - 1, q)
+        assert {3: 3164, 4: 3164, 5: 172, 6: 174}[p] <= bound < 2**15
 
         def unexpected(*args, **kwargs):
-            raise AssertionError("a prefix or a slab was built")
+            raise AssertionError("a multiset was built")
 
-        monkeypatch.setattr(rs, "_slab", unexpected)
+        monkeypatch.setattr(rs, "_extend", unexpected)
         for excess in (1, 10**6, 10**30):
             with pytest.raises(ValueError) as info:
-                if p == 6:
-                    rs.search_resonances_p6(bound + excess)
-                else:
-                    rs.min_denominator(p, bound + excess)
+                search(p, bound + excess)
             assert str(info.value) == f"bound: must be at most {bound} for p={p}"
 
     @pytest.mark.parametrize(
-        "p,bound,share", [(4, 12, 1.0), (4, 60, 0.002), (5, 12, 0.0), (6, 12, 0.01)]
+        "p,bound,share", [(4, 12, 5e-3), (4, 60, 2e-5), (5, 12, 1e-4), (6, 12, 1e-4)]
     )
-    def test_each_half_built_once(self, monkeypatch, p, bound, share):
-        """Each prefix length is built once and each momentum group of the
-        larger halves in exactly one of about eight slabs, which together
-        hold every ordered (p - p // 2)-tuple; p = 4 and p = 6 build few
-        tuples, none of the degenerate band, and odd p has no degenerate
-        tuples to test."""
-        k = p - p // 2
-        monkeypatch.setattr(rs, "SLAB_ROWS", (2 * (bound - 2)) ** k // 8)
-        slabs, prefixes, built = [], [], []
-        slab, degenerate_rows = rs._slab, rs._degenerate_rows
+    def test_each_multiset_built_once(self, monkeypatch, p, bound, share):
+        """The (q - 1)-multisets are built once from the modes, and each
+        sorted q-multiset in exactly one of about eight chunks of whole
+        momentum groups, which together hold all C(N + q - 1, q) of them.
+        The windows build few p-tuples, and no degenerate one reaches exact
+        confirmation."""
+        q = p - p // 2
+        total = comb(bound - 2 + q - 1, q)
+        monkeypatch.setattr(rs, "CHUNK_ROWS", total // 8)
+        chunks, shorter, built = [], [], []
+        extend, window, exact = rs._extend, rs._window, rs._exact
 
-        def counted_slab(*args):
-            made = slab(*args)
-            (slabs if made.rows.shape[1] == k else prefixes).append(made.rows)
+        def counted_extend(*args):
+            made = extend(*args)
+            (chunks if made[0].shape[1] == q else shorter).append(made[0])
             return made
 
-        def counted_rows(rows):
-            built.append(rows.shape[0])
-            return degenerate_rows(rows)
+        def counted_window(*args):
+            li, ri, nearest = window(*args)
+            built.append(li.shape[0])
+            return li, ri, nearest
 
-        monkeypatch.setattr(rs, "_slab", counted_slab)
-        monkeypatch.setattr(rs, "_degenerate_rows", counted_rows)
+        def nondegenerate(rows):
+            assert not rs._degenerate_rows(rows).any()
+            return exact(rows)
+
+        monkeypatch.setattr(rs, "_extend", counted_extend)
+        monkeypatch.setattr(rs, "_window", counted_window)
+        monkeypatch.setattr(rs, "_exact", nondegenerate)
         report = search(p, bound)
-        assert [rows.shape[1] for rows in prefixes] == list(range(1, k))
-        momenta = [set(rows.sum(axis=1).tolist()) for rows in slabs]
-        assert len(slabs) > 4 and sum(map(len, momenta)) == len(set().union(*momenta))
-        rows = np.concatenate(slabs)
-        assert rows.shape[0] == np.unique(rows, axis=0).shape[0] == (2 * (bound - 2)) ** k
-        assert sum(built) <= share * report.tuples_scanned
+        assert [rows.shape[1] for rows in shorter] == list(range(2, q))
+        momenta = [set(rows.sum(axis=1).tolist()) for rows in chunks]
+        assert len(chunks) > 4 and sum(map(len, momenta)) == len(set().union(*momenta))
+        rows = np.concatenate(chunks)
+        assert (np.diff(rows, axis=1) >= 0).all() and rows.min() >= 3 and rows.max() <= bound
+        assert rows.shape[0] == np.unique(rows, axis=0).shape[0] == total
+        assert 0 < sum(built) <= share * report.tuples_scanned
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_matches_reference_certificate(self, p, tmp_path):
@@ -330,97 +363,79 @@ class TestSearches:
         rs.certify(search(p, 40), tmp_path / name)
         assert (tmp_path / name).read_bytes() == (CERTIFICATES / name).read_bytes()
 
-    @pytest.mark.parametrize(
-        "disagreement,p",
-        [("wide_band", 4), ("wide_band", 6), ("wrong_total", 3), ("wrong_total", 4),
-         ("wrong_total", 5), ("wrong_total", 6)],
-    )
-    def test_band_fallback_keeps_certificate(self, monkeypatch, tmp_path, p, disagreement):
-        """If the band count disagrees with the degenerate total, the band is
-        built and its rows tested, and the certificate keeps its bytes."""
-        if disagreement == "wide_band":
-            # the nondegenerate minima, 1.5e-6 (p = 4) and 1.2e-5 (p = 6), lie inside
-            monkeypatch.setattr(rs, "DEGENERATE_BAND", 1e-4)
-        else:
-            monkeypatch.setattr(rs, "_degenerate_total", lambda p, bound: -1)
-        built = []
-        degenerate_rows = rs._degenerate_rows
+    @pytest.mark.parametrize("p", [5, 6])
+    def test_matches_every_split_oracle(self, p):
+        """Minimum, argmin and exact zeros against a Fraction enumeration of
+        every sign split over multisets, the unbalanced ones included."""
+        for bound in range(9, 15):
+            report = search(p, bound)
+            best, zeros = every_split_oracle(p, bound)
+            assert (report.min_value, report.argmin) == best
+            assert report.exact_zero_tuples == zeros
 
-        def counted_rows(rows):
-            built.append(rows.shape[0])
-            return degenerate_rows(rows)
+    def test_nearest_partner_shares_momentum(self):
+        """The nearest partner must have the same momentum.
 
-        monkeypatch.setattr(rs, "_degenerate_rows", counted_rows)
-        reference = REFERENCE / {3: "p3_b200.json", 4: "p4_b60.json",
-                                 5: "p5_b30.json", 6: "p6_b20.json"}[p]
-        report = search(p, int(reference.stem.split("_b")[1]))
-        if p % 2 == 0:  # odd p has no degenerate tuples, and an empty band
-            assert sum(built) > report.degenerate_count > 0
-        rs.certify(report, tmp_path / reference.name)
-        assert (tmp_path / reference.name).read_bytes() == reference.read_bytes()
-
-    @pytest.mark.parametrize("band_built", [False, True])
-    def test_scaling_by_min_partner_shares_momentum(self, band_built):
-        """The nearest partner outside the band must have the opposite momentum.
-
-        The left half (3, 10) has momentum 13; its one nondegenerate partner
-        is (-7, -6), at |frequency sum| 0.471.  In the sorted keys the pair
-        (-10, -4) of momentum -14 sits just below the band, at 0.350: taken
-        for a partner, it would narrow the window and leave (-7, -6) out.
-        Building the band as well adds only the degenerate (3, 10, -3, -10).
+        The pair (3, 10) has momentum 13; its one nondegenerate partner is
+        (6, 7), at |frequency sum| 0.471.  In the sorted keys the pair
+        (4, 10) of momentum 14 sits next to it, at 0.350: the tuple
+        (3, 10, -10, -4) does not sum to zero, and taken for a partner it
+        would narrow the window and leave (3, 10, -7, -6) out.
         """
+        rows = np.array([(6, 7), (3, 10), (4, 10)], dtype=np.int16)
+        keys = rows.sum(axis=1) + 1j * dispersion_float(rows).sum(axis=1)
+        assert np.all(np.diff(keys) > 0)
+        assert keys[2].imag - keys[1].imag < keys[1].imag - keys[0].imag
+        li, ri, nearest = rs._window(keys, keys, np.inf, True)
+        assert (li.tolist(), ri.tolist()) == ([0], [1])
+        assert nearest == keys[1].imag - keys[0].imag
+        tuples = np.concatenate([rows[li], -rows[ri]], axis=1)
+        assert min(rs._exact(tuples))[0] == abs(rs.lambda_sum((3, 10, -7, -6)))
 
-        def slab(rows):
-            rows = np.array(rows, dtype=np.int16)
-            keys = np.empty(rows.shape[0], dtype=complex)
-            keys.real, keys.imag = rows.sum(axis=1), dispersion_float(rows).sum(axis=1)
-            return rs._Slab(rows, keys)
+    def test_quintic_window_reaches_nearest_partner(self, monkeypatch):
+        """Every quintic sum exceeds 9/35, so every window is wider than that,
+        with one chunk per momentum group: only the nearest partners locate
+        the minimum, and the last window is the float minimum."""
+        monkeypatch.setattr(rs, "CHUNK_ROWS", 1)
+        widths = []
+        window = rs._window
 
-        right = slab([(-10, -4), (-3, -10), (-7, -6)])
-        assert np.all(np.diff(right.keys) > 0)
-        window = rs._ChunkStats(4)
-        for band_only in (False, True)[: 1 + band_built]:
-            window.scan(slab([(3, 10)]), right, band_only)
-        assert window.degenerate == band_built
-        assert min(rs._exact(window.rows))[0] == abs(rs.lambda_sum((3, 10, -7, -6)))
+        def recorded(*args):
+            li, ri, nearest = window(*args)
+            widths.append(nearest)
+            return li, ri, nearest
 
-    def test_window_reaches_past_empty_band(self, monkeypatch):
-        """Every quintic sum exceeds 9/35, so the DEGENERATE_BAND is empty
-        and only the nearest partners outside it locate the minimum."""
-        runs = []
-        key_runs = rs._key_runs
-
-        def recorded(keys, halves, width):
-            lo, hi = key_runs(keys, halves, width)
-            runs.append((width, int((hi - lo).sum())))
-            return lo, hi
-
-        monkeypatch.setattr(rs, "_key_runs", recorded)
+        monkeypatch.setattr(rs, "_window", recorded)
         report = rs.min_denominator(5, 10)
-        band = [count for width, count in runs if width == rs.DEGENERATE_BAND]
-        windows = [width for width, count in runs if width != rs.DEGENERATE_BAND]
-        assert band and not any(band)
-        assert windows and min(windows) > rs.KNOWN_LOWER_BOUNDS[5]
+        assert len(widths) > 4 and min(widths) > rs.KNOWN_LOWER_BOUNDS[5]
+        assert abs(widths[-1] - float(report.min_value)) < 1e-14
         oracle_min, oracle_degenerate, oracle_scanned = brute_force_min(5, 10)
         assert report.min_value == oracle_min
         assert report.degenerate_count == oracle_degenerate
         assert report.tuples_scanned == oracle_scanned
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
-    def test_slab_boundaries_keep_certificates(self, monkeypatch, tmp_path, p):
-        """With one momentum group per slab, the certificates at bound 40 and
-        at the reference sizes keep their bytes."""
-        monkeypatch.setattr(rs, "SLAB_ROWS", 1)
-        expected = [CERTIFICATES / f"p{p}_b40.json", *sorted(REFERENCE.glob(f"p{p}_b*.json"))]
+    def test_chunk_boundaries_keep_certificates(self, monkeypatch, tmp_path, p):
+        """With one momentum group per chunk, the certificates under
+        ``tests/certificates`` and at the reference sizes keep their bytes."""
+        monkeypatch.setattr(rs, "CHUNK_ROWS", 1)
+        expected = [*sorted(CERTIFICATES.glob(f"p{p}_b*.json")),
+                    *sorted(REFERENCE.glob(f"p{p}_b*.json"))]
         for reference in expected:
             rs.certify(search(p, int(reference.stem.split("_b")[1])), tmp_path / reference.name)
             assert (tmp_path / reference.name).read_bytes() == reference.read_bytes()
 
-    @pytest.mark.parametrize("p,bound,ceiling_mb", [(5, 60, 6), (6, 40, 5)])
-    def test_peak_memory_is_one_slab(self, p, bound, ceiling_mb):
-        """Streaming the larger half set by slab bounds the peak that
-        tracemalloc sees: building the whole set, these searches peaked at
-        47.1 MB (p = 5) and 13.2 MB (p = 6)."""
+    @pytest.mark.parametrize(
+        "p,bound,ceiling_mb,whole_exceeds",
+        [(5, 60, 6, False), (6, 40, 5, False), (6, 150, 5, True)],
+    )
+    def test_peak_memory_is_one_chunk(self, p, bound, ceiling_mb, whole_exceeds):
+        """Building the q-multisets one chunk at a time bounds the peak that
+        tracemalloc sees.  At p = 6, bound 150, the whole set of 551,300
+        triples, int16 rows and complex keys, would alone exceed 5 MB."""
+        q = p - p // 2
+        whole = comb(bound - 2 + q - 1, q) * (2 * q + 16)
+        assert (whole > ceiling_mb * 1e6) == whole_exceeds
         tracemalloc.start()
         try:
             search(p, bound)
@@ -428,6 +443,34 @@ class TestSearches:
         finally:
             tracemalloc.stop()
         assert peak < ceiling_mb * 1e6
+
+
+def every_split_oracle(p, bound):
+    """Fraction enumeration over every sign split: the multisets A of
+    positive entries and B of negative magnitudes with equal sums and
+    |A| + |B| = p, |A| > |B| or |A| = |B| (the other splits negate these).
+    Returns (exact minimum, canonical argmin) over the nondegenerate tuples,
+    and their exact zeros."""
+    magnitudes = range(3, bound + 1)
+    by_momentum = {}
+    for size in range(1, p):
+        for entries in itertools.combinations_with_replacement(magnitudes, size):
+            value = sum((dispersion(n) for n in entries), Fraction(0))
+            by_momentum.setdefault((size, sum(entries)), []).append((value, entries))
+    best, zeros = None, set()
+    for negatives in range(1, p // 2 + 1):
+        for (size, momentum), tops in by_momentum.items():
+            if size != p - negatives:
+                continue
+            for top, a in tops:
+                for bottom, b in by_momentum.get((negatives, momentum), []):
+                    if a == b:
+                        continue  # the multisets agree: (k, -k) pairs
+                    candidate = (abs(top - bottom), rs.canonical_tuple(a + tuple(-n for n in b)))
+                    best = candidate if best is None else min(best, candidate)
+                    if candidate[0] == 0:
+                        zeros.add(candidate[1])
+    return best, sorted(zeros)
 
 
 def degenerate_tuple_count(p, bound):
@@ -453,11 +496,19 @@ class TestSexticSearch:
         report = rs.search_resonances_p6(9)
         assert report.degenerate_count == degenerate_tuple_count(6, 9)
 
+    def test_sextic_resonance_certificate(self, tmp_path):
+        """Byte for byte: the one nondegenerate resonance to bound 174."""
+        rs.certify(rs.search_resonances_p6(174), tmp_path / "p6_b174.json")
+        certificate = CERTIFICATES / "p6_b174.json"
+        assert (tmp_path / "p6_b174.json").read_bytes() == certificate.read_bytes()
+        assert rs.load_certificate(certificate).exact_zero_tuples == [
+            (174, 78, 74, -68, -88, -170)]
+
 
 @pytest.mark.parametrize("p,bound", [(4, 9), (4, 31), (4, 60), (6, 17), (6, 40)])
-def test_degenerate_count_is_counted_band(p, bound):
-    """The band count that becomes ``degenerate_count`` agrees with an
-    independent count of the degenerate tuples."""
+def test_degenerate_count_matches_multiset_count(p, bound):
+    """``degenerate_count``, the multiset formula of ``_degenerate_total``,
+    agrees with an independent count of the degenerate tuples."""
     assert search(p, bound).degenerate_count == degenerate_tuple_count(p, bound)
 
 
