@@ -373,23 +373,28 @@ class TestSearches:
             assert (report.min_value, report.argmin) == best
             assert report.exact_zero_tuples == zeros
 
-    def test_nearest_partner_shares_momentum(self):
+    @pytest.mark.parametrize("among", [False, True])
+    def test_scaling_by_min_partner_shares_momentum(self, among):
         """The nearest partner must have the same momentum.
 
         The pair (3, 10) has momentum 13; its one nondegenerate partner is
         (6, 7), at |frequency sum| 0.471.  In the sorted keys the pair
         (4, 10) of momentum 14 sits next to it, at 0.350: the tuple
         (3, 10, -10, -4) does not sum to zero, and taken for a partner it
-        would narrow the window and leave (3, 10, -7, -6) out.
+        would narrow the window and leave (3, 10, -7, -6) out.  Both windows
+        skip it: the even one, which pairs the keys among themselves, and the
+        odd one, which pairs them with a separate set of partner keys.
         """
         rows = np.array([(6, 7), (3, 10), (4, 10)], dtype=np.int16)
         keys = rows.sum(axis=1) + 1j * dispersion_float(rows).sum(axis=1)
         assert np.all(np.diff(keys) > 0)
         assert keys[2].imag - keys[1].imag < keys[1].imag - keys[0].imag
-        li, ri, nearest = rs._window(keys, keys, np.inf, True)
-        assert (li.tolist(), ri.tolist()) == ([0], [1])
+        mine, theirs = ([0, 1, 2], [0, 1, 2]) if among else ([1], [0, 2])
+        li, ri, nearest = rs._window(keys[mine], keys[theirs], np.inf, among)
+        left, right = rows[mine][li], rows[theirs][ri]
+        assert sorted(left.tolist() + right.tolist()) == [[3, 10], [6, 7]]
         assert nearest == keys[1].imag - keys[0].imag
-        tuples = np.concatenate([rows[li], -rows[ri]], axis=1)
+        tuples = np.concatenate([left, -right], axis=1)
         assert min(rs._exact(tuples))[0] == abs(rs.lambda_sum((3, 10, -7, -6)))
 
     def test_quintic_window_reaches_nearest_partner(self, monkeypatch):
