@@ -481,11 +481,13 @@ def run(
 
 #: Fewest steps for which a sweep forks a stepping worker.  Forking and
 #: reaping it cost about 8 ms, and the two processes slow each other.  At the
-#: perfbench ``normalform`` config on two vCPUs (median of 15 fresh processes,
-#: chain built beforehand), the sweep takes 74 ms in one process and 88 ms
-#: forked at 250 steps, 205 and 126 ms at 500, 390 and 230 ms at 1000, and 777
-#: and 488 ms at 2000.
-FORK_MIN_STEPS = 1000
+#: perfbench ``normalform`` config on two vCPUs (median of 15 fresh processes
+#: each way, chain built beforehand), the sweep takes 102 ms in one process
+#: and 79 ms forked at 250 steps, 228 and 155 ms at 500, 288 and 184 ms at
+#: 750, and 396 and 286 ms at 1000.  The fork won 14, 15 and 14 of the 15
+#: runs from 500 steps on, but only 10 at 250, where an earlier measurement
+#: had one process ahead (74 against 88 ms).
+FORK_MIN_STEPS = 500
 
 
 def _march(
@@ -763,6 +765,25 @@ DERIVATIVE_KEYS = ("base", "minus_c3", "full_chain")
 _MEASURED_LEVELS = (0, 1, 3)
 
 
+def _sweep(configs: Sequence[SimConfig]) -> list:
+    """The trajectories of an amplitude sweep, each run stopping when its
+    norm doubles, with the measured derivatives recorded.
+
+    The chain is local to this call.  Nothing else holds it, so its tables
+    are freed when the sweep returns, before the slope fit's first LAPACK
+    call raises the resident set.
+    """
+    cfg = configs[0]
+    chain = forms.build_chain(cfg.m, cfg.n_max, cfg.s)
+    return _lockstep(
+        configs,
+        [initial_state(c) for c in configs],
+        chain,
+        [2.0 * c.epsilon for c in configs],
+        _MEASURED_LEVELS,
+    )
+
+
 def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanReport:
     """Sweep decreasing amplitudes; measure corrected-derivative scaling.
 
@@ -781,15 +802,7 @@ def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanRe
         raise ValueError("; ".join(problems))
     eps_list = [float(e) for e in eps_list]
 
-    chain = forms.build_chain(cfg.m, cfg.n_max, cfg.s)
-    configs = [replace(cfg, epsilon=eps) for eps in eps_list]
-    trajectories = _lockstep(
-        configs,
-        [initial_state(c) for c in configs],
-        chain,
-        [2.0 * eps for eps in eps_list],
-        _MEASURED_LEVELS,
-    )
+    trajectories = _sweep([replace(cfg, epsilon=eps) for eps in eps_list])
     means: dict[str, list[float]] = {key: [] for key in DERIVATIVE_KEYS}
     for trajectory in trajectories:
         magnitudes = np.mean(np.abs(trajectory.derivatives), axis=0)

@@ -49,7 +49,16 @@ bits of the whole-table product.
 The chain is built in bounded memory: a tuple space stores only its index
 table (the modes, the raveled keys and the prefix ids derive from it), and
 an extension is accumulated one block of output rows at a time, with every
-row rounded as a whole-table pass would round it.
+row rounded as a whole-table pass would round it.  The index table, the
+prefix ids and the orbit of each row are stored in the smallest unsigned
+dtype that holds their largest value: the index table takes one byte per
+slot up to 256 modes and two beyond.  Before they index or multiply with
+them, the diagonal product and the extension widen one ROW_BLOCK of index
+rows or prefix ids at a time to intp (``TupleSpace.rows``), and
+``evaluate`` one index column at a time: a product of narrow indices would
+wrap, and a gather through them is slower.  Nothing caches a tuple space:
+``tuple_space`` builds one at each call, and a table lives exactly as long
+as the forms over it.
 """
 
 from __future__ import annotations
@@ -103,7 +112,8 @@ class ResonanceError(ValueError):
 class Orbits(NamedTuple):
     """Permutation orbits of a TupleSpace, one entry per sorted tuple.
 
-    ``inverse`` maps each row to its orbit and ``counts`` gives orbit sizes;
+    ``inverse`` maps each row to its orbit, in the smallest unsigned dtype
+    that holds the last orbit number, and ``counts`` gives orbit sizes;
     ``frequency_sum`` (exact, rounded once to double) and ``degenerate`` (from
     the integer rows, in one vectorised ``_degenerate_rows`` pass) come from
     ``sqglab.resonance``.
@@ -120,14 +130,14 @@ class TupleSpace:
 
     Modes are the nonzero multiples of m with |n| <= n_max, listed
     ascending; ``idx`` holds mode indices per tuple slot (column-major, one
-    contiguous column per slot), and its rows raveled in base ``size``
-    (``ravel_keys``) ascend strictly with the row number.  The actual modes,
-    ``mode_values``, are ``modes[idx]``, built when asked for and not
-    stored.  Negating the modes maps index i to size - 1 - i, so row
-    ``count - 1 - r`` holds the negation of row r.  Instances are immutable
-    and cached per (m, n_max, p); the orbit table (and with it the
-    per-orbit frequency sums and degeneracy) and the prefix ids are built
-    lazily.
+    contiguous column per slot) in the smallest unsigned dtype that holds
+    size - 1, and its rows raveled in base ``size`` (``ravel_keys``) ascend
+    strictly with the row number.  ``rows`` widens a block of it to intp.
+    The actual modes, ``mode_values``, are ``modes[idx]``, built when asked
+    for and not stored.  Negating the modes maps index i to size - 1 - i,
+    so row ``count - 1 - r`` holds the negation of row r.  Instances are
+    immutable and not cached; the orbit table (and with it the per-orbit
+    frequency sums and degeneracy) and the prefix ids are built lazily.
     """
 
     def __init__(self, m: int, n_max: int, p: int):
@@ -154,7 +164,8 @@ class TupleSpace:
         # block keeps the middle sums s for which -n_first - s is a mode, so
         # its row count is the histogram of s convolved with the lattice and
         # read at -n_first, and every block goes straight into one table.
-        middle = np.indices((size,) * (p - 2)).reshape(p - 2, -1)
+        index_type = np.min_scalar_type(size - 1)
+        middle = np.indices((size,) * (p - 2), dtype=index_type).reshape(p - 2, -1)
         middle_sum = self.modes[middle].sum(axis=0)
         harmonic = self.modes // m
         on_lattice = np.zeros(2 * k + 1, dtype=np.int64)
@@ -162,7 +173,7 @@ class TupleSpace:
         sums = np.bincount(middle_sum // m + (p - 2) * k, minlength=2 * (p - 2) * k + 1)
         ends = np.cumsum(np.convolve(sums, on_lattice)[(p - 1) * k - harmonic])
         # column-major, so that each slot column idx[:, j] is contiguous
-        self.idx = np.empty((int(ends[-1]), p), dtype=np.int64, order="F")
+        self.idx = np.empty((int(ends[-1]), p), dtype=index_type, order="F")
         start = 0
         for first, end in enumerate(ends):
             last = self.index_of_mode(-self.modes[first] - middle_sum)
@@ -175,6 +186,12 @@ class TupleSpace:
         self.count = self.idx.shape[0]
 
     # -- lattice helpers ---------------------------------------------------
+
+    @property
+    def spec(self) -> tuple:
+        """(m, n_max, p), which determine the table: spaces with equal
+        specs hold equal tables."""
+        return (self.m, self.n_max, self.p)
 
     def index_of_mode(self, values) -> np.ndarray:
         """Mode -> index in ``self.modes``; -1 where off the lattice."""
@@ -195,6 +212,12 @@ class TupleSpace:
             keys += idx[:, j]
         return keys
 
+    def rows(self, block: slice, columns: slice | int = slice(None)) -> np.ndarray:
+        """``idx[block, columns]`` widened to intp, the form in which a
+        block of the index table indexes and is multiplied: a product of
+        narrow indices would wrap, and a gather through them is slower."""
+        return self.idx[block, columns].astype(np.intp)
+
     # -- derived per-tuple data ---------------------------------------------
 
     @property
@@ -205,14 +228,13 @@ class TupleSpace:
     @cached_property
     def orbits(self) -> Orbits:
         """The permutation orbits of the tuples, with their exact facts."""
-        # indices are below size, so a one- or two-byte copy sorts alike
-        index_type = np.min_scalar_type(self.modes.shape[0] - 1)
         _, first, inverse, counts = np.unique(
-            self.ravel_keys(np.sort(self.idx.astype(index_type), axis=1)),
+            self.ravel_keys(np.sort(self.idx, axis=1)),
             return_index=True,
             return_inverse=True,
             return_counts=True,
         )
+        inverse = inverse.astype(np.min_scalar_type(counts.shape[0] - 1))
         reps = self.modes[self.idx[first]]
         sums = [float(value) for value in lambda_sums(reps)]
         return Orbits(inverse, counts, np.array(sums), _degenerate_rows(reps))
@@ -222,9 +244,11 @@ class TupleSpace:
         """Per-row id of the first p-2 slots, raveled in base ``size``.
 
         The rows ascend in the same raveling, so the ids ascend too, and
-        they index a table over all size^(p-2) prefixes.
+        they index a table over all size^(p-2) prefixes; they are stored in
+        the smallest unsigned dtype that holds the last of those.
         """
-        return self.ravel_keys(self.idx[:, :-2])
+        top = self.modes.shape[0] ** (self.p - 2) - 1
+        return self.ravel_keys(self.idx[:, :-2]).astype(np.min_scalar_type(top))
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -232,15 +256,10 @@ class TupleSpace:
         return self.orbits.degenerate[self.orbits.inverse]
 
 
-_SPACE_CACHE: dict = {}
-
-
 def tuple_space(m: int, n_max: int, p: int) -> TupleSpace:
-    key = (m, n_max, p)
-    space = _SPACE_CACHE.get(key)
-    if space is None:
-        space = _SPACE_CACHE[key] = TupleSpace(m, n_max, p)
-    return space
+    """A new TupleSpace; nothing caches it, so it lives as long as its
+    holders."""
+    return TupleSpace(m, n_max, p)
 
 
 class _Fresh(NamedTuple):
@@ -300,7 +319,7 @@ class MultilinearForm:
         return MultilinearForm(self.space, _Fresh(self.values * factor), self.symmetric)
 
     def plus(self, other: "MultilinearForm") -> "MultilinearForm":
-        if other.space is not self.space:
+        if other.space.spec != self.space.spec:
             raise ValueError("cannot add forms over different tuple spaces")
         return MultilinearForm(
             self.space,
@@ -398,7 +417,7 @@ def evaluate(form: MultilinearForm, fields: Sequence[SpectralField]) -> complex:
     head = prod[:rows]
     head[:] = form.values[:rows]
     for j, amp in enumerate(amplitudes):
-        head *= amp[space.idx[:rows, j]]
+        head *= amp.take(space.rows(slice(rows), j))
     _mirror(prod, rows)
     return complex(prod.sum())
 
@@ -441,7 +460,10 @@ def evaluate_diagonal(form: MultilinearForm, f: SpectralField) -> complex:
     N(f) inserted 0.38 ms against 0.57 ms.
     """
     amp = _mode_amplitudes(f, form.space)
-    prod = form.values * _diagonal_product(form.space, amp)
+    prod = _diagonal_product(form.space, amp)
+    # in place: rows pair with their negations, so no table has the one row
+    # on which NumPy's in-place complex multiply skips FMA
+    np.multiply(form.values, prod, out=prod)
     return complex(prod.sum())
 
 
@@ -462,11 +484,10 @@ def _diagonal_product(space: TupleSpace, amp: np.ndarray) -> np.ndarray:
     direct = _direct_rows(space, [amp])
     for start in range(0, direct, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, direct))
-        prefix = space.prefix[rows]
-        re, im = tr[prefix], ti[prefix]
-        for j in (space.p - 2, space.p - 1):
-            column = space.idx[rows, j]
-            re, im = _times(re, im, ar[column], ai[column])
+        prefix = space.prefix[rows].astype(np.intp)
+        re, im = tr.take(prefix), ti.take(prefix)
+        for column in space.rows(rows, slice(-2, None)).T:
+            re, im = _times(re, im, ar.take(column), ai.take(column))
         product.real[rows], product.imag[rows] = re, im
     _mirror(product, direct)
     return product
@@ -518,7 +539,9 @@ def degenerate_projection(form: MultilinearForm) -> MultilinearForm:
     )
 
 
-def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
+def nonlinearity_extension(
+    form: MultilinearForm, out_space: TupleSpace | None = None
+) -> MultilinearForm:
     """Arity p -> p+1 insertion of the full quadratic term 2 (Kf) f' - f (Kf)'.
 
     The output multiplier at a (p+1)-tuple sums, over ordered slot pairs
@@ -535,13 +558,17 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
     operations in the same slot-pair order as a whole-table pass would, and
     the per-pair factors i n_k sigma(n_l) and i lambda(n_l) are those
     expressions evaluated once per pair of modes, so the table is bit for
-    bit the same.
+    bit the same.  ``out_space``, the arity p+1 space on the form's lattice,
+    is built here unless the caller has it.
     """
     if form.p + 1 > MAX_ARITY:
         raise ValueError(f"extension beyond arity {MAX_ARITY} is not supported")
     src = symmetrize(form)
     space = src.space
-    out_space = tuple_space(space.m, space.n_max, space.p + 1)
+    if out_space is None:
+        out_space = tuple_space(space.m, space.n_max, space.p + 1)
+    elif out_space.spec != (space.m, space.n_max, space.p + 1):
+        raise ValueError("the output space is not the next arity on the form's lattice")
     modes = space.modes
     size = modes.shape[0]
     q = out_space.p
@@ -564,7 +591,7 @@ def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
     ]
     values = np.empty(out_space.count, dtype=np.complex128)
     for start in range(0, out_space.count, ROW_BLOCK):
-        idx = out_space.idx[start:start + ROW_BLOCK]
+        idx = out_space.rows(slice(start, start + ROW_BLOCK))
         advection = np.zeros(idx.shape[0], dtype=np.complex128)
         stretching = np.zeros(idx.shape[0], dtype=np.complex128)
         for k, l, lead in pairs:
@@ -678,7 +705,8 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
     c4 = normal_form_divide(d4.plus(degenerate_projection(d4).scaled(-1.0))).scaled(1j)
     # D5 is the largest table built; nothing holds it once it is divided, and
     # the quintic orbits that the division needs are found before it exists
-    tuple_space(m, n_max, CHAIN_ARITY).orbits
-    c5 = normal_form_divide(nonlinearity_extension(c4).scaled(-1.0)).scaled(1j)
+    quintic = tuple_space(m, n_max, CHAIN_ARITY)
+    quintic.orbits
+    c5 = normal_form_divide(nonlinearity_extension(c4, quintic).scaled(-1.0)).scaled(1j)
     return CorrectedEnergy(s=float(s), corrections=(c3, c4, c5), energy_derivative=d3)
 

@@ -216,9 +216,9 @@ def whole_table_extension(form):
 
 
 def whole_table_orbits(space):
-    """The orbit table from the int64 sort of the full (count, p) mode table."""
+    """The orbit table from the int64 sort of the full (count, p) index table."""
     _, first, inverse, counts = np.unique(
-        space.ravel_keys(np.sort(space.idx, axis=1)),
+        space.ravel_keys(np.sort(space.idx.astype(np.int64), axis=1)),
         return_index=True,
         return_inverse=True,
         return_counts=True,

@@ -390,6 +390,30 @@ class TestLifespanExperiment:
         payload = report.to_dict()
         assert set(payload["slopes"]) == {"base", "minus_c3", "full_chain"}
 
+    @pytest.mark.parametrize("t_end", [0.4, 0.02 * ev.FORK_MIN_STEPS])
+    def test_chain_is_freed_before_the_slope_fit(self, monkeypatch, t_end):
+        """No cache, closure or trajectory keeps the chain's tables past the
+        sweep, forked or not: they are gone when the fit starts."""
+        build_chain, tables = fm.build_chain, []
+
+        def tracked(*args):
+            chain = build_chain(*args)
+            for form in chain.corrections:
+                tables.extend([weakref.ref(form.values), weakref.ref(form.space)])
+            return chain
+
+        polyfit, alive = np.polyfit, []
+
+        def fit(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in tables))
+            return polyfit(*args, **kwargs)
+
+        monkeypatch.setattr(fm, "build_chain", tracked)
+        monkeypatch.setattr(np, "polyfit", fit)
+        cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=t_end, diagnostics_stride=20)
+        ev.lifespan_experiment([0.1, 0.05], cfg)
+        assert len(tables) == 6 and alive == [0] * len(ev.DERIVATIVE_KEYS)
+
     def test_one_quadratic_term_per_record(self, monkeypatch):
         """A record computes the quadratic term once, for the mean drift and
         the inserted derivatives alike, and the derivatives it keeps are the

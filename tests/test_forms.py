@@ -83,6 +83,12 @@ def full_grid_rows(space):
     return np.column_stack([head[keep], last[keep]])
 
 
+def narrow(top):
+    """The documented storage dtype of the integers 0..top: the smallest
+    unsigned one."""
+    return np.dtype(np.uint8 if top < 2**8 else np.uint16 if top < 2**16 else np.uint32)
+
+
 def drawn_field(m, n_max, rng, spread, zero_share):
     """A field whose amplitudes spread over 10^+-spread, with exact zeros:
     whole amplitudes, and real or imaginary parts of either sign."""
@@ -122,13 +128,16 @@ class TestTupleSpace:
     @pytest.mark.parametrize("m,n_max,p", SPACES)
     def test_rows_match_full_candidate_grid(self, m, n_max, p):
         space = fm.tuple_space(m, n_max, p)
-        assert_same_bits(np.ascontiguousarray(space.idx), full_grid_rows(space))
-        assert space.idx.flags.f_contiguous and space.mode_values.flags.f_contiguous
         size = space.modes.shape[0]
+        assert space.idx.dtype == narrow(size - 1)
+        rows = full_grid_rows(space)
+        assert_same_bits(np.ascontiguousarray(space.idx), rows.astype(narrow(size - 1)))
+        assert space.idx.flags.f_contiguous and space.mode_values.flags.f_contiguous
         prefix = np.zeros(space.count, dtype=np.int64)
         for j in range(p - 2):
-            prefix = prefix * size + space.idx[:, j]
-        assert_same_bits(space.prefix, prefix)
+            prefix = prefix * size + rows[:, j]
+        assert space.prefix.dtype == narrow(size ** (p - 2) - 1)
+        assert_same_bits(space.prefix, prefix.astype(narrow(size ** (p - 2) - 1)))
 
     @pytest.mark.parametrize("p", range(3, fm.MAX_ARITY + 1))
     def test_table_row_limit(self, p):
@@ -181,7 +190,56 @@ class TestTupleSpace:
         assert np.all(np.abs(again.values - once.values) <= counts * eps * np.abs(once.values))
 
 
+class TestNarrowIndices:
+    """Tables stored in one or two bytes per index, widened where they index
+    or multiply, give the bits of the int64 tables."""
+
+    def test_two_byte_tables_match_the_int64_oracle(self, rng):
+        # 130 harmonics: 260 modes, more than one byte indexes
+        space = fm.tuple_space(3, 390, 3)
+        rows = full_grid_rows(space)
+        assert space.idx.dtype == narrow(space.modes.shape[0] - 1) == np.uint16
+        assert_same_bits(np.ascontiguousarray(space.idx), rows.astype(np.uint16))
+        assert space.prefix.dtype == np.uint16
+        assert_same_bits(space.prefix, rows[:, 0].astype(np.uint16))
+        inverse, *facts = whole_table_orbits(space)
+        orbits = space.orbits
+        assert orbits.inverse.dtype == narrow(orbits.counts.shape[0] - 1) == np.uint16
+        assert_same_bits(orbits.inverse, inverse.astype(np.uint16))
+        for built_part, expected_part in zip(orbits[1:], facts):
+            assert_same_bits(built_part, expected_part)
+        values = rng.normal(size=space.count) + 1j * rng.normal(size=space.count)
+        form = fm.MultilinearForm(space, 0.5 * (values + np.conj(values[::-1])))
+        assert form.conjugate_symmetric
+        f, g = (drawn_field(3, 390, rng, 4, 0.0) for _ in range(2))
+        args = [g, f, f]
+        assert_same_bits(fm.evaluate(form, args), whole_table_evaluate(form, args))
+        product = reduction_product(space, fm._mode_amplitudes(f, space))
+        assert_same_bits(fm.evaluate_diagonal(form, f), complex((form.values * product).sum()))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1000])
+    def test_row_blocks_round_as_the_whole_table(self, monkeypatch, block):
+        """Blocks of any size, one row included, widen their indices and give
+        the bits of a whole-table pass."""
+        chain = fm.build_chain(3, 12, 2.0)
+        f = drawn_field(3, 12, np.random.default_rng(block), 4, 0.0)
+        monkeypatch.setattr(fm, "ROW_BLOCK", block)
+        c4, c5 = chain.corrections[1:]
+        amp = fm._mode_amplitudes(f, c5.space)
+        assert_same_bits(fm._diagonal_product(c5.space, amp), reduction_product(c5.space, amp))
+        assert_same_bits(fm.nonlinearity_extension(c4).values,
+                         whole_table_extension(c4).values)
+
+
 class TestValueTable:
+    def test_plus_compares_lattices_not_objects(self, rng):
+        a, b = random_form(3, 12, 3, rng), random_form(3, 12, 3, rng)
+        assert a.space is not b.space
+        assert_same_bits(a.plus(b).values, a.values + b.values)
+        for other in (random_form(3, 15, 3, rng), random_form(3, 12, 4, rng)):
+            with pytest.raises(ValueError, match="different tuple spaces"):
+                a.plus(other)
+
     def test_public_constructor_copies(self, rng):
         space = fm.tuple_space(3, 12, 3)
         values = rng.normal(size=space.count) + 0j
@@ -451,6 +509,14 @@ class TestExtensions:
         with pytest.raises(ValueError):
             fm.nonlinearity_extension(form)
 
+    def test_given_output_space_must_be_the_next_arity(self, rng):
+        form = random_form(3, 12, 3, rng)
+        given = fm.nonlinearity_extension(form, fm.tuple_space(3, 12, 4))
+        assert_same_bits(given.values, fm.nonlinearity_extension(form).values)
+        for spec in ((3, 12, 5), (3, 15, 4)):
+            with pytest.raises(ValueError, match="next arity"):
+                fm.nonlinearity_extension(form, fm.tuple_space(*spec))
+
 
 class TestEnergyForm:
     def test_odd_parity_exact(self):
@@ -504,34 +570,40 @@ class TestChain:
         built = (chain.energy_derivative, *chain.corrections)
         for form, expected in zip(built, (d3, c3, c4, c5)):
             assert_same_bits(form.values, expected.values)
-        for p in (3, 4, 5):
-            space = fm.tuple_space(m, n_max, p)
+        for form in built[1:]:
+            space = form.space
+            size = space.modes.shape[0]
             rows = full_grid_rows(space)
-            shape = (space.modes.shape[0],) * p
-            assert_same_bits(np.ascontiguousarray(space.idx), rows)
+            shape = (size,) * space.p
+            assert space.idx.dtype == narrow(size - 1)
+            assert_same_bits(np.ascontiguousarray(space.idx), rows.astype(narrow(size - 1)))
             keys = np.ravel_multi_index(rows.T, shape)
             assert_same_bits(space.ravel_keys(space.idx), keys)
-            assert_same_bits(space.prefix, np.ravel_multi_index(rows[:, :-2].T, shape[2:]))
-            for built_part, expected_part in zip(space.orbits, whole_table_orbits(space)):
+            prefix = np.ravel_multi_index(rows[:, :-2].T, shape[2:])
+            assert space.prefix.dtype == narrow(size ** (space.p - 2) - 1)
+            assert_same_bits(space.prefix, prefix.astype(narrow(size ** (space.p - 2) - 1)))
+            inverse, *facts = whole_table_orbits(space)
+            orbits = space.orbits
+            assert orbits.inverse.dtype == narrow(orbits.counts.shape[0] - 1)
+            assert_same_bits(orbits.inverse, inverse.astype(narrow(orbits.counts.shape[0] - 1)))
+            for built_part, expected_part in zip(orbits[1:], facts):
                 assert_same_bits(built_part, expected_part)
 
-    def test_cold_build_peak_memory(self, monkeypatch):
+    def test_cold_build_peak_memory(self):
         # the whole-table extension and stored mode table peaked at 9.46 MB;
         # copying every fresh table and sorting the quintic orbits while D5
-        # was held, at 4.41 MB
-        monkeypatch.setattr(fm, "_SPACE_CACHE", {})
+        # was held, at 4.41 MB; eight-byte index tables, at 3.54 MB
         tracemalloc.start()
         try:
             fm.build_chain(3, 24, 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.3e6
+        assert peak <= 2.9e6
 
-    def test_cold_build_held_memory(self, monkeypatch):
-        # a tuple space that also stored its raveled keys held 14.07 MB here;
-        # the index table and the derived orbits and prefix ids hold 12.51 MB
-        monkeypatch.setattr(fm, "_SPACE_CACHE", {})
+    def test_cold_build_held_memory(self):
+        # a tuple space that also stored its raveled keys held 14.07 MB here,
+        # and with eight-byte index and orbit tables 12.51 MB
         tracemalloc.start()
         try:
             chain = fm.build_chain(3, 36, 3.0)  # held, as a caller holds it
@@ -539,12 +611,18 @@ class TestChain:
         finally:
             tracemalloc.stop()
         del chain
-        assert held <= 13.3e6
+        assert held <= 6.5e6
 
     def test_lifespan_experiment_builds_no_sextic_space(self, monkeypatch):
-        monkeypatch.setattr(fm, "_SPACE_CACHE", {})
+        tuple_space, arities = fm.tuple_space, []
+
+        def recorded(m, n_max, p):
+            arities.append(p)
+            return tuple_space(m, n_max, p)
+
+        monkeypatch.setattr(fm, "tuple_space", recorded)
         cfg = ev.SimConfig(m=3, n_max=12, s=2.0, dt=0.02, t_end=0.2,
                            diagnostics_stride=5)
         ev.lifespan_experiment([0.1, 0.05], cfg)
-        assert sorted(p for _, _, p in fm._SPACE_CACHE) == [3, 4, 5]
+        assert sorted(arities) == [3, 4, 5]
 
