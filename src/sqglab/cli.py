@@ -150,7 +150,7 @@ def validate_config(path: str, extra_defaults: dict | None = None) -> tuple:
     problems += evolve.config_problems(values)
     if "eps_list" in extras:
         problems += evolve.sweep_problems(
-            extras["eps_list"], values["corrected_energies"]
+            extras["eps_list"], values["corrected_energies"], values["linear_only"]
         )
     if not isinstance(extras["initial_state"], (str, type(None))):
         problems.append("initial_state: must be a file path")

@@ -175,12 +175,14 @@ def config_problems(values) -> list:
     return problems
 
 
-def sweep_problems(eps_list, corrected_energies) -> list:
+def sweep_problems(eps_list, corrected_energies, linear_only) -> list:
     """The rules of a lifespan sweep on its amplitudes and on the config's
-    ``corrected_energies`` flag, as ``config_problems``.
+    ``corrected_energies`` and ``linear_only`` flags, as ``config_problems``.
 
-    A sweep measures the corrected energies, so it cannot run without them.
-    A flag that is not a boolean at all is left to ``config_problems``.
+    A sweep measures the corrected energies, so it cannot run without them,
+    and their derivatives are those of the full flow, so it cannot run
+    without the quadratic term either.  A flag that is not a boolean at all
+    is left to ``config_problems``.
     """
     problems = []
     ok = (
@@ -193,6 +195,8 @@ def sweep_problems(eps_list, corrected_energies) -> list:
         problems.append("eps_list: must be a strictly decreasing list of >= 2 amplitudes")
     if corrected_energies is False:
         problems.append("corrected_energies: must be true for a lifespan sweep")
+    if linear_only is True:
+        problems.append("linear_only: must be false for a lifespan sweep")
     return problems
 
 
@@ -797,7 +801,7 @@ def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanRe
     ``sweep_problems``.
     """
     eps_list = list(eps_list)
-    problems = sweep_problems(eps_list, cfg.corrected_energies)
+    problems = sweep_problems(eps_list, cfg.corrected_energies, cfg.linear_only)
     if problems:
         raise ValueError("; ".join(problems))
     eps_list = [float(e) for e in eps_list]

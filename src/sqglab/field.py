@@ -360,16 +360,11 @@ def mean_drift(f: SpectralField, spectrum: np.ndarray | None = None) -> float:
 
 
 def symmetry_residual(f: SpectralField) -> float:
-    """Largest stored amplitude off the m-fold lattice.
+    """Largest amplitude off the m-fold lattice: 0.0 for a finite state.
 
-    The representation populates only nonzero multiples of m, so this is
-    structurally zero; it is scanned anyway so a corrupted state (NaN or a
-    widened lattice) cannot pass silently.
+    A SpectralField stores only the nonzero multiples of m, so nothing it
+    holds lies off the lattice and the residual is zero by construction.
+    A state with a NaN or infinite coefficient reads inf, so that a
+    corrupted state cannot pass silently.
     """
-    if not np.all(np.isfinite(f.coeffs.view(np.float64))):
-        return float("inf")
-    full = np.zeros(f.n_max + 1, dtype=np.complex128)
-    full[f.modes] = f.coeffs
-    off = np.ones(f.n_max + 1, dtype=bool)
-    off[f.modes] = False
-    return float(np.max(np.abs(full[off])))
+    return 0.0 if np.all(np.isfinite(f.coeffs.view(np.float64))) else float("inf")

@@ -58,7 +58,8 @@ rows or prefix ids at a time to intp (``TupleSpace.rows``), and
 ``evaluate`` one index column at a time: a product of narrow indices would
 wrap, and a gather through them is slower.  Nothing caches a tuple space:
 ``tuple_space`` builds one at each call, and a table lives exactly as long
-as the forms over it.
+as the forms over it.  An extension builds its output space and finds its
+orbits before it allocates a table, so the sort overlaps no table.
 """
 
 from __future__ import annotations
@@ -539,9 +540,7 @@ def degenerate_projection(form: MultilinearForm) -> MultilinearForm:
     )
 
 
-def nonlinearity_extension(
-    form: MultilinearForm, out_space: TupleSpace | None = None
-) -> MultilinearForm:
+def nonlinearity_extension(form: MultilinearForm) -> MultilinearForm:
     """Arity p -> p+1 insertion of the full quadratic term 2 (Kf) f' - f (Kf)'.
 
     The output multiplier at a (p+1)-tuple sums, over ordered slot pairs
@@ -558,17 +557,13 @@ def nonlinearity_extension(
     operations in the same slot-pair order as a whole-table pass would, and
     the per-pair factors i n_k sigma(n_l) and i lambda(n_l) are those
     expressions evaluated once per pair of modes, so the table is bit for
-    bit the same.  ``out_space``, the arity p+1 space on the form's lattice,
-    is built here unless the caller has it.
+    bit the same.  The output space (``TupleSpace`` rejects an arity past
+    MAX_ARITY) is built here, and its orbits are found before any table.
     """
-    if form.p + 1 > MAX_ARITY:
-        raise ValueError(f"extension beyond arity {MAX_ARITY} is not supported")
+    out_space = tuple_space(form.space.m, form.space.n_max, form.p + 1)
+    out_space.orbits
     src = symmetrize(form)
     space = src.space
-    if out_space is None:
-        out_space = tuple_space(space.m, space.n_max, space.p + 1)
-    elif out_space.spec != (space.m, space.n_max, space.p + 1):
-        raise ValueError("the output space is not the next arity on the form's lattice")
     modes = space.modes
     size = modes.shape[0]
     q = out_space.p
@@ -698,15 +693,13 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
     denominators (arity 4); its diagonal value vanishes because D4 is odd,
     so subtracting it changes no recorded energy.  D4 and D5 are built only
     as inputs of C4 and C5; the sextic D6 is evaluated by insertion alone.
+    Each extension finds its output orbits before it allocates a table, so
+    the quintic sort never overlaps D5, the largest table.
     """
     d3 = build_energy_form(m, n_max, s)
     c3 = normal_form_divide(d3).scaled(1j)
     d4 = nonlinearity_extension(c3).scaled(-1.0)
     c4 = normal_form_divide(d4.plus(degenerate_projection(d4).scaled(-1.0))).scaled(1j)
-    # D5 is the largest table built; nothing holds it once it is divided, and
-    # the quintic orbits that the division needs are found before it exists
-    quintic = tuple_space(m, n_max, CHAIN_ARITY)
-    quintic.orbits
-    c5 = normal_form_divide(nonlinearity_extension(c4, quintic).scaled(-1.0)).scaled(1j)
+    c5 = normal_form_divide(nonlinearity_extension(c4).scaled(-1.0)).scaled(1j)
     return CorrectedEnergy(s=float(s), corrections=(c3, c4, c5), energy_derivative=d3)
 

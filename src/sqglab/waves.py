@@ -280,6 +280,23 @@ def default_harmonics(m: int) -> int:
     return max(8, 64 // m)
 
 
+def _solver_problems(m, num_harmonics, max_iter) -> list:
+    """The rules on the arguments that ``newton_solve`` and
+    ``continue_branch`` share, each broken one as ``"<argument>: <rule>"``."""
+    problems = []
+    if not (_integer(m) and m >= 3):
+        problems.append("m: must be an integer >= 3")
+    # below four harmonics the tail of three holds the fundamental, so the
+    # resolution gate would pass no point
+    if num_harmonics is not None and not (
+        _integer(num_harmonics) and 4 <= num_harmonics <= MAX_HARMONICS
+    ):
+        problems.append(f"num_harmonics: must be an integer from 4 to {MAX_HARMONICS}")
+    if not (_integer(max_iter) and max_iter >= 0):
+        problems.append("max_iter: must be an integer >= 0")
+    return problems
+
+
 def newton_solve(
     m: int,
     xi: float,
@@ -296,8 +313,14 @@ def newton_solve(
     ``jacobian_matrix`` (the fundamental is pinned) followed by
     ``speed_derivative``.  Full Newton steps with backtracking halving when
     the residual norm fails to decrease.  Raises NewtonError after
-    ``max_iter`` iterations without reaching ``tol``.
+    ``max_iter`` iterations without reaching ``tol``, and ValueError naming
+    each bad argument before any residual is computed.
     """
+    problems = _solver_problems(m, num_harmonics, max_iter)
+    if not _finite_real(xi):
+        problems.append("xi: must be a finite number")
+    if problems:
+        raise ValueError("; ".join(problems))
     if num_harmonics is None:
         num_harmonics = default_harmonics(m)
     k = num_harmonics
@@ -320,11 +343,13 @@ def newton_solve(
 
     res = residual(coeffs, speed, m)
     res_norm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
+    for iteration in range(max_iter + 1):
         if res_norm <= tol:
             return WavePoint(
                 m=m, xi=xi, speed=speed, cosine_coeffs=coeffs, residual_norm=res_norm
             )
+        if iteration == max_iter:
+            break
         jac = np.column_stack(
             (jacobian_matrix(coeffs, speed, m)[:, 1:], speed_derivative(coeffs, m))
         )
@@ -346,11 +371,6 @@ def newton_solve(
         else:
             raise NewtonError(f"backtracking stalled at xi={xi:g}")
         coeffs, speed, res, res_norm = trial, trial_speed, trial_res, trial_norm
-
-    if res_norm <= tol:
-        return WavePoint(
-            m=m, xi=xi, speed=speed, cosine_coeffs=coeffs, residual_norm=res_norm
-        )
     raise NewtonError(f"no convergence at xi={xi:g}: residual {res_norm:.3e}")
 
 
@@ -373,19 +393,11 @@ def continue_branch(
     ``termination`` where and why it stopped.  Raises ValueError naming each
     bad argument, ``num_harmonics`` above MAX_HARMONICS included.
     """
-    problems = []
-    if not (_integer(m) and m >= 3):
-        problems.append("m: must be an integer >= 3")
+    problems = _solver_problems(m, num_harmonics, max_iter)
     if not (_finite_real(xi_max) and xi_max > 0):
         problems.append("xi_max: must be a finite number > 0")
     if not (_integer(steps) and steps >= 1):
         problems.append("steps: must be an integer >= 1")
-    # below four harmonics the tail of three holds the fundamental, so the
-    # resolution gate would pass no point
-    if num_harmonics is not None and not (
-        _integer(num_harmonics) and 4 <= num_harmonics <= MAX_HARMONICS
-    ):
-        problems.append(f"num_harmonics: must be an integer from 4 to {MAX_HARMONICS}")
     if problems:
         raise ValueError("; ".join(problems))
     if num_harmonics is None:

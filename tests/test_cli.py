@@ -595,6 +595,20 @@ class TestNormalformCommand:
         assert " corrected_energies: must be true" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nf.json"]
 
+    def test_linear_only_sweep_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nf.json"
+        cfg.write_text(json.dumps({
+            "m": 3, "n_max": 12, "s": 3.0, "dt": 0.02, "t_end": 2.0,
+            "diagnostics_stride": 20, "eps_list": [0.1, 0.05],
+            "linear_only": True,
+        }))
+        prefix = tmp_path / "nf"
+        code = cli.main(["normalform", "--config", str(cfg),
+                         "--out-prefix", str(prefix)])
+        assert code == 2
+        assert " linear_only: must be false" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nf.json"]
+
     def test_initial_state_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "nf.json", eps_list=[0.1, 0.05],
                            initial_state=str(tmp_path / "missing.json"))

@@ -564,6 +564,13 @@ class TestLifespanExperiment:
         with pytest.raises(ValueError, match="^corrected_energies: must be true"):
             ev.lifespan_experiment([0.1, 0.05], cfg)
 
+    def test_requires_the_quadratic_term(self, monkeypatch):
+        # the derivatives are the full flow's; a linear run's energies hold still
+        monkeypatch.setattr(fm, "build_chain", None)
+        cfg = ev.SimConfig(**CHEAP, linear_only=True)
+        with pytest.raises(ValueError, match="^linear_only: must be false"):
+            ev.lifespan_experiment([0.1, 0.05], cfg)
+
     def test_requires_decreasing_amplitudes(self):
         cfg = ev.SimConfig(**CHEAP)
         with pytest.raises(ValueError):

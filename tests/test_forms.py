@@ -509,14 +509,6 @@ class TestExtensions:
         with pytest.raises(ValueError):
             fm.nonlinearity_extension(form)
 
-    def test_given_output_space_must_be_the_next_arity(self, rng):
-        form = random_form(3, 12, 3, rng)
-        given = fm.nonlinearity_extension(form, fm.tuple_space(3, 12, 4))
-        assert_same_bits(given.values, fm.nonlinearity_extension(form).values)
-        for spec in ((3, 12, 5), (3, 15, 4)):
-            with pytest.raises(ValueError, match="next arity"):
-                fm.nonlinearity_extension(form, fm.tuple_space(*spec))
-
 
 class TestEnergyForm:
     def test_odd_parity_exact(self):

@@ -1,6 +1,7 @@
 """Travelling-wave residual, Newton continuation, and branch diagnostics."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,54 @@ class TestNewton:
         with pytest.raises(wv.NewtonError):
             wv.newton_solve(3, 0.4, max_iter=1)
 
+    @pytest.mark.parametrize("xi,iterations", [(0.3, 4), (0.05, 3)])
+    def test_converges_on_the_last_allowed_pass(self, xi, iterations, monkeypatch):
+        # the residual is checked once more after the last iteration
+        with pytest.raises(wv.NewtonError, match=f"^no convergence at xi={xi:g}"):
+            wv.newton_solve(3, xi, max_iter=iterations - 1)
+        free = wv.newton_solve(3, xi)
+        jacobian, calls = wv.jacobian_matrix, []
+
+        def counted_jacobian(*args):
+            calls.append(args)
+            return jacobian(*args)
+
+        monkeypatch.setattr(wv, "jacobian_matrix", counted_jacobian)
+        point = wv.newton_solve(3, xi, max_iter=iterations)
+        assert len(calls) == iterations
+        assert point.residual_norm <= 1e-12
+        assert point.speed == free.speed
+        assert_same_bits(point.cosine_coeffs, free.cosine_coeffs)
+
+    @pytest.mark.parametrize(
+        "args,kwargs,field",
+        [
+            ((2, 0.1), {}, "m"),
+            ((3.0, 0.1), {}, "m"),
+            ((3, 0.1), {"num_harmonics": 0}, "num_harmonics"),
+            ((3, 0.1), {"num_harmonics": 3}, "num_harmonics"),
+            ((3, 0.1), {"num_harmonics": 2.5}, "num_harmonics"),
+            ((3, 0.1), {"num_harmonics": wv.MAX_HARMONICS + 1}, "num_harmonics"),
+            ((3, np.inf), {}, "xi"),
+            ((3, np.nan), {}, "xi"),
+            ((3, "0.1"), {}, "xi"),
+            ((3, True), {}, "xi"),
+            ((3, 0.1), {"max_iter": -1}, "max_iter"),
+            ((3, 0.1), {"max_iter": 2.5}, "max_iter"),
+        ],
+    )
+    def test_bad_arguments_are_named_before_any_residual(
+        self, args, kwargs, field, monkeypatch
+    ):
+        def no_residual(*args):
+            raise AssertionError("a residual was computed")
+
+        monkeypatch.setattr(wv, "residual", no_residual)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field}: must be "):
+                wv.newton_solve(*args, **kwargs)
+
     def test_backtracking_halves_and_converges(self, monkeypatch):
         # a speed guess far below the branch overshoots the full Newton step
         speed = wv.newton_solve(3, 0.3).speed
@@ -200,6 +249,7 @@ class TestBranch:
             ((3, "0.1", 2), {}, "xi_max"),
             ((3, True, 2), {}, "xi_max"),
             ((3, 0.1, 2), {"num_harmonics": 2.5}, "num_harmonics"),
+            ((3, 0.1, 2), {"max_iter": -1}, "max_iter"),
         ],
     )
     def test_arguments_follow_run_config_number_rules(self, args, kwargs, field):
