@@ -7,19 +7,20 @@ and the wall time.  Data outputs are byte-deterministic for a fixed
 digits and exact rationals as "p/q" strings.  Files are written atomically
 (temp file + rename).
 
-A run config (``evolve``, ``normalform``) is a JSON object.  The CLI loads
-it, rejects unknown keys and fills in the defaults of ``evolve.SimConfig``;
-every rule on the values lives in ``evolve.config_problems``, which
-``SimConfig`` enforces for library callers too.  The rules of a
-``normalform`` sweep live in ``evolve.sweep_problems``, which
-``lifespan_experiment`` enforces.  The arguments of ``waves`` and
-``resonance`` are checked by the library functions they call, with the same
-number rules; ``dispersion`` bounds its ``n_max`` by
-``dispersion.MAX_TABLE_MODE``.  An ``evolve`` restart state
+A run config (``evolve``, ``normalform``) is a JSON object, read once by
+``validate_config``: it fills in the defaults of ``evolve.SimConfig``, takes
+the subcommand's own field and rejects every other key; the manifest
+digests the bytes it parsed.  Every rule on the values lives in
+``evolve.config_problems``, which ``SimConfig`` enforces for library
+callers too.  The rules of a ``normalform`` sweep live in
+``evolve.sweep_problems``, which ``lifespan_experiment`` enforces.  The
+arguments of ``waves`` and ``resonance`` are checked by the library
+functions they call, with the same number rules; ``dispersion`` bounds its
+``n_max`` by ``dispersion.MAX_TABLE_MODE``.  An ``evolve`` restart state
 (``initial_state``) must be a ``SpectralField.to_dict`` on the configured
-lattice; ``normalform`` takes none.  Exit code 2 means a bad config, restart
-state or arguments, naming each offending field, before any work starts; 1
-means the run failed.
+lattice.  Exit code 2 means a bad config, restart state, arguments or
+output path, naming each offending field or option, before any work
+starts; 1 means the run failed, an unwritable output included.
 
 Each subcommand imports the library module it runs (``evolve``,
 ``resonance``, ``waves``) when it runs, and the package imports ``field``
@@ -58,10 +59,17 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``<path>.tmp`` and rename it onto ``path``; a failed
+    write or rename removes the temp file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    handle = open(tmp, "w", newline="")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
@@ -124,52 +132,75 @@ def _failed(exc: Exception) -> int:
     return 1
 
 
-def validate_config(path: str, extra_defaults: dict | None = None) -> tuple:
-    """Load a JSON run config and fill in the defaults of ``SimConfig``.
+def validate_config(path: str, subcommand: str) -> tuple:
+    """Read the JSON run config of ``subcommand`` once and check it.
 
-    ``extra_defaults`` are the subcommand's own fields.  Raises ConfigError
-    naming each violated field.  Returns the ``SimConfig`` and a dict of the
-    other fields: ``initial_state`` (None when not given) and the extras.
+    Missing ``SimConfig`` fields take their defaults; of the other keys only
+    the subcommand's own field is accepted: ``initial_state`` for
+    ``evolve``, ``eps_list`` for ``normalform``.  Raises ConfigError naming
+    each violated field.  Returns the ``SimConfig``, a dict of the own field
+    (an ``evolve`` restart state loaded as a ``SpectralField``, or None) and
+    the bytes parsed, for the manifest's digest.
     """
     from . import evolve
 
     try:
-        with open(path) as handle:
-            raw = json.load(handle)
+        with open(path, "rb") as handle:
+            config_bytes = handle.read()
+        # decoded as the text read of this host would, so a BOM is rejected
+        raw = json.loads(config_bytes.decode("utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be a JSON object")
 
     defaults = {f.name: f.default for f in dataclasses.fields(evolve.SimConfig)}
-    extras = {"initial_state": None, **(extra_defaults or {})}
-    unknown = raw.keys() - defaults.keys() - extras.keys()
+    own = {"evolve": {"initial_state": None},
+           "normalform": {"eps_list": [0.1, 0.05, 0.025]}}[subcommand]
+    unknown = raw.keys() - defaults.keys() - own.keys()
     problems = [f"{key}: unknown field" for key in unknown]
     values = {name: raw.get(name, default) for name, default in defaults.items()}
-    extras = {name: raw.get(name, default) for name, default in extras.items()}
+    extras = {name: raw.get(name, default) for name, default in own.items()}
     problems += evolve.config_problems(values)
-    if "eps_list" in extras:
+    if subcommand == "normalform":
         problems += evolve.sweep_problems(
             extras["eps_list"], values["corrected_energies"], values["linear_only"]
         )
-    if not isinstance(extras["initial_state"], (str, type(None))):
+    elif not isinstance(extras["initial_state"], (str, type(None))):
         problems.append("initial_state: must be a file path")
     if problems:
         raise ConfigError(f"invalid config {path}: " + "; ".join(sorted(problems)))
-    return evolve.SimConfig(**values), extras
+    sim = evolve.SimConfig(**values)
+    if extras.get("initial_state") is not None:
+        from .field import SpectralField
+
+        try:
+            with open(extras["initial_state"]) as handle:
+                data = json.load(handle)
+            if not isinstance(data, dict):
+                raise ValueError("top level must be a JSON object")
+            # the lattice first: the config's is bounded, the file's is not
+            lattice = (data.get("m"), data.get("n_max"))
+            if lattice != (sim.m, sim.n_max):
+                raise ValueError(f"lattice (m, n_max) = {lattice} does not match "
+                                 f"the config's ({sim.m}, {sim.n_max})")
+            extras["initial_state"] = SpectralField.from_dict(data)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"initial_state: {exc}") from exc
+    return sim, extras, config_bytes
+
+
+def _arguments(args, *names) -> bytes:
+    """The named arguments as sorted-key JSON: a manifest's config."""
+    return json.dumps({name: getattr(args, name) for name in names},
+                      sort_keys=True).encode()
 
 
 def _trajectory_rows(trajectory: evolve.Trajectory, prefix: tuple = ()) -> list:
     from . import evolve
 
-    rows = []
-    for i, t in enumerate(trajectory.times):
-        rows.append(
-            list(prefix)
-            + [_fmt(t)]
-            + [_fmt(trajectory.table[name][i]) for name in evolve.DIAGNOSTIC_COLUMNS]
-        )
-    return rows
+    columns = [trajectory.times, *map(trajectory.column, evolve.DIAGNOSTIC_COLUMNS)]
+    return [[*prefix, *map(_fmt, row)] for row in zip(*columns)]
 
 
 _TRAJ_HEADER = ["t", "Es", "Es_c3", "Es_c34", "Es_c345", "hs_norm", "mean_res", "sym_res"]
@@ -199,7 +230,7 @@ def cmd_dispersion(args) -> int:
         ["n", "lambda_exact", "sigma_exact", "lambda_float", "sigma_float"],
         rows,
     )
-    config = json.dumps({"n_max": args.n_max}, sort_keys=True).encode()
+    config = _arguments(args, "n_max")
     emit_manifest(args.out, "dispersion", config, [args.out], None, started)
     return 0
 
@@ -216,34 +247,18 @@ def cmd_resonance(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     resonance.certify(report, args.out)
-    config = json.dumps({"p": args.p, "bound": args.bound}, sort_keys=True).encode()
+    config = _arguments(args, "p", "bound")
     emit_manifest(args.out, "resonance", config, [args.out], None, started)
     return 0
 
 
 def cmd_evolve(args) -> int:
     from . import evolve
-    from .field import SpectralField
 
     started = time.monotonic()
-    sim, extras = validate_config(args.config)
-    initial = None
-    if extras["initial_state"]:
-        try:
-            with open(extras["initial_state"]) as handle:
-                data = json.load(handle)
-            if not isinstance(data, dict):
-                raise ValueError("top level must be a JSON object")
-            # the lattice first: the config's is bounded, the file's is not
-            lattice = (data.get("m"), data.get("n_max"))
-            if lattice != (sim.m, sim.n_max):
-                raise ValueError(f"lattice (m, n_max) = {lattice} does not match "
-                                 f"the config's ({sim.m}, {sim.n_max})")
-            initial = SpectralField.from_dict(data)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"initial_state: {exc}") from exc
+    sim, extras, config_bytes = validate_config(args.config, "evolve")
     try:
-        trajectory = evolve.run(sim, initial=initial)
+        trajectory = evolve.run(sim, initial=extras["initial_state"])
     except evolve.InstabilityError as exc:
         return _failed(exc)
     _write_csv(args.out, _TRAJ_HEADER, _trajectory_rows(trajectory))
@@ -251,8 +266,6 @@ def cmd_evolve(args) -> int:
     if args.state_out:
         _write_json(args.state_out, trajectory.states[-1].to_dict())
         outputs.append(args.state_out)
-    with open(args.config, "rb") as handle:
-        config_bytes = handle.read()
     emit_manifest(args.out, "evolve", config_bytes, outputs, sim.seed, started)
     return 0
 
@@ -261,13 +274,7 @@ def cmd_normalform(args) -> int:
     from . import evolve
 
     started = time.monotonic()
-    sim, extras = validate_config(
-        args.config, extra_defaults={"eps_list": [0.1, 0.05, 0.025]}
-    )
-    if extras["initial_state"] is not None:
-        raise ConfigError(f"invalid config {args.config}: "
-                          "initial_state: normalform starts from the configured profile")
-
+    sim, extras, config_bytes = validate_config(args.config, "normalform")
     series_path = f"{args.out_prefix}.series.csv"
     slopes_path = f"{args.out_prefix}.slopes.json"
     try:
@@ -279,8 +286,6 @@ def cmd_normalform(args) -> int:
         rows.extend(_trajectory_rows(trajectory, prefix=(_fmt(eps),)))
     _write_csv(series_path, ["eps"] + _TRAJ_HEADER, rows)
     _write_json(slopes_path, report.to_dict())
-    with open(args.config, "rb") as handle:
-        config_bytes = handle.read()
     emit_manifest(
         slopes_path,
         "normalform",
@@ -322,15 +327,7 @@ def cmd_waves(args) -> int:
     if args.json_out:
         _write_json(args.json_out, branch.to_dict())
         outputs.append(args.json_out)
-    config = json.dumps(
-        {
-            "m": args.m,
-            "xi_max": args.xi_max,
-            "steps": args.steps,
-            "harmonics": args.harmonics,
-        },
-        sort_keys=True,
-    ).encode()
+    config = _arguments(args, "m", "xi_max", "steps", "harmonics")
     emit_manifest(args.out, "waves", config, outputs, None, started)
     return 0
 
@@ -382,15 +379,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Raise ConfigError naming each given output option whose directory is
+    missing or whose path is a directory; ``--out-prefix`` names no file
+    itself, so only its directory is checked."""
+    problems = []
+    for name in ("out", "json_out", "state_out", "out_prefix"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        option = "--" + name.replace("_", "-")
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            problems.append(f"{option}: directory {directory} does not exist")
+        elif name != "out_prefix" and os.path.isdir(path):
+            problems.append(f"{option}: {path} is a directory")
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _failed(exc)
 
 

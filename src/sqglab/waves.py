@@ -280,7 +280,7 @@ def default_harmonics(m: int) -> int:
     return max(8, 64 // m)
 
 
-def _solver_problems(m, num_harmonics, max_iter) -> list:
+def _solver_problems(m, num_harmonics, tol, max_iter) -> list:
     """The rules on the arguments that ``newton_solve`` and
     ``continue_branch`` share, each broken one as ``"<argument>: <rule>"``."""
     problems = []
@@ -292,9 +292,22 @@ def _solver_problems(m, num_harmonics, max_iter) -> list:
         _integer(num_harmonics) and 4 <= num_harmonics <= MAX_HARMONICS
     ):
         problems.append(f"num_harmonics: must be an integer from 4 to {MAX_HARMONICS}")
+    if not (_finite_real(tol) and tol >= 0):
+        problems.append("tol: must be a finite number >= 0")
     if not (_integer(max_iter) and max_iter >= 0):
         problems.append("max_iter: must be an integer >= 0")
     return problems
+
+
+def _finite_vector(values) -> bool:
+    """True for a 1-D array (or sequence) of finite reals; booleans are not
+    numbers."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        return False
+    return (values.ndim == 1 and values.dtype.kind in "iuf"
+            and bool(np.isfinite(values).all()))
 
 
 def newton_solve(
@@ -316,9 +329,13 @@ def newton_solve(
     ``max_iter`` iterations without reaching ``tol``, and ValueError naming
     each bad argument before any residual is computed.
     """
-    problems = _solver_problems(m, num_harmonics, max_iter)
+    problems = _solver_problems(m, num_harmonics, tol, max_iter)
     if not _finite_real(xi):
         problems.append("xi: must be a finite number")
+    if guess_speed is not None and not _finite_real(guess_speed):
+        problems.append("guess_speed: must be a finite number")
+    if guess_coeffs is not None and not _finite_vector(guess_coeffs):
+        problems.append("guess_coeffs: must be a 1-D array of finite reals")
     if problems:
         raise ValueError("; ".join(problems))
     if num_harmonics is None:
@@ -393,7 +410,7 @@ def continue_branch(
     ``termination`` where and why it stopped.  Raises ValueError naming each
     bad argument, ``num_harmonics`` above MAX_HARMONICS included.
     """
-    problems = _solver_problems(m, num_harmonics, max_iter)
+    problems = _solver_problems(m, num_harmonics, tol, max_iter)
     if not (_finite_real(xi_max) and xi_max > 0):
         problems.append("xi_max: must be a finite number > 0")
     if not (_integer(steps) and steps >= 1):

@@ -49,7 +49,7 @@ class TestValidateConfig:
     def test_defaults_filled(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"m": 3, "n_max": 12}))
-        cfg, extras = cli.validate_config(path)
+        cfg, extras, _ = cli.validate_config(path, "evolve")
         assert cfg.dt == 0.01
         assert cfg.initial_profile == "random_band"
         assert cfg.seed == 0
@@ -58,23 +58,23 @@ class TestValidateConfig:
     def test_symmetry_order_too_small(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", m=2, n_max=12)
         with pytest.raises(cli.ConfigError, match="m: must be an integer >= 3"):
-            cli.validate_config(path)
+            cli.validate_config(path, "evolve")
 
     def test_truncation_not_multiple(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", n_max=25)
         with pytest.raises(cli.ConfigError, match="n_max: must be a positive multiple"):
-            cli.validate_config(path)
+            cli.validate_config(path, "evolve")
 
     def test_multiple_violations_all_named(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", dt=-1.0, epsilon=0.0)
         with pytest.raises(cli.ConfigError) as info:
-            cli.validate_config(path)
+            cli.validate_config(path, "evolve")
         assert "dt:" in str(info.value) and "epsilon:" in str(info.value)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", typo_field=1)
         with pytest.raises(cli.ConfigError, match="typo_field"):
-            cli.validate_config(path)
+            cli.validate_config(path, "evolve")
 
     @pytest.mark.parametrize(
         "field,overrides",
@@ -104,35 +104,37 @@ class TestValidateConfig:
     @pytest.mark.parametrize("t_end,dt", [(20.0, 0.01), (0.3, 0.1), (0.7, 0.1)])
     def test_decimal_step_ratio_accepted(self, tmp_path, t_end, dt):
         path = write_config(tmp_path / "cfg.json", t_end=t_end, dt=dt)
-        assert cli.validate_config(path)[0].t_end == t_end
+        assert cli.validate_config(path, "evolve")[0].t_end == t_end
 
     def test_eps_list_checked(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", eps_list=[0.05, 0.1])
         with pytest.raises(cli.ConfigError, match="eps_list"):
-            cli.validate_config(path, extra_defaults={"eps_list": [0.1, 0.05]})
+            cli.validate_config(path, "normalform")
 
     @pytest.mark.parametrize("value", [1, True, ["a.json"], {"path": "a.json"}])
     def test_initial_state_must_be_a_path(self, tmp_path, value):
         path = write_config(tmp_path / "cfg.json", initial_state=value)
         with pytest.raises(cli.ConfigError, match="initial_state: must be a file path"):
-            cli.validate_config(path)
+            cli.validate_config(path, "evolve")
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_any_json_object_loads_or_raises_config_error(self, tmp_path_factory, data):
-        extra = data.draw(st.sampled_from([None, {"eps_list": [0.1, 0.05, 0.025]}]))
+        subcommand = data.draw(st.sampled_from(["evolve", "normalform"]))
         values = {f.name: st.just(f.default) | JSON for f in dataclasses.fields(SimConfig)}
-        for key in ["initial_state", "typo_field", *(extra or {})]:
+        for key in ["initial_state", "typo_field", "eps_list"]:
             values[key] = JSON
         raw = data.draw(st.fixed_dictionaries({}, optional=values))
         path = tmp_path_factory.getbasetemp() / "any_config.json"
         path.write_text(json.dumps(raw))
         try:
-            cfg, extras = cli.validate_config(path, extra_defaults=extra)
+            cfg, extras, config_bytes = cli.validate_config(path, subcommand)
         except cli.ConfigError:
             return
         assert isinstance(cfg, SimConfig)
-        assert set(extras) == {"initial_state"} | set(extra or {})
+        assert set(extras) == {"evolve": {"initial_state"},
+                               "normalform": {"eps_list"}}[subcommand]
+        assert config_bytes == path.read_bytes()
 
 
 class TestDispersionCommand:
@@ -617,3 +619,120 @@ class TestNormalformCommand:
         assert code == 2
         assert " initial_state: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nf.json"]
+
+
+class TestRunBoundary:
+    """The config is read once, output paths are checked before any work,
+    and a failure is reported without a traceback."""
+
+    @pytest.mark.parametrize("change", ["edited", "deleted"])
+    @pytest.mark.parametrize("subcommand,entry", [("evolve", "run"),
+                                                  ("normalform", "lifespan_experiment")])
+    def test_manifest_digests_the_config_that_ran(self, tmp_path, monkeypatch,
+                                                   subcommand, entry, change):
+        config = {**SMALL_RUN, "seed": 3}
+        if subcommand == "normalform":
+            config["eps_list"] = [0.1, 0.05]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        parsed = cfg.read_bytes()
+        work = getattr(evolve, entry)
+
+        def change_config(*args, **kwargs):
+            cfg.write_text(json.dumps({**config, "seed": 4}))
+            if change == "deleted":
+                cfg.unlink()
+            return work(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, entry, change_config)
+        out = tmp_path / "out"
+        if subcommand == "evolve":
+            argv = ["evolve", "--config", str(cfg), "--out", str(out)]
+            manifest = tmp_path / "out.manifest.json"
+        else:
+            argv = ["normalform", "--config", str(cfg), "--out-prefix", str(out)]
+            manifest = tmp_path / "out.slopes.json.manifest.json"
+        assert cli.main(argv) == 0
+        digest = json.loads(manifest.read_text())["config_sha256"]
+        assert digest == hashlib.sha256(parsed).hexdigest()
+
+    def test_byte_order_mark_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps(SMALL_RUN).encode())
+        out = tmp_path / "traj.csv"
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "BOM" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option,path",
+        [("--out", "missing/x"), ("--out", "taken"),
+         ("--json-out", "missing/x"), ("--json-out", "taken"),
+         ("--state-out", "missing/x"), ("--state-out", "taken"),
+         # a prefix names no file itself, so only its directory must exist
+         ("--out-prefix", "missing/x")],
+    )
+    def test_bad_output_path_exits_2_before_any_work(self, tmp_path, capsys,
+                                                     option, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}
+                                  if option == "--out-prefix" else SMALL_RUN))
+        (tmp_path / "taken").mkdir()
+        path, good = str(tmp_path / path), str(tmp_path / "good.csv")
+        argv = {
+            "--out": ["dispersion", "--n-max", "9", "--out", path],
+            "--json-out": ["waves", "--m", "3", "--xi-max", "0.05", "--steps", "2",
+                           "--out", good, "--json-out", path],
+            "--state-out": ["evolve", "--config", str(cfg), "--out", good,
+                            "--state-out", path],
+            "--out-prefix": ["normalform", "--config", str(cfg), "--out-prefix", path],
+        }[option]
+        assert cli.main(argv) == 2
+        assert f"error: {option}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+        assert not any((tmp_path / "taken").iterdir())
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError):
+            cli._atomic_write_text(str(taken), "x")
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write_text(str(tmp_path / "a.csv"), "\ud800")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}))
+        (tmp_path / "nf.series.csv").mkdir()
+        argv = ["normalform", "--config", str(cfg), "--out-prefix", str(tmp_path / "nf")]
+        assert cli.main(argv) == 1
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "nf.series.csv"]
+
+    @pytest.mark.parametrize(
+        "config,argv,code",
+        [
+            pytest.param({"m": 2}, ["evolve", "--out", "traj.csv"], 2, id="bad_config"),
+            pytest.param({"initial_state": "missing.json"},
+                         ["evolve", "--out", "traj.csv"], 2, id="missing_restart_file"),
+            pytest.param({}, ["evolve", "--out", "missing/traj.csv"], 2,
+                         id="missing_output_directory"),
+            pytest.param({}, ["evolve", "--out", "taken"], 2, id="output_is_a_directory"),
+            pytest.param({"eps_list": [0.1, 0.05]},
+                         ["normalform", "--out-prefix", "taken/nf"], 1,
+                         id="unwritable_output"),
+        ],
+    )
+    def test_failure_exits_without_traceback(self, tmp_path, config, argv, code):
+        """``python -m sqglab.cli`` reports each failure as one error line."""
+        (tmp_path / "taken" / "nf.series.csv").mkdir(parents=True)
+        (tmp_path / "cfg.json").write_text(json.dumps({**SMALL_RUN, **config}))
+        env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "sqglab.cli", *argv, "--config", "cfg.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == code
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr

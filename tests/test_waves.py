@@ -161,6 +161,20 @@ class TestNewton:
             ((3, True), {}, "xi"),
             ((3, 0.1), {"max_iter": -1}, "max_iter"),
             ((3, 0.1), {"max_iter": 2.5}, "max_iter"),
+            ((3, 0.1), {"tol": np.nan}, "tol"),
+            ((3, 0.1), {"tol": np.inf}, "tol"),
+            ((3, 0.1), {"tol": -1.0}, "tol"),
+            ((3, 0.1), {"tol": "1e-12"}, "tol"),
+            ((3, 0.1), {"guess_speed": np.inf}, "guess_speed"),
+            ((3, 0.1), {"guess_speed": np.nan}, "guess_speed"),
+            ((3, 0.1), {"guess_speed": True}, "guess_speed"),
+            ((3, 0.1), {"guess_coeffs": [0.1, np.nan]}, "guess_coeffs"),
+            ((3, 0.1), {"guess_coeffs": [0.1, np.inf]}, "guess_coeffs"),
+            ((3, 0.1), {"guess_coeffs": [[0.1, 0.0]]}, "guess_coeffs"),
+            ((3, 0.1), {"guess_coeffs": [0.1, [0.0]]}, "guess_coeffs"),
+            ((3, 0.1), {"guess_coeffs": ["0.1", "0.0"]}, "guess_coeffs"),
+            ((3, 0.1), {"guess_coeffs": [True, False]}, "guess_coeffs"),
+            ((3, 0.1), {"guess_coeffs": 0.1}, "guess_coeffs"),
         ],
     )
     def test_bad_arguments_are_named_before_any_residual(
@@ -250,6 +264,8 @@ class TestBranch:
             ((3, True, 2), {}, "xi_max"),
             ((3, 0.1, 2), {"num_harmonics": 2.5}, "num_harmonics"),
             ((3, 0.1, 2), {"max_iter": -1}, "max_iter"),
+            ((3, 0.1, 2), {"tol": np.nan}, "tol"),
+            ((3, 0.1, 2), {"tol": -1.0}, "tol"),
         ],
     )
     def test_arguments_follow_run_config_number_rules(self, args, kwargs, field):
