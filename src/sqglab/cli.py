@@ -1,6 +1,6 @@
 """Command-line entry point: one subcommand per laboratory module.
 
-Every run writes its data files plus a ``<output>.manifest.json`` recording
+A run writes its data files plus a ``<output>.manifest.json`` recording
 the subcommand, a SHA-256 of the configuration, the tool version, the seed
 and the wall time.  Data outputs are byte-deterministic for a fixed
 (subcommand, config, seed, version): floats are printed with 17 significant
@@ -20,7 +20,11 @@ functions they call, with the same number rules; ``dispersion`` bounds its
 (``initial_state``) must be a ``SpectralField.to_dict`` on the configured
 lattice.  Exit code 2 means a bad config, restart state, arguments or
 output path, naming each offending field or option, before any work
-starts; 1 means the run failed, an unwritable output included.
+starts (an output whose last path component is empty, ``.`` or ``..``, as
+in ``--out ""`` or ``--out-prefix d/``, included).  Exit code 1 means the
+run failed: an unwritable output, an instability or a stepping worker that
+died.  Either way ``main`` prints one ``error:`` line and writes no
+manifest.
 
 Each subcommand imports the library module it runs (``evolve``,
 ``resonance``, ``waves``) when it runs, and the package imports ``field``
@@ -126,12 +130,6 @@ def emit_manifest(
     return path
 
 
-def _failed(exc: Exception) -> int:
-    """Report a failed run; its exit code."""
-    print(f"error: {exc}", file=sys.stderr)
-    return 1
-
-
 def validate_config(path: str, subcommand: str) -> tuple:
     """Read the JSON run config of ``subcommand`` once and check it.
 
@@ -206,8 +204,7 @@ def _trajectory_rows(trajectory: evolve.Trajectory, prefix: tuple = ()) -> list:
 _TRAJ_HEADER = ["t", "Es", "Es_c3", "Es_c34", "Es_c345", "hs_norm", "mean_res", "sym_res"]
 
 
-def cmd_dispersion(args) -> int:
-    started = time.monotonic()
+def cmd_dispersion(args) -> tuple:
     if not MIN_MODE <= args.n_max <= MAX_TABLE_MODE:
         raise ConfigError(
             f"n_max: must be an integer from {MIN_MODE} to {MAX_TABLE_MODE}"
@@ -230,15 +227,12 @@ def cmd_dispersion(args) -> int:
         ["n", "lambda_exact", "sigma_exact", "lambda_float", "sigma_float"],
         rows,
     )
-    config = _arguments(args, "n_max")
-    emit_manifest(args.out, "dispersion", config, [args.out], None, started)
-    return 0
+    return args.out, _arguments(args, "n_max"), [args.out], None
 
 
-def cmd_resonance(args) -> int:
+def cmd_resonance(args) -> tuple:
     from . import resonance
 
-    started = time.monotonic()
     try:
         if args.p == 6:
             report = resonance.search_resonances_p6(args.bound)
@@ -247,68 +241,46 @@ def cmd_resonance(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     resonance.certify(report, args.out)
-    config = _arguments(args, "p", "bound")
-    emit_manifest(args.out, "resonance", config, [args.out], None, started)
-    return 0
+    return args.out, _arguments(args, "p", "bound"), [args.out], None
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> tuple:
     from . import evolve
 
-    started = time.monotonic()
     sim, extras, config_bytes = validate_config(args.config, "evolve")
-    try:
-        trajectory = evolve.run(sim, initial=extras["initial_state"])
-    except evolve.InstabilityError as exc:
-        return _failed(exc)
+    trajectory = evolve.run(sim, initial=extras["initial_state"])
     _write_csv(args.out, _TRAJ_HEADER, _trajectory_rows(trajectory))
     outputs = [args.out]
     if args.state_out:
         _write_json(args.state_out, trajectory.states[-1].to_dict())
         outputs.append(args.state_out)
-    emit_manifest(args.out, "evolve", config_bytes, outputs, sim.seed, started)
-    return 0
+    return args.out, config_bytes, outputs, sim.seed
 
 
-def cmd_normalform(args) -> int:
+def cmd_normalform(args) -> tuple:
     from . import evolve
 
-    started = time.monotonic()
     sim, extras, config_bytes = validate_config(args.config, "normalform")
     series_path = f"{args.out_prefix}.series.csv"
     slopes_path = f"{args.out_prefix}.slopes.json"
-    try:
-        report = evolve.lifespan_experiment(extras["eps_list"], sim)
-    except evolve.InstabilityError as exc:
-        return _failed(exc)
+    report = evolve.lifespan_experiment(extras["eps_list"], sim)
     rows = []
     for eps, trajectory in zip(report.epsilons, report.trajectories):
         rows.extend(_trajectory_rows(trajectory, prefix=(_fmt(eps),)))
     _write_csv(series_path, ["eps"] + _TRAJ_HEADER, rows)
     _write_json(slopes_path, report.to_dict())
-    emit_manifest(
-        slopes_path,
-        "normalform",
-        config_bytes,
-        [series_path, slopes_path],
-        sim.seed,
-        started,
-    )
-    return 0
+    return slopes_path, config_bytes, [series_path, slopes_path], sim.seed
 
 
-def cmd_waves(args) -> int:
+def cmd_waves(args) -> tuple:
     from . import waves
 
-    started = time.monotonic()
     try:
         branch = waves.continue_branch(
             args.m, args.xi_max, args.steps, num_harmonics=args.harmonics
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    except waves.NewtonError as exc:
-        return _failed(exc)
     header = ["xi", "v", "residual", "decay_c"] + [
         f"a_{k}" for k in range(1, branch.num_harmonics + 1)
     ]
@@ -328,8 +300,7 @@ def cmd_waves(args) -> int:
         _write_json(args.json_out, branch.to_dict())
         outputs.append(args.json_out)
     config = _arguments(args, "m", "xi_max", "steps", "harmonics")
-    emit_manifest(args.out, "waves", config, outputs, None, started)
-    return 0
+    return args.out, config, outputs, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,9 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Raise ConfigError naming each given output option whose directory is
-    missing or whose path is a directory; ``--out-prefix`` names no file
-    itself, so only its directory is checked."""
+    """Raise ConfigError naming each given output option whose last path
+    component is empty, ``.`` or ``..``, whose directory is missing or whose
+    path is a directory; ``--out-prefix`` names no file itself, so it is not
+    checked for the last."""
     problems = []
     for name in ("out", "json_out", "state_out", "out_prefix"):
         path = getattr(args, name, None)
@@ -390,7 +362,9 @@ def _check_outputs(args) -> None:
             continue
         option = "--" + name.replace("_", "-")
         directory = os.path.dirname(path) or os.curdir
-        if not os.path.isdir(directory):
+        if os.path.basename(path) in ("", os.curdir, os.pardir):
+            problems.append(f"{option}: {path!r} ends in no file name")
+        elif not os.path.isdir(directory):
             problems.append(f"{option}: directory {directory} does not exist")
         elif name != "out_prefix" and os.path.isdir(path):
             problems.append(f"{option}: {path} is a directory")
@@ -399,16 +373,24 @@ def _check_outputs(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; its exit code.  Each ``cmd_*`` handler writes
+    its data files and returns (primary output, config bytes, outputs,
+    seed) for the manifest.  Every run failure the library raises is a
+    RuntimeError; an exception outside the classes caught here is a bug and
+    keeps its traceback."""
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
         _check_outputs(args)
-        return args.func(args)
+        primary, config_bytes, outputs, seed = args.func(args)
+        emit_manifest(primary, args.subcommand, config_bytes, outputs, seed, started)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        return _failed(exc)
+    except (OSError, ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

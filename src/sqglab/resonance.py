@@ -450,12 +450,18 @@ def search_resonances_p6(bound: int = 20) -> ResonanceReport:
 
 
 def certify(report: ResonanceReport, path) -> None:
-    """Write the report as a byte-reproducible JSON certificate."""
+    """Write the report as a byte-reproducible JSON certificate, through
+    ``<path>.tmp``; a failed write or rename removes the temp file."""
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        handle.write(payload)
-    os.replace(tmp, path)
+    handle = open(tmp, "w")
+    try:
+        with handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_certificate(path) -> ResonanceReport:

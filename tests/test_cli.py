@@ -117,6 +117,16 @@ class TestValidateConfig:
         with pytest.raises(cli.ConfigError, match="initial_state: must be a file path"):
             cli.validate_config(path, "evolve")
 
+    @pytest.mark.parametrize("subcommand", ["evolve", "normalform"])
+    def test_top_level_not_an_object_exits_2(self, tmp_path, capsys, subcommand):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        out = {"evolve": "--out", "normalform": "--out-prefix"}[subcommand]
+        argv = [subcommand, "--config", str(cfg), out, str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert "top level must be a JSON object" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_any_json_object_loads_or_raises_config_error(self, tmp_path_factory, data):
@@ -477,6 +487,15 @@ class TestWavesCommand:
         branch = json.loads(dump.read_text())
         assert branch["m"] == 4 and len(branch["points"]) == 3
 
+    def test_unresolved_decay_written_as_nan(self, tmp_path):
+        """At so small an amplitude fewer than four coefficients clear
+        ``waves.NOISE_FLOOR``: the point is kept and its decay_c is nan."""
+        out = tmp_path / "branch.csv"
+        assert cli.main(["waves", "--m", "3", "--xi-max", "1e-6", "--steps", "1",
+                         "--harmonics", "8", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["decay_c"] == "nan"
+
     @pytest.mark.parametrize(
         "field,argv",
         [
@@ -621,6 +640,24 @@ class TestNormalformCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nf.json"]
 
 
+#: Each subcommand's work entry, as the benchmark's job host marks them, and
+#: the arguments of a small run that reaches it (its output options last).
+WORK_RUNS = [
+    pytest.param(evolve, "run", ["evolve", "--out"], id="evolve.run"),
+    pytest.param(evolve, "lifespan_experiment", ["normalform", "--out-prefix"],
+                 id="evolve.lifespan_experiment"),
+    pytest.param(resonance, "min_denominator",
+                 ["resonance", "--p", "3", "--bound", "9", "--out"],
+                 id="resonance.min_denominator"),
+    pytest.param(resonance, "search_resonances_p6",
+                 ["resonance", "--p", "6", "--bound", "9", "--out"],
+                 id="resonance.search_resonances_p6"),
+    pytest.param(waves, "continue_branch",
+                 ["waves", "--m", "3", "--xi-max", "0.05", "--steps", "2", "--out"],
+                 id="waves.continue_branch"),
+]
+
+
 class TestRunBoundary:
     """The config is read once, output paths are checked before any work,
     and a failure is reported without a traceback."""
@@ -670,22 +707,25 @@ class TestRunBoundary:
          ("--json-out", "missing/x"), ("--json-out", "taken"),
          ("--state-out", "missing/x"), ("--state-out", "taken"),
          # a prefix names no file itself, so only its directory must exist
-         ("--out-prefix", "missing/x")],
+         ("--out-prefix", "missing/x"),
+         # no file name: each would fail to write or write a hidden file
+         ("--out", ""), ("--json-out", ""), ("--state-out", ""), ("--out-prefix", ""),
+         ("--out-prefix", "taken/"), ("--out-prefix", "."), ("--out-prefix", "taken/..")],
     )
     def test_bad_output_path_exits_2_before_any_work(self, tmp_path, capsys,
-                                                     option, path):
+                                                     monkeypatch, option, path):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}
                                   if option == "--out-prefix" else SMALL_RUN))
         (tmp_path / "taken").mkdir()
-        path, good = str(tmp_path / path), str(tmp_path / "good.csv")
         argv = {
             "--out": ["dispersion", "--n-max", "9", "--out", path],
             "--json-out": ["waves", "--m", "3", "--xi-max", "0.05", "--steps", "2",
-                           "--out", good, "--json-out", path],
-            "--state-out": ["evolve", "--config", str(cfg), "--out", good,
+                           "--out", "good.csv", "--json-out", path],
+            "--state-out": ["evolve", "--config", "cfg.json", "--out", "good.csv",
                             "--state-out", path],
-            "--out-prefix": ["normalform", "--config", str(cfg), "--out-prefix", path],
+            "--out-prefix": ["normalform", "--config", "cfg.json", "--out-prefix", path],
         }[option]
         assert cli.main(argv) == 2
         assert f"error: {option}: " in capsys.readouterr().err
@@ -709,6 +749,66 @@ class TestRunBoundary:
         assert cli.main(argv) == 1
         assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "nf.series.csv"]
+
+    @pytest.mark.parametrize("module,name,argv", WORK_RUNS)
+    def test_run_failure_exits_1_without_manifest(self, tmp_path, capsys,
+                                                  monkeypatch, module, name, argv):
+        def failing(*args, **kwargs):
+            raise RuntimeError(f"{name} failed")
+
+        monkeypatch.setattr(module, name, failing)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}
+                                  if argv[0] == "normalform" else SMALL_RUN))
+        argv = [*argv, str(tmp_path / "out")]
+        if argv[0] in ("evolve", "normalform"):
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {name} failed\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_interrupt_passes_through(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(resonance, "min_denominator", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["resonance", "--p", "3", "--bound", "9",
+                      "--out", str(tmp_path / "out")])
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("module,name,argv", WORK_RUNS[2:])
+    def test_library_value_error_exits_2(self, tmp_path, capsys, monkeypatch,
+                                         module, name, argv):
+        def rejecting(*args, **kwargs):
+            raise ValueError("bound: must be an integer >= 9")
+
+        monkeypatch.setattr(module, name, rejecting)
+        assert cli.main([*argv, str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: bound: must be an integer >= 9\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_dead_stepping_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        """A stepping worker that dies, as in an out-of-memory kill, ends the
+        sweep with one error line, no data file, no manifest and no child."""
+        caller = os.getpid()
+
+        def killed(*args):
+            if os.getpid() == caller:
+                raise AssertionError("the sweep did not fork")
+            os._exit(3)
+
+        monkeypatch.setattr(evolve, "_march", killed)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05],
+                                   "t_end": SMALL_RUN["dt"] * evolve.FORK_MIN_STEPS}))
+        argv = ["normalform", "--config", str(cfg), "--out-prefix", str(tmp_path / "nf")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: the stepping worker ended with exit status 3 before its last record\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "config,argv,code",

@@ -323,6 +323,13 @@ class TestRun:
         assert trajectory.stopped_early
         assert trajectory.stop_time == 0.0
 
+    def test_restart_on_another_lattice_rejected(self):
+        cfg = ev.SimConfig(**CHEAP, dt=0.01, t_end=0.1, corrected_energies=False)
+        other = ev.initial_state(dataclasses.replace(cfg, n_max=24))
+        lattices = r"\(m=3, n_max=24\) does not match config \(m=3, n_max=12\)"
+        with pytest.raises(ValueError, match=lattices):
+            ev.run(cfg, initial=other)
+
 
 def assert_same_trajectory(a, b):
     assert a.config == b.config

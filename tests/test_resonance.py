@@ -558,3 +558,11 @@ class TestCertificates:
         rs.certify(rs.min_denominator(3, 20), a)
         rs.certify(rs.min_denominator(3, 20), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError):
+            rs.certify(rs.min_denominator(3, 9), taken)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert not any(taken.iterdir())
