@@ -5,7 +5,7 @@ the subcommand, a SHA-256 of the configuration, the tool version, the seed
 and the wall time.  Data outputs are byte-deterministic for a fixed
 (subcommand, config, seed, version): floats are printed with 17 significant
 digits and exact rationals as "p/q" strings.  Files are written atomically
-(temp file + rename).
+(temp file + rename, ``_atomic.write_text``).
 
 A run config (``evolve``, ``normalform``) is a JSON object, read once by
 ``validate_config``: it fills in the defaults of ``evolve.SimConfig``, takes
@@ -20,8 +20,12 @@ functions they call, with the same number rules; ``dispersion`` bounds its
 (``initial_state``) must be a ``SpectralField.to_dict`` on the configured
 lattice.  Exit code 2 means a bad config, restart state, arguments or
 output path, naming each offending field or option, before any work
-starts (an output whose last path component is empty, ``.`` or ``..``, as
-in ``--out ""`` or ``--out-prefix d/``, included).  Exit code 1 means the
+starts.  ``_run_files`` lists every file a run writes once: its data files,
+the pair an ``--out-prefix`` names and the manifest.  A bad output path is
+one whose directory is missing or that is a directory, an option whose
+last path component is empty, ``.`` or ``..`` (``--out ""``,
+``--out-prefix d/``), or two files that are one (``--out x --json-out x``,
+or a data file that is also the manifest).  Exit code 1 means the
 run failed: an unwritable output, an instability or a stepping worker that
 died.  Either way ``main`` prints one ``error:`` line and writes no
 manifest.
@@ -47,7 +51,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, _atomic
 from .dispersion import MAX_TABLE_MODE, MIN_MODE, dispersion, smoothing_symbol
 
 if TYPE_CHECKING:
@@ -62,30 +66,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``<path>.tmp`` and rename it onto ``path``; a failed
-    write or rename removes the temp file."""
-    tmp = f"{path}.tmp"
-    handle = open(tmp, "w", newline="")
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
-
-
 def _write_csv(path: str, header: list, rows: list) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write_text(path, buffer.getvalue())
+    _atomic.write_text(path, buffer.getvalue())
 
 
 def _write_json(path: str, data: dict) -> None:
-    _atomic_write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
+    _atomic.write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _manifest_sha256():
@@ -106,16 +96,15 @@ def _manifest_sha256():
 
 
 def emit_manifest(
-    primary_output: str,
+    path: str,
     subcommand: str,
     config_bytes: bytes,
     outputs: list,
     seed: int | None,
     started: float,
-) -> str:
-    """Write the run manifest next to the primary output; returns its path."""
+) -> None:
+    """Write the run manifest to ``path``, listing the data files ``outputs``."""
     sha256 = _manifest_sha256()
-    path = f"{primary_output}.manifest.json"
     _write_json(
         path,
         {
@@ -127,7 +116,6 @@ def emit_manifest(
             "seed": seed,
         },
     )
-    return path
 
 
 def validate_config(path: str, subcommand: str) -> tuple:
@@ -204,7 +192,7 @@ def _trajectory_rows(trajectory: evolve.Trajectory, prefix: tuple = ()) -> list:
 _TRAJ_HEADER = ["t", "Es", "Es_c3", "Es_c34", "Es_c345", "hs_norm", "mean_res", "sym_res"]
 
 
-def cmd_dispersion(args) -> tuple:
+def cmd_dispersion(args, paths: list) -> tuple:
     if not MIN_MODE <= args.n_max <= MAX_TABLE_MODE:
         raise ConfigError(
             f"n_max: must be an integer from {MIN_MODE} to {MAX_TABLE_MODE}"
@@ -223,14 +211,14 @@ def cmd_dispersion(args) -> tuple:
             ]
         )
     _write_csv(
-        args.out,
+        paths[0],
         ["n", "lambda_exact", "sigma_exact", "lambda_float", "sigma_float"],
         rows,
     )
-    return args.out, _arguments(args, "n_max"), [args.out], None
+    return _arguments(args, "n_max"), None
 
 
-def cmd_resonance(args) -> tuple:
+def cmd_resonance(args, paths: list) -> tuple:
     from . import resonance
 
     try:
@@ -240,39 +228,36 @@ def cmd_resonance(args) -> tuple:
             report = resonance.min_denominator(args.p, args.bound)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    resonance.certify(report, args.out)
-    return args.out, _arguments(args, "p", "bound"), [args.out], None
+    resonance.certify(report, paths[0])
+    return _arguments(args, "p", "bound"), None
 
 
-def cmd_evolve(args) -> tuple:
+def cmd_evolve(args, paths: list) -> tuple:
     from . import evolve
 
     sim, extras, config_bytes = validate_config(args.config, "evolve")
     trajectory = evolve.run(sim, initial=extras["initial_state"])
-    _write_csv(args.out, _TRAJ_HEADER, _trajectory_rows(trajectory))
-    outputs = [args.out]
-    if args.state_out:
-        _write_json(args.state_out, trajectory.states[-1].to_dict())
-        outputs.append(args.state_out)
-    return args.out, config_bytes, outputs, sim.seed
+    _write_csv(paths[0], _TRAJ_HEADER, _trajectory_rows(trajectory))
+    if args.state_out is not None:
+        _write_json(paths[1], trajectory.states[-1].to_dict())
+    return config_bytes, sim.seed
 
 
-def cmd_normalform(args) -> tuple:
+def cmd_normalform(args, paths: list) -> tuple:
     from . import evolve
 
     sim, extras, config_bytes = validate_config(args.config, "normalform")
-    series_path = f"{args.out_prefix}.series.csv"
-    slopes_path = f"{args.out_prefix}.slopes.json"
+    series_path, slopes_path = paths
     report = evolve.lifespan_experiment(extras["eps_list"], sim)
     rows = []
     for eps, trajectory in zip(report.epsilons, report.trajectories):
         rows.extend(_trajectory_rows(trajectory, prefix=(_fmt(eps),)))
     _write_csv(series_path, ["eps"] + _TRAJ_HEADER, rows)
     _write_json(slopes_path, report.to_dict())
-    return slopes_path, config_bytes, [series_path, slopes_path], sim.seed
+    return config_bytes, sim.seed
 
 
-def cmd_waves(args) -> tuple:
+def cmd_waves(args, paths: list) -> tuple:
     from . import waves
 
     try:
@@ -294,13 +279,10 @@ def cmd_waves(args) -> tuple:
             [_fmt(point.xi), _fmt(point.speed), _fmt(point.residual_norm), decay]
             + [_fmt(c) for c in point.cosine_coeffs]
         )
-    _write_csv(args.out, header, rows)
-    outputs = [args.out]
-    if args.json_out:
-        _write_json(args.json_out, branch.to_dict())
-        outputs.append(args.json_out)
-    config = _arguments(args, "m", "xi_max", "steps", "harmonics")
-    return args.out, config, outputs, None
+    _write_csv(paths[0], header, rows)
+    if args.json_out is not None:
+        _write_json(paths[1], branch.to_dict())
+    return _arguments(args, "m", "xi_max", "steps", "harmonics"), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,40 +332,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_outputs(args) -> None:
-    """Raise ConfigError naming each given output option whose last path
-    component is empty, ``.`` or ``..``, whose directory is missing or whose
-    path is a directory; ``--out-prefix`` names no file itself, so it is not
-    checked for the last."""
-    problems = []
-    for name in ("out", "json_out", "state_out", "out_prefix"):
+#: The output options, in the order the manifest lists their files.
+_OUTPUT_OPTIONS = ("out", "out_prefix", "json_out", "state_out")
+
+
+def _run_files(args) -> list:
+    """Every file the run writes, as (option, path) pairs: its data files in
+    the order the manifest lists them, then the manifest.  ``--out-prefix``
+    names the ``.series.csv`` and ``.slopes.json`` pair.  The manifest is
+    ``<primary>.manifest.json``, the primary being the slopes file of
+    ``normalform`` and the ``--out`` file of every other subcommand.
+    Raises ConfigError naming each output option that ends in no file name
+    (its last path component empty, ``.`` or ``..``)."""
+    files, problems = [], []
+    for name in _OUTPUT_OPTIONS:
         path = getattr(args, name, None)
         if path is None:
             continue
         option = "--" + name.replace("_", "-")
-        directory = os.path.dirname(path) or os.curdir
         if os.path.basename(path) in ("", os.curdir, os.pardir):
             problems.append(f"{option}: {path!r} ends in no file name")
-        elif not os.path.isdir(directory):
-            problems.append(f"{option}: directory {directory} does not exist")
-        elif name != "out_prefix" and os.path.isdir(path):
-            problems.append(f"{option}: {path} is a directory")
+        elif name == "out_prefix":
+            files += [(option, f"{path}.series.csv"), (option, f"{path}.slopes.json")]
+        else:
+            files.append((option, path))
     if problems:
         raise ConfigError("; ".join(problems))
+    option, primary = files[-1] if args.subcommand == "normalform" else files[0]
+    return files + [(option, f"{primary}.manifest.json")]
+
+
+def _check_outputs(files: list) -> None:
+    """Raise ConfigError naming the option of each file of ``files`` whose
+    directory is missing or whose path is a directory, and the options of
+    any two files that are one."""
+    problems = []
+    options_of = {}
+    for option, path in files:
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            problems.append(f"{option}: directory {directory} does not exist")
+        elif os.path.isdir(path):
+            problems.append(f"{option}: {path} is a directory")
+        options_of.setdefault(os.path.realpath(path), []).append((option, path))
+    for same in options_of.values():
+        if len(same) > 1:
+            options = " and ".join(option for option, _ in same)
+            problems.append(f"{options}: name one file, {same[-1][1]}")
+    if problems:
+        # an option's files share its directory: report a missing one once
+        raise ConfigError("; ".join(dict.fromkeys(problems)))
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; its exit code.  Each ``cmd_*`` handler writes
-    its data files and returns (primary output, config bytes, outputs,
-    seed) for the manifest.  Every run failure the library raises is a
-    RuntimeError; an exception outside the classes caught here is a bug and
-    keeps its traceback."""
+    """Run one subcommand; its exit code.  ``_run_files`` lists the files
+    the run writes, which are checked before any work.  Each ``cmd_*``
+    handler gets the paths of its data files, writes them and returns the
+    manifest's config bytes and seed.  Every run failure the library raises
+    is a RuntimeError; an exception outside the classes caught here is a
+    bug and keeps its traceback."""
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        _check_outputs(args)
-        primary, config_bytes, outputs, seed = args.func(args)
-        emit_manifest(primary, args.subcommand, config_bytes, outputs, seed, started)
+        files = _run_files(args)
+        _check_outputs(files)
+        *outputs, manifest = [path for _, path in files]
+        config_bytes, seed = args.func(args, outputs)
+        emit_manifest(manifest, args.subcommand, config_bytes, outputs, seed, started)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

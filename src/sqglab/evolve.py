@@ -38,8 +38,10 @@ plain RK4 expression, so every state has the bits that expression gives.
 A long sweep runs in two processes.  Once the chain and the initial states
 exist, ``_lockstep`` forks a worker (a bare ``os.fork``) that runs the RK4
 loop, with the norms, stopping and blow-up, and pickles each recorded step's
-states onto a pipe as it takes them, while this process evaluates them
-(quadratic term, corrected energies, their derivatives and the residuals).
+states, each with its quadratic-term spectrum, onto a pipe as it takes them,
+while this process evaluates only the chain on them (corrected energies and
+their derivatives) and reads the residuals.  The quadratic term is computed
+where the states are stepped, so this process never loads ``numpy.fft``.
 Every output is bit for bit what one process computes, and one process
 computes it for ``run``, a short sweep, while other threads are running, or
 where the platform cannot fork.  A worker error is raised here with its type
@@ -502,16 +504,19 @@ def _march(
 ) -> tuple:
     """The stepping half of ``_lockstep``: the RK4 loop, blow-up and stopping.
 
-    At each recorded step, ``emit(t, runs, rows, norms)`` gets the runs
-    recorded there (in sweep order), their states as the rows of one array
-    and their H^s norms.  Returns the stop time of each run (None if it did
+    At each recorded step, ``emit(t, runs, rows, norms, spectra)`` gets the
+    runs recorded there (in sweep order), their states as the rows of one
+    array, their H^s norms and the ``full_product_spectrum`` of each state,
+    computed on its bare row as a lone state's would be (a linear run
+    records it too).  Returns the stop time of each run (None if it did
     not stop) and the (run, step, norm ratio) of the first run to blow up,
     or None.  Reads nothing that ``emit`` computes.
     """
     cfg = configs[0]
     modes = initials[0].modes
     half_phase = np.exp(-0.5j * dispersion_float(modes) * cfg.dt)
-    quad = None if cfg.linear_only else _QuadraticTerm(cfg.m, cfg.n_max)
+    op = _QuadraticTerm(cfg.m, cfg.n_max)
+    quad = None if cfg.linear_only else op
     weights = sobolev_weight(modes, cfg.s)
     n_steps = int(round(cfg.t_end / cfg.dt))
     stop_times = [None] * len(configs)
@@ -555,7 +560,8 @@ def _march(
         if recorded and keep.any():
             t = k * cfg.dt
             rows = np.flatnonzero(keep)
-            emit(t, [active[r] for r in rows], coeffs[rows], norm[rows])
+            spectra = [op.full_product_spectrum(coeffs[r]) for r in rows]
+            emit(t, [active[r] for r in rows], coeffs[rows], norm[rows], spectra)
             for r in rows:
                 i = active[r]
                 if stop_norms[i] is not None and float(norm[r]) >= stop_norms[i]:
@@ -575,9 +581,9 @@ def _serve_march(receiver, sender, configs, initials, stop_norms) -> None:
 
     sent = 0
 
-    def emit(t, runs, rows, norms):
+    def emit(t, runs, rows, norms, spectra):
         nonlocal sent
-        pickle.dump(("record", (t, runs, rows, norms)), sender)
+        pickle.dump(("record", (t, runs, rows, norms, spectra)), sender)
         sender.flush()
         sent += len(runs)
 
@@ -663,24 +669,25 @@ def _lockstep(
     neither stepped nor checked for blow-up.  At a recorded step or a
     blow-up, one keep mask collects the runs that leave the batch.  Each
     record also evaluates the chain's derivatives of ``derivative_levels``,
-    if any, from the quadratic term it computes for the mean drift.  Returns
-    the trajectories in order; raises the first failing run's
-    InstabilityError after the earlier runs are complete.
+    if any, from the quadratic term that ``_march`` sends with the state for
+    the mean drift.  Returns the trajectories in order; raises the first
+    failing run's InstabilityError after the earlier runs are complete.
 
     ``_march`` steps and this function evaluates the records it emits.  A
     sweep (``derivative_levels`` given) of at least FORK_MIN_STEPS steps
     marches in a forked worker when it can; both ways record the same bits.
     """
     cfg = configs[0]
-    op = _QuadraticTerm(cfg.m, cfg.n_max)
+    # the stored modes in the spectra's rfft layout, ``_QuadraticTerm.stored``
+    stored = slice(cfg.m, cfg.n_max + 1, cfg.m)
     # times, states, rows and derivatives of each run
     records = [([], [], [], []) for _ in configs]
 
-    def record(t: float, runs: list, rows: np.ndarray, norms: np.ndarray) -> None:
-        for i, row, norm in zip(runs, rows, norms):
+    def record(t: float, runs: list, rows: np.ndarray, norms: np.ndarray,
+               spectra: list) -> None:
+        for i, row, norm, spectrum in zip(runs, rows, norms, spectra):
             norm = float(norm)
             state = initials[i].with_coeffs(row)
-            spectrum = op.full_product_spectrum(state.coeffs)
             if chain is not None:
                 levels = chain.levels(state)
             else:
@@ -690,7 +697,7 @@ def _lockstep(
             states.append(state)
             table.append([*levels, norm, mean_drift(state, spectrum), symmetry_residual(state)])
             if derivative_levels:
-                inserted = state.with_coeffs(spectrum[op.stored])
+                inserted = state.with_coeffs(spectrum[stored])
                 values = chain._derivatives(state, derivative_levels, inserted)
                 derivatives.append([value.real for value in values])
 

@@ -46,7 +46,6 @@ for exact confirmation.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -54,6 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _atomic
 from .dispersion import MIN_MODE, _integer, _root_floor, dispersion, dispersion_float
 
 #: Margin added to float pre-filters before exact confirmation.  For
@@ -450,18 +450,9 @@ def search_resonances_p6(bound: int = 20) -> ResonanceReport:
 
 
 def certify(report: ResonanceReport, path) -> None:
-    """Write the report as a byte-reproducible JSON certificate, through
-    ``<path>.tmp``; a failed write or rename removes the temp file."""
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    tmp = f"{path}.tmp"
-    handle = open(tmp, "w")
-    try:
-        with handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    """Write the report as a byte-reproducible JSON certificate, atomically
+    (``_atomic.write_text``)."""
+    _atomic.write_text(path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def load_certificate(path) -> ResonanceReport:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqglab
-from sqglab import cli, evolve, resonance, waves
+from sqglab import _atomic, cli, evolve, resonance, waves
 from sqglab.dispersion import MAX_TABLE_MODE
 from sqglab.evolve import SimConfig
 
@@ -732,23 +732,63 @@ class TestRunBoundary:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
         assert not any((tmp_path / "taken").iterdir())
 
+    @pytest.mark.parametrize(
+        "argv,directory,error",
+        [
+            pytest.param(["waves", "--m", "3", "--xi-max", "0.02", "--steps", "2",
+                          "--out", "same.csv", "--json-out", "same.csv"], None,
+                         "--out and --json-out: name one file, same.csv", id="one_file_twice"),
+            pytest.param(["waves", "--m", "3", "--xi-max", "0.02", "--steps", "2",
+                          "--out", "w.csv", "--json-out", "./w.csv.manifest.json"], None,
+                         "--json-out and --out: name one file, w.csv.manifest.json",
+                         id="data_file_is_the_manifest"),
+            pytest.param(["normalform", "--config", "cfg.json", "--out-prefix", "nf"],
+                         "nf.series.csv", "--out-prefix: nf.series.csv is a directory",
+                         id="prefix_file_is_a_directory"),
+            pytest.param(["resonance", "--p", "3", "--bound", "9", "--out", "out.json"],
+                         "out.json.manifest.json",
+                         "--out: out.json.manifest.json is a directory",
+                         id="manifest_is_a_directory"),
+        ],
+    )
+    def test_every_file_a_run_writes_checked_before_any_work(
+            self, tmp_path, capsys, monkeypatch, argv, directory, error):
+        """The data files an option derives and the manifest are checked with
+        the options themselves, and two outputs may not be one file."""
+        def refused(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for param in WORK_RUNS:
+            module, name, _ = param.values
+            monkeypatch.setattr(module, name, refused)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}))
+        made = ["cfg.json"]
+        if directory is not None:
+            (tmp_path / directory).mkdir()
+            made.append(directory)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(made)
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         taken = tmp_path / "taken"
         taken.mkdir()
         with pytest.raises(IsADirectoryError):
-            cli._atomic_write_text(str(taken), "x")
+            _atomic.write_text(str(taken), "x")
         with pytest.raises(UnicodeEncodeError):
-            cli._atomic_write_text(str(tmp_path / "a.csv"), "\ud800")
+            _atomic.write_text(str(tmp_path / "a.csv"), "\ud800")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        # the data file's path passes the checks; its temp file's is a directory
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}))
-        (tmp_path / "nf.series.csv").mkdir()
+        (tmp_path / "nf.series.csv.tmp").mkdir()
         argv = ["normalform", "--config", str(cfg), "--out-prefix", str(tmp_path / "nf")]
         assert cli.main(argv) == 1
         assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "nf.series.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "nf.series.csv.tmp"]
 
     @pytest.mark.parametrize("module,name,argv", WORK_RUNS)
     def test_run_failure_exits_1_without_manifest(self, tmp_path, capsys,
@@ -826,7 +866,7 @@ class TestRunBoundary:
     )
     def test_failure_exits_without_traceback(self, tmp_path, config, argv, code):
         """``python -m sqglab.cli`` reports each failure as one error line."""
-        (tmp_path / "taken" / "nf.series.csv").mkdir(parents=True)
+        (tmp_path / "taken" / "nf.series.csv.tmp").mkdir(parents=True)
         (tmp_path / "cfg.json").write_text(json.dumps({**SMALL_RUN, **config}))
         env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
         result = subprocess.run(

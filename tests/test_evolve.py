@@ -11,9 +11,12 @@ import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,6 +653,26 @@ class TestSteppingWorker:
         assert str(forked) == str(alone) and forked.last_time == alone.last_time
         assert_same_trajectory(forked.trajectory, alone.trajectory)
         assert_same_bits(forked.trajectory.derivatives, alone.trajectory.derivatives)
+
+    def test_recording_process_leaves_fft_unloaded(self):
+        """The worker sends each recorded state with its quadratic term, so
+        a forked sweep's recording process never imports ``numpy.fft``."""
+        script = (
+            "import os, sys, threading\n"
+            "from sqglab import evolve as ev\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            f"cfg = ev.SimConfig(**{CHEAP!r}, dt=0.02, t_end=0.02 * ev.FORK_MIN_STEPS,\n"
+            "                    diagnostics_stride=ev.FORK_MIN_STEPS // 10)\n"
+            "assert threading.active_count() == 1\n"
+            "report = ev.lifespan_experiment([0.1, 0.05], cfg)\n"
+            "print(len(forks), sum(len(t.states) for t in report.trajectories),\n"
+            "      'numpy.fft' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ev.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["1", "22", "False"]
 
     def test_short_sweeps_and_runs_do_not_fork(self, forks):
         short = dataclasses.replace(self.CFG, t_end=0.02 * (ev.FORK_MIN_STEPS - 1))
