@@ -9,10 +9,10 @@ digits and exact rationals as "p/q" strings.  Files are written atomically
 
 A run config (``evolve``, ``normalform``) is a JSON object, read once by
 ``validate_config``: it fills in the defaults of ``evolve.SimConfig``, takes
-the subcommand's own field and rejects every other key; the manifest
-digests the bytes it parsed.  Every rule on the values lives in
-``evolve.config_problems``, which ``SimConfig`` enforces for library
-callers too.  The rules of a ``normalform`` sweep live in
+the subcommand's own field and rejects every other key (and a sweep's
+``epsilon``); the manifest digests the bytes it parsed.  Every rule on the
+values lives in ``evolve.config_problems``, which ``SimConfig`` enforces
+for library callers too.  The rules of a ``normalform`` sweep live in
 ``evolve.sweep_problems``, which ``lifespan_experiment`` enforces.  The
 arguments of ``waves`` and ``resonance`` are checked by the library
 functions they call, with the same number rules; ``dispersion`` bounds its
@@ -21,14 +21,14 @@ functions they call, with the same number rules; ``dispersion`` bounds its
 lattice.  Exit code 2 means a bad config, restart state, arguments or
 output path, naming each offending field or option, before any work
 starts.  ``_run_files`` lists every file a run writes once: its data files,
-the pair an ``--out-prefix`` names and the manifest.  A bad output path is
-one whose directory is missing or that is a directory, an option whose
-last path component is empty, ``.`` or ``..`` (``--out ""``,
-``--out-prefix d/``), or two files that are one (``--out x --json-out x``,
-or a data file that is also the manifest).  Exit code 1 means the
-run failed: an unwritable output, an instability or a stepping worker that
-died.  Either way ``main`` prints one ``error:`` line and writes no
-manifest.
+the pair an ``--out-prefix`` names and the manifest, each checked with its
+temp file (``_atomic.temp_path``).  A bad output path is one whose
+directory is missing or that is a directory, an option whose last path
+component is empty, ``.`` or ``..`` (``--out ""``, ``--out-prefix d/``),
+or two files that are one (``--out x --json-out x``, or a data file that is
+the manifest or another's temp file).  Exit code 1 means the run failed:
+an unwritable output, an instability or a stepping worker that died.
+Either way ``main`` prints one ``error:`` line and writes no manifest.
 
 Each subcommand imports the library module it runs (``evolve``,
 ``resonance``, ``waves``) when it runs, and the package imports ``field``
@@ -144,6 +144,9 @@ def validate_config(path: str, subcommand: str) -> tuple:
     own = {"evolve": {"initial_state": None},
            "normalform": {"eps_list": [0.1, 0.05, 0.025]}}[subcommand]
     unknown = raw.keys() - defaults.keys() - own.keys()
+    if subcommand == "normalform":
+        # a sweep reads eps_list, never epsilon
+        unknown |= raw.keys() & {"epsilon"}
     problems = [f"{key}: unknown field" for key in unknown]
     values = {name: raw.get(name, default) for name, default in defaults.items()}
     extras = {name: raw.get(name, default) for name, default in own.items()}
@@ -363,22 +366,26 @@ def _run_files(args) -> list:
 
 
 def _check_outputs(files: list) -> None:
-    """Raise ConfigError naming the option of each file of ``files`` whose
-    directory is missing or whose path is a directory, and the options of
-    any two files that are one."""
+    """Raise ConfigError naming the option of each file of ``files``, or of
+    its temp file, whose directory is missing or whose path is a directory,
+    and the options of any two of those that are one."""
     problems = []
     options_of = {}
     for option, path in files:
-        directory = os.path.dirname(path) or os.curdir
-        if not os.path.isdir(directory):
-            problems.append(f"{option}: directory {directory} does not exist")
-        elif os.path.isdir(path):
-            problems.append(f"{option}: {path} is a directory")
-        options_of.setdefault(os.path.realpath(path), []).append((option, path))
+        for written in (path, _atomic.temp_path(path)):
+            directory = os.path.dirname(written) or os.curdir
+            if not os.path.isdir(directory):
+                problems.append(f"{option}: directory {directory} does not exist")
+            elif os.path.isdir(written):
+                problems.append(f"{option}: {written} is a directory")
+            options_of.setdefault(os.path.realpath(written), []).append((option, written))
+    # two files that are one share a temp file: report them once
+    collisions = {}
     for same in options_of.values():
         if len(same) > 1:
             options = " and ".join(option for option, _ in same)
-            problems.append(f"{options}: name one file, {same[-1][1]}")
+            collisions.setdefault(options, f"{options}: name one file, {same[-1][1]}")
+    problems += collisions.values()
     if problems:
         # an option's files share its directory: report a missing one once
         raise ConfigError("; ".join(dict.fromkeys(problems)))

@@ -35,17 +35,18 @@ Its transforms are pocketfft's gufuncs, called as ``np.fft`` calls them but
 without its wrappers, and each stage keeps the operations and order of the
 plain RK4 expression, so every state has the bits that expression gives.
 
-A long sweep runs in two processes.  Once the chain and the initial states
-exist, ``_lockstep`` forks a worker (a bare ``os.fork``) that runs the RK4
-loop, with the norms, stopping and blow-up, and pickles each recorded step's
+A run and a sweep of any length march in two processes whenever this
+process can fork safely: the platform has ``os.fork`` and no other Python
+thread is running.  Once the chain and the initial states exist,
+``_lockstep`` forks a worker (a bare ``os.fork``) that runs the RK4 loop,
+with the norms, stopping and blow-up, and pickles each recorded step's
 states, each with its quadratic-term spectrum, onto a pipe as it takes them,
 while this process evaluates only the chain on them (corrected energies and
 their derivatives) and reads the residuals.  The quadratic term is computed
 where the states are stepped, so this process never loads ``numpy.fft``.
-Every output is bit for bit what one process computes, and one process
-computes it for ``run``, a short sweep, while other threads are running, or
-where the platform cannot fork.  A worker error is raised here with its type
-and message, and the worker is reaped on every path.
+Where forking is impossible or unsafe, one process runs the same loop and
+records the same bits.  A worker error is raised here with its type and
+message, and the worker is reaped on every path.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .field import (
     _QuadraticTerm,
     hs_norm,
     mean_drift,
+    sobolev_energy,
     sobolev_weight,
     symmetry_residual,
 )
@@ -485,17 +487,6 @@ def run(
     return _lockstep([cfg], [f], chain, [stop_norm])[0]
 
 
-#: Fewest steps for which a sweep forks a stepping worker.  Forking and
-#: reaping it cost about 8 ms, and the two processes slow each other.  At the
-#: perfbench ``normalform`` config on two vCPUs (median of 15 fresh processes
-#: each way, chain built beforehand), the sweep takes 102 ms in one process
-#: and 79 ms forked at 250 steps, 228 and 155 ms at 500, 288 and 184 ms at
-#: 750, and 396 and 286 ms at 1000.  The fork won 14, 15 and 14 of the 15
-#: runs from 500 steps on, but only 10 at 250, where an earlier measurement
-#: had one process ahead (74 against 88 ms).
-FORK_MIN_STEPS = 500
-
-
 def _march(
     configs: Sequence[SimConfig],
     initials: Sequence[SpectralField],
@@ -673,9 +664,10 @@ def _lockstep(
     the mean drift.  Returns the trajectories in order; raises the first
     failing run's InstabilityError after the earlier runs are complete.
 
-    ``_march`` steps and this function evaluates the records it emits.  A
-    sweep (``derivative_levels`` given) of at least FORK_MIN_STEPS steps
-    marches in a forked worker when it can; both ways record the same bits.
+    ``_march`` steps and this function evaluates the records it emits.  It
+    marches in a forked worker whenever the process can fork safely (it has
+    ``os.fork`` and no other thread runs), else here; both ways record the
+    same bits.
     """
     cfg = configs[0]
     # the stored modes in the spectra's rfft layout, ``_QuadraticTerm.stored``
@@ -691,7 +683,7 @@ def _lockstep(
             if chain is not None:
                 levels = chain.levels(state)
             else:
-                levels = (0.5 * norm * norm, np.nan, np.nan, np.nan)
+                levels = (sobolev_energy(state, cfg.s), np.nan, np.nan, np.nan)
             times, states, table, derivatives = records[i]
             times.append(t)
             states.append(state)
@@ -701,14 +693,9 @@ def _lockstep(
                 values = chain._derivatives(state, derivative_levels, inserted)
                 derivatives.append([value.real for value in values])
 
-    march = _march
-    if (
-        derivative_levels
-        and round(cfg.t_end / cfg.dt) >= FORK_MIN_STEPS
-        and hasattr(os, "fork")
-        and threading.active_count() == 1
-    ):
-        march = _march_in_worker
+    # a fork copies only the calling thread, which is unsafe while others run
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    march = _march_in_worker if forks else _march
     # a blown-up state overflows before the norm check in ``_march`` drops it
     with np.errstate(over="ignore", invalid="ignore"):
         stop_times, failure = march(configs, initials, stop_norms, record)

@@ -20,8 +20,9 @@ from sqglab.evolve import SimConfig
 #: Small ``evolve`` and ``normalform`` jobs with the bytes they must write.
 #: Each case directory holds its ``config.json`` and the data files (and, for
 #: a failing job, ``stderr.txt``) that the recording loop wrote when it ran
-#: in one process only.  The ``_long`` sweeps have enough steps to step in a
-#: forked worker (``evolve.FORK_MIN_STEPS``); the others run in one process.
+#: in one process only.  Every job here marches in a forked worker, so these
+#: bytes pin that both ways record the same.  The ``_long`` sweeps are
+#: 1,000-step versions of ``normalform_blowup`` and ``normalform_stops``.
 CLI_OUTPUTS = Path(__file__).resolve().parent / "cli_outputs"
 
 #: JSON values, NaN and the infinities included (json writes them), nested
@@ -35,6 +36,11 @@ JSON = JSON_LEAF | st.lists(JSON_LEAF, max_size=3) | st.dictionaries(
 #: A run config small enough for a fresh process to run in well under a second.
 SMALL_RUN = {"m": 3, "n_max": 12, "s": 2.0, "dt": 0.02, "t_end": 0.4,
              "diagnostics_stride": 5}
+
+#: An ``--out-prefix`` whose series file name is 255 bytes long, the name
+#: limit of common file systems: it passes the output checks, but the name of
+#: its temp file, four bytes longer, cannot be opened once the run is done.
+TOO_LONG_PREFIX = "n" * (255 - len(".series.csv"))
 
 
 def write_config(path, **overrides):
@@ -105,6 +111,15 @@ class TestValidateConfig:
     def test_decimal_step_ratio_accepted(self, tmp_path, t_end, dt):
         path = write_config(tmp_path / "cfg.json", t_end=t_end, dt=dt)
         assert cli.validate_config(path, "evolve")[0].t_end == t_end
+
+    def test_normalform_rejects_epsilon(self, tmp_path, capsys):
+        # a sweep's amplitudes are its eps_list: an epsilon would go unread
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_RUN, "epsilon": 123.0, "eps_list": [0.1, 0.05]}))
+        argv = ["normalform", "--config", str(cfg), "--out-prefix", str(tmp_path / "nf")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: invalid config {cfg}: epsilon: unknown field\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_eps_list_checked(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", eps_list=[0.05, 0.1])
@@ -269,11 +284,9 @@ class TestEvolveCommand:
         assert result.stdout.split() == ["0", "False", "0", "False"]
 
     def test_forked_sweep_leaves_multiprocessing_unloaded(self, tmp_path):
-        """A sweep long enough to step in a forked worker forks it with
-        ``os.fork`` alone."""
+        """A sweep forks its stepping worker with ``os.fork`` alone."""
         sweep = tmp_path / "sweep.json"
-        sweep.write_text(json.dumps({**SMALL_RUN, "t_end": 0.02 * evolve.FORK_MIN_STEPS,
-                                     "diagnostics_stride": 100, "eps_list": [0.1, 0.05]}))
+        sweep.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}))
         argv = ["normalform", "--config", str(sweep), "--out-prefix", str(tmp_path / "nf")]
         script = (
             "import os, sys\n"
@@ -745,6 +758,14 @@ class TestRunBoundary:
             pytest.param(["normalform", "--config", "cfg.json", "--out-prefix", "nf"],
                          "nf.series.csv", "--out-prefix: nf.series.csv is a directory",
                          id="prefix_file_is_a_directory"),
+            pytest.param(["normalform", "--config", "cfg.json", "--out-prefix", "nf"],
+                         "nf.series.csv.tmp",
+                         "--out-prefix: nf.series.csv.tmp is a directory",
+                         id="temp_file_is_a_directory"),
+            pytest.param(["evolve", "--config", "cfg.json", "--out", "traj.csv.tmp",
+                          "--state-out", "traj.csv"], None,
+                         "--out and --state-out: name one file, traj.csv.tmp",
+                         id="data_file_is_a_temp_file"),
             pytest.param(["resonance", "--p", "3", "--bound", "9", "--out", "out.json"],
                          "out.json.manifest.json",
                          "--out: out.json.manifest.json is a directory",
@@ -753,8 +774,9 @@ class TestRunBoundary:
     )
     def test_every_file_a_run_writes_checked_before_any_work(
             self, tmp_path, capsys, monkeypatch, argv, directory, error):
-        """The data files an option derives and the manifest are checked with
-        the options themselves, and two outputs may not be one file."""
+        """The data files an option derives, the manifest and the temp file
+        each is written through are checked with the options themselves,
+        and no two of them may be one file."""
         def refused(*args, **kwargs):
             raise AssertionError("the run started")
 
@@ -781,14 +803,14 @@ class TestRunBoundary:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
-        # the data file's path passes the checks; its temp file's is a directory
+        # the data file's path passes the checks; its temp file cannot be opened
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}))
-        (tmp_path / "nf.series.csv.tmp").mkdir()
-        argv = ["normalform", "--config", str(cfg), "--out-prefix", str(tmp_path / "nf")]
+        argv = ["normalform", "--config", str(cfg),
+                "--out-prefix", str(tmp_path / TOO_LONG_PREFIX)]
         assert cli.main(argv) == 1
-        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "nf.series.csv.tmp"]
+        assert "error: [Errno 36] File name too long" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("module,name,argv", WORK_RUNS)
     def test_run_failure_exits_1_without_manifest(self, tmp_path, capsys,
@@ -840,8 +862,7 @@ class TestRunBoundary:
 
         monkeypatch.setattr(evolve, "_march", killed)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05],
-                                   "t_end": SMALL_RUN["dt"] * evolve.FORK_MIN_STEPS}))
+        cfg.write_text(json.dumps({**SMALL_RUN, "eps_list": [0.1, 0.05]}))
         argv = ["normalform", "--config", str(cfg), "--out-prefix", str(tmp_path / "nf")]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == (
@@ -860,13 +881,13 @@ class TestRunBoundary:
                          id="missing_output_directory"),
             pytest.param({}, ["evolve", "--out", "taken"], 2, id="output_is_a_directory"),
             pytest.param({"eps_list": [0.1, 0.05]},
-                         ["normalform", "--out-prefix", "taken/nf"], 1,
+                         ["normalform", "--out-prefix", TOO_LONG_PREFIX], 1,
                          id="unwritable_output"),
         ],
     )
     def test_failure_exits_without_traceback(self, tmp_path, config, argv, code):
         """``python -m sqglab.cli`` reports each failure as one error line."""
-        (tmp_path / "taken" / "nf.series.csv.tmp").mkdir(parents=True)
+        (tmp_path / "taken").mkdir()
         (tmp_path / "cfg.json").write_text(json.dumps({**SMALL_RUN, **config}))
         env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
         result = subprocess.run(

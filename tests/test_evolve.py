@@ -44,6 +44,19 @@ def cheap_chain():
     return fm.build_chain(**CHEAP)
 
 
+#: Sweeps with large amplitudes and steps: runs stop, blow up or reach
+#: t_end, in any order and at any step, recorded or not.
+SWEEP_DRAWS = dict(
+    eps_list=st.lists(st.integers(16, 32), min_size=2, max_size=3, unique=True).map(
+        lambda quarters: sorted((q / 4 for q in quarters), reverse=True)
+    ),
+    dt=st.floats(0.5, 1.0),
+    n_steps=st.integers(5, 60),
+    stride=st.integers(1, 10),
+    seed=st.integers(0, 3),
+)
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "bad",
@@ -319,6 +332,16 @@ class TestRun:
             s = trajectory.config.s
             assert np.array_equal(column, [sobolev_energy(f, s) for f in trajectory.states])
 
+    def test_bare_energy_does_not_depend_on_the_chain(self):
+        """A run records the same Es bits with and without the chain; at a
+        few of these states ``norm ** 2`` and ``norm * norm`` round apart."""
+        for seed in range(6):
+            for eps in (0.05, 0.1, 0.3):
+                cfg = ev.SimConfig(m=3, n_max=12, s=3.0, t_end=2.0, epsilon=eps,
+                                   diagnostics_stride=5, seed=seed)
+                bare = ev.run(dataclasses.replace(cfg, corrected_energies=False))
+                assert_same_bits(bare.column("es"), ev.run(cfg).column("es"))
+
     def test_stop_norm(self):
         cfg = ev.SimConfig(**CHEAP, dt=0.01, t_end=1.0, epsilon=0.1,
                            corrected_energies=False)
@@ -400,8 +423,9 @@ class TestLifespanExperiment:
         payload = report.to_dict()
         assert set(payload["slopes"]) == {"base", "minus_c3", "full_chain"}
 
-    @pytest.mark.parametrize("t_end", [0.4, 0.02 * ev.FORK_MIN_STEPS])
-    def test_chain_is_freed_before_the_slope_fit(self, monkeypatch, t_end):
+    @pytest.mark.parametrize("forked", [pytest.param(True, id="forked"),
+                                        pytest.param(False, id="one_process")])
+    def test_chain_is_freed_before_the_slope_fit(self, monkeypatch, forked):
         """No cache, closure or trajectory keeps the chain's tables past the
         sweep, forked or not: they are gone when the fit starts."""
         build_chain, tables = fm.build_chain, []
@@ -420,14 +444,18 @@ class TestLifespanExperiment:
 
         monkeypatch.setattr(fm, "build_chain", tracked)
         monkeypatch.setattr(np, "polyfit", fit)
-        cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=t_end, diagnostics_stride=20)
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=0.4, diagnostics_stride=5)
         ev.lifespan_experiment([0.1, 0.05], cfg)
         assert len(tables) == 6 and alive == [0] * len(ev.DERIVATIVE_KEYS)
 
     def test_one_quadratic_term_per_record(self, monkeypatch):
         """A record computes the quadratic term once, for the mean drift and
         the inserted derivatives alike, and the derivatives it keeps are the
-        chain's own at each recorded state, bit for bit."""
+        chain's own at each recorded state, bit for bit.  The calls are
+        counted in one process."""
+        monkeypatch.delattr(os, "fork")
         cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=1.0, diagnostics_stride=10)
         term = type(_QuadraticTerm(cfg.m, cfg.n_max))
         spectrum = term.product_spectrum
@@ -501,19 +529,9 @@ class TestLifespanExperiment:
         assert_same_trajectory(info.value.trajectory, expected.trajectory)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        eps_list=st.lists(st.integers(16, 32), min_size=2, max_size=3, unique=True).map(
-            lambda quarters: sorted((q / 4 for q in quarters), reverse=True)
-        ),
-        dt=st.floats(0.5, 1.0),
-        n_steps=st.integers(5, 60),
-        stride=st.integers(1, 10),
-        seed=st.integers(0, 3),
-    )
+    @given(**SWEEP_DRAWS)
     def test_sweep_matches_sequential_runs_property(self, eps_list, dt, n_steps,
                                                     stride, seed):
-        # large amplitudes and steps: runs stop, blow up or reach t_end, in
-        # any order and at any step, recorded or not
         cfg = ev.SimConfig(**CHEAP, dt=dt, t_end=n_steps * dt,
                            diagnostics_stride=stride, seed=seed)
         alone, failure = [], None
@@ -536,6 +554,34 @@ class TestLifespanExperiment:
             assert info.value.last_time == failure.last_time
             assert_same_trajectory(info.value.trajectory, failure.trajectory)
 
+    @settings(max_examples=25, deadline=None)
+    @given(**SWEEP_DRAWS)
+    def test_one_process_matches_forked_property(self, eps_list, dt, n_steps,
+                                                 stride, seed):
+        """The march in one process, where the platform cannot fork, records
+        what the forked march records, bit for bit, failures included."""
+        cfg = ev.SimConfig(**CHEAP, dt=dt, t_end=n_steps * dt,
+                           diagnostics_stride=stride, seed=seed)
+
+        def sweep():
+            try:
+                return ev.lifespan_experiment(eps_list, cfg).trajectories, None
+            except ev.InstabilityError as exc:
+                return [exc.trajectory], exc
+
+        forked, forked_error = sweep()
+        # a function-scoped fixture would be shared by every example
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delattr(os, "fork")
+            alone, alone_error = sweep()
+        assert (forked_error is None) == (alone_error is None)
+        if forked_error is not None:
+            assert str(forked_error) == str(alone_error)
+            assert forked_error.last_time == alone_error.last_time
+        for a, b in zip(forked, alone, strict=True):
+            assert_same_trajectory(a, b)
+            assert_same_bits(a.derivatives, b.derivatives)
+
     @pytest.mark.parametrize("profile", ["random_band", "single_mode"])
     def test_sweep_matches_row_reduction_oracle(self, monkeypatch, profile):
         # the diagonal product from shared prefixes records what the per-row
@@ -557,7 +603,7 @@ class TestLifespanExperiment:
         assert report.to_dict() == oracle.to_dict()
 
     def test_recorded_levels_are_the_chains(self, forks):
-        # a sweep long enough to step in the worker; the batch shrinks twice
+        # a sweep stepped in the worker; the batch shrinks twice
         cfg = ev.SimConfig(**CHEAP, dt=0.004, t_end=4.0, diagnostics_stride=50)
         report = ev.lifespan_experiment([8.0, 6.0, 3.0], cfg)
         assert len(forks) == 1
@@ -609,15 +655,12 @@ def forks(monkeypatch):
 
 
 class TestSteppingWorker:
-    """The forked process that steps a long sweep: it records what one
-    process records, failures reach the caller, and no path leaves a child
-    behind."""
+    """The forked process that steps every run and sweep where the process
+    can fork: it records what one process records, failures reach the
+    caller, and no path leaves a child behind."""
 
-    #: A sweep of FORK_MIN_STEPS steps, eleven records per run.
-    CFG = ev.SimConfig(
-        **CHEAP, dt=0.02, t_end=0.02 * ev.FORK_MIN_STEPS,
-        diagnostics_stride=ev.FORK_MIN_STEPS // 10,
-    )
+    #: A sweep of 50 steps, eleven records per run.
+    CFG = ev.SimConfig(**CHEAP, dt=0.02, t_end=1.0, diagnostics_stride=5)
 
     @pytest.fixture(autouse=True)
     def reaped(self):
@@ -638,8 +681,8 @@ class TestSteppingWorker:
             assert_same_bits(a.derivatives, b.derivatives)
 
     def test_instability_is_raised_as_in_one_process(self, forks, monkeypatch):
-        cfg = ev.SimConfig(**CHEAP, dt=1.0, t_end=float(ev.FORK_MIN_STEPS),
-                           diagnostics_stride=10, seed=1)
+        cfg = ev.SimConfig(**CHEAP, dt=1.0, t_end=60.0, diagnostics_stride=10,
+                           seed=1)
         errors = []
         for fork in (True, False):
             if not fork:
@@ -662,8 +705,7 @@ class TestSteppingWorker:
             "from sqglab import evolve as ev\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(None) or fork()\n"
-            f"cfg = ev.SimConfig(**{CHEAP!r}, dt=0.02, t_end=0.02 * ev.FORK_MIN_STEPS,\n"
-            "                    diagnostics_stride=ev.FORK_MIN_STEPS // 10)\n"
+            f"cfg = ev.SimConfig(**{CHEAP!r}, dt=0.02, t_end=1.0, diagnostics_stride=5)\n"
             "assert threading.active_count() == 1\n"
             "report = ev.lifespan_experiment([0.1, 0.05], cfg)\n"
             "print(len(forks), sum(len(t.states) for t in report.trajectories),\n"
@@ -674,12 +716,36 @@ class TestSteppingWorker:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.split() == ["1", "22", "False"]
 
-    def test_short_sweeps_and_runs_do_not_fork(self, forks):
-        short = dataclasses.replace(self.CFG, t_end=0.02 * (ev.FORK_MIN_STEPS - 1))
-        ev.lifespan_experiment([0.1, 0.05], short)
-        ev.run(self.CFG)
-        ev.run(dataclasses.replace(self.CFG, corrected_energies=False))
-        assert forks == []
+    @pytest.mark.parametrize("job", ["run", "sweep"])
+    def test_shortest_jobs_fork_once_where_they_can(self, forks, monkeypatch, job):
+        """A one-step run and a two-step sweep each fork once; with another
+        thread running or without ``os.fork`` each runs in one process and
+        records the same bits."""
+        def trajectories():
+            if job == "run":
+                return [ev.run(ev.SimConfig(**CHEAP, dt=0.02, t_end=0.02))]
+            cfg = ev.SimConfig(**CHEAP, dt=0.02, t_end=0.04, diagnostics_stride=1)
+            return ev.lifespan_experiment([0.1, 0.05], cfg).trajectories
+
+        forked = trajectories()
+        assert len(forks) == 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            threaded = trajectories()
+        finally:
+            stop.set()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        alone = trajectories()
+        assert len(forks) == 1
+        for a, b, c in zip(forked, threaded, alone, strict=True):
+            assert len(a.times) == (2 if job == "run" else 3)
+            for other in (b, c):
+                assert_same_trajectory(a, other)
+                assert_same_bits(a.derivatives, other.derivatives)
 
     def test_no_fork_while_another_thread_runs(self, forks):
         stop = threading.Event()
