@@ -23,7 +23,8 @@ __all__ = [
 
 def __getattr__(name):
     # import the field module on first use, so a job that never touches a
-    # field (resonance, waves) does not load it
+    # field (resonance, waves) does not load it, and a dispersion or
+    # resonance job loads no NumPy
     if name in ("SpectralField", "hs_norm", "sobolev_energy"):
         from . import field
 

@@ -31,8 +31,8 @@ an unwritable output, an instability or a stepping worker that died.
 Either way ``main`` prints one ``error:`` line and writes no manifest.
 
 Each subcommand imports the library module it runs (``evolve``,
-``resonance``, ``waves``) when it runs, and the package imports ``field``
-on first use, so a job loads only what it uses.
+``resonance``, ``waves``) when it runs, and the package imports ``field``,
+and ``dispersion`` NumPy, on first use, so a job loads only what it uses.
 The manifest's digest comes from the interpreter's built-in SHA-256
 (``_manifest_sha256``), so no job maps OpenSSL, which ``hashlib`` would load.
 Handlers call through the module attribute (``resonance.min_denominator``),

@@ -21,8 +21,12 @@ m-fold-symmetric class (m >= 3) this package works in, so requesting them is
 a usage error, not a zero.
 
 Rational arithmetic is primary: ``dispersion`` and ``smoothing_symbol``
-return exact ``Fraction`` values.  The ``*_float`` variants are derived,
-vectorized views used by the numerics.
+return exact ``Fraction`` values of an integer mode, and reject any other
+number.  ``dispersion_float``, ``smoothing_symbol_float`` and
+``smoothing_kernel`` are derived, vectorized views used by the numerics;
+each imports NumPy on first use, so a job that needs only the exact symbols
+(``dispersion``, ``resonance``) never loads it.  ``lam_float``, one mode's
+float frequency in pure Python, is the resonance search's float pre-filter.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-
-import numpy as np
 
 #: Smallest admissible mode magnitude.
 MIN_MODE = 3
@@ -44,7 +46,8 @@ MAX_TABLE_MODE = 100_000
 
 # The number rules of every entry point that takes numbers from outside: the
 # run config (``evolve``), ``waves.continue_branch`` and the ``resonance``
-# searches.  They live in this leaf module because every other module imports it.
+# searches (``_integer``), and the modes of the exact symbols (``_whole``).
+# They live in this leaf module because every other module imports it.
 def _finite_real(value) -> bool:
     """True for a finite real number; booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -57,6 +60,12 @@ def _finite_real(value) -> bool:
 
 def _integer(value) -> bool:
     return _finite_real(value) and isinstance(value, numbers.Integral)
+
+
+def _whole(value) -> bool:
+    """True for an integer of any size, the rule of the exact layer, which
+    never converts to float; booleans are not numbers."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _root_floor(limit: int, k: int) -> int:
@@ -72,6 +81,10 @@ def _root_floor(limit: int, k: int) -> int:
 
 
 def _check_mode(n: int) -> int:
+    """The mode as an int; a ValueError names it unless it is an admissible
+    integer (``_whole``: of any size, not a boolean)."""
+    if not _whole(n):
+        raise ValueError(f"mode {n!r} is not an integer")
     n = int(n)
     if abs(n) < MIN_MODE:
         raise ValueError(
@@ -84,7 +97,8 @@ def dispersion(n: int) -> Fraction:
     """Exact oscillation frequency of mode n: sgn(n) (n^2-1)/(n^2-4).
 
     Odd in n, strictly decreasing for n >= 3, with limit 1 at infinity and
-    maximum 8/5 at |n| = 3.  Raises ValueError for |n| <= 2.
+    maximum 8/5 at |n| = 3.  Raises ValueError for |n| <= 2 and for a
+    non-integer n.
     """
     n = _check_mode(n)
     sign = 1 if n > 0 else -1
@@ -94,23 +108,37 @@ def dispersion(n: int) -> Fraction:
 def smoothing_symbol(n: int) -> Fraction:
     """Exact symbol of the convolution operator: (n^2-1)/(|n|^3-4|n|).
 
-    Even in n and equal to dispersion(n)/n.  Raises ValueError for |n| <= 2.
+    Even in n and equal to dispersion(n)/n.  Raises ValueError for |n| <= 2
+    and for a non-integer n.
     """
     n = _check_mode(n)
     a = abs(n)
     return Fraction(n * n - 1, a * a * a - 4 * a)
 
 
-def dispersion_float(n) -> np.ndarray:
+def lam_float(n: int) -> float:
+    """``dispersion(n)`` rounded once to a float, without NumPy: Python's
+    int division rounds correctly, so for |n| < 2**26, where n*n - 1 and
+    n*n - 4 are exact floats, it has the bits of ``dispersion_float``."""
+    n = _check_mode(n)
+    value = (n * n - 1) / (n * n - 4)
+    return value if n > 0 else -value
+
+
+def dispersion_float(n):
     """Float view of ``dispersion``, vectorized over integer arrays."""
+    import numpy as np
+
     n = np.asarray(n, dtype=np.float64)
     if np.any(np.abs(n) < MIN_MODE):
         raise ValueError("dispersion_float: all modes must satisfy |n| >= 3")
     return np.sign(n) * (n * n - 1.0) / (n * n - 4.0)
 
 
-def smoothing_symbol_float(n) -> np.ndarray:
+def smoothing_symbol_float(n):
     """Float view of ``smoothing_symbol``, vectorized over integer arrays."""
+    import numpy as np
+
     n = np.asarray(n, dtype=np.float64)
     if np.any(np.abs(n) < MIN_MODE):
         raise ValueError("smoothing_symbol_float: all modes must satisfy |n| >= 3")
@@ -118,13 +146,15 @@ def smoothing_symbol_float(n) -> np.ndarray:
     return (n * n - 1.0) / (a * a * a - 4.0 * a)
 
 
-def smoothing_kernel(alpha) -> np.ndarray:
+def smoothing_kernel(alpha):
     """Closed-form convolution kernel -(1/8pi)(1 + 3 cos 2a) log(1 - cos a).
 
     Integrable logarithmic singularity at a = 0 (mod 2pi); evaluating there
     raises ValueError.  Its Fourier coefficients equal smoothing_symbol(n)/2pi
     for |n| >= 3, which the test suite confirms by adaptive quadrature.
     """
+    import numpy as np
+
     alpha = np.asarray(alpha, dtype=np.float64)
     one_minus_cos = 1.0 - np.cos(alpha)
     if np.any(one_minus_cos <= 0.0):

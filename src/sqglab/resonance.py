@@ -34,33 +34,40 @@ Zero momentum needs r' >= 1, so p = 3 has no other split; the others give
 keeps the least for each p, and the searched minimum must fall below it.
 
 The search meets in the middle (Horowitz & Sahni, J. ACM 21(2), 1974) over
-multisets.  The sorted q-multisets are built one chunk of whole momentum
-groups at a time from the (q - 1)-multisets, and sorted by momentum and
-float lam(A).  A row's partners B share its momentum: for even p they are
-the chunk's other rows, so no degenerate tuple is built; for odd p, the
-(q - 1)-multisets.  Each row's nearest partner in sort order gives the float
-minimum, and binary search builds only the pairs within FLOAT_MARGIN of it
-for exact confirmation.
+multisets.  A q-multiset's partners B share its momentum: for even p they
+are the other q-multisets, so no degenerate tuple is built; for odd p, the
+(q - 1)-multisets, so no momentum above (p // 2) bound is searched.  Each
+row's nearest partner in float lam order gives the float minimum, and only
+the pairs within FLOAT_MARGIN of it are built for exact confirmation.  The
+search runs in pure Python, one momentum group at a time, and never imports
+NumPy.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
-from typing import Sequence
-
-import numpy as np
+from itertools import accumulate
+from math import comb, factorial, inf
+from operator import add, mul, sub
+from typing import TYPE_CHECKING, Sequence
 
 from . import _atomic
-from .dispersion import MIN_MODE, _integer, _root_floor, dispersion, dispersion_float
+from .dispersion import MIN_MODE, _integer, _root_floor, _whole, dispersion, lam_float
 
-#: Margin added to float pre-filters before exact confirmation.  For
-#: |n| < 2**26, n*n - 1 and n*n - 4 are exact, so ``dispersion_float`` errs
-#: by at most u*|lam(n)| <= u*8/5 (u = 2**-53).  Summing p <= 6 such terms
-#: adds at most (p-1)*u*p*8/5, so a float sum is within 36*u*8/5 < 1e-14 of
-#: the exact one.  The difference of two float multiset sums, lam(A) - lam(B),
+# the benchmark's tracer counts the calls of ``resonance.dispersion_float``;
+# the search makes none, as it forms its floats with ``lam_float``
+from .dispersion import dispersion_float  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Margin added to float pre-filters before exact confirmation.  ``lam_float``
+#: rounds lam(n) once, so it errs by at most u*|lam(n)| <= u*8/5
+#: (u = 2**-53).  Summing p <= 6 such terms adds at most (p-1)*u*p*8/5, so
+#: a float sum is within 36*u*8/5 < 1e-14 of the exact one.  The difference of two float multiset sums, lam(A) - lam(B),
 #: is still p terms summed in some order, so the bound holds.  A row at the
 #: exact minimum (or at zero) therefore lies within 2e-14 of the float minimum
 #: m (or of zero); 1e-12 covers that fifty times over.  A window has width
@@ -68,12 +75,7 @@ from .dispersion import MIN_MODE, _integer, _root_floor, dispersion, dispersion_
 #: binary search cannot leave that row out.
 FLOAT_MARGIN = 1e-12
 
-#: Rows of q-multisets built at a time, in whole momentum groups (a chunk
-#: can exceed it by one group).  Smaller chunks lower the peak but cost a
-#: few NumPy calls each; the benchmark's peaks were measured with this value.
-CHUNK_ROWS = 2**13
-
-#: Most q-multisets (q = p - p // 2) a search builds: C(3163, 2), the pairs
+#: Most q-multisets (q = p - p // 2) a search sums: C(3163, 2), the pairs
 #: at bound 3164.  ``max_bound`` turns it into the largest bound of each p.
 MAX_ROWS = 5_000_703
 
@@ -83,7 +85,14 @@ UNBALANCED_BOUNDS = {4: Fraction(7, 5), 5: Fraction(12, 5), 6: Fraction(4, 5)}
 
 
 def check_tuple(entries: Sequence[int]) -> tuple:
-    entries = tuple(int(n) for n in entries)
+    """The entries as a tuple of ints; raises a ValueError naming the tuple
+    unless it is a zero-sum tuple of admissible integer modes (``_whole``:
+    NumPy integers and integers of any size pass, booleans do not)."""
+    entries = tuple(entries)
+    for n in entries:
+        if not _whole(n):
+            raise ValueError(f"tuple {entries} has a non-integer entry {n!r}")
+    entries = tuple(map(int, entries))
     if sum(entries) != 0:
         raise ValueError(f"tuple {entries} does not sum to zero")
     if any(abs(n) < MIN_MODE for n in entries):
@@ -97,20 +106,19 @@ def lambda_sum(entries: Sequence[int]) -> Fraction:
 
 
 def lambda_sums(rows) -> list:
-    """Exact frequency sums of the zero-sum tuples in the rows of a 2-D
-    integer array, in row order.
+    """Exact frequency sums of the zero-sum tuples in ``rows``, a sequence of
+    tuples or a 2-D integer array, in row order.
 
     Each distinct mode's frequency is formed once, and each row's sum is
     accumulated over a common denominator and reduced once.  A row that is
-    not a zero-sum tuple of admissible modes raises ``check_tuple``'s error.
+    not a zero-sum tuple of admissible integer modes raises ``check_tuple``'s
+    error.
     """
-    if len(rows) == 0:
-        return []
-    rows = np.asarray(rows, dtype=np.int64)
-    bad = (rows.sum(axis=1) != 0) | (np.abs(rows) < MIN_MODE).any(axis=1)
-    if bad.any():
-        check_tuple(rows[int(np.argmax(bad))])
-    rows = rows.tolist()
+    rows = rows.tolist() if hasattr(rows, "tolist") else rows
+    for row in rows:
+        # a float equal to an integer would share that integer's term
+        if sum(row) != 0 or min(map(abs, row)) < MIN_MODE or {*map(type, row)} != {int}:
+            check_tuple(row)
     terms = {}
     for n in {n for row in rows for n in row}:
         frequency = dispersion(n)
@@ -203,6 +211,8 @@ class ResonanceReport:
 
 def _degenerate_rows(rows: np.ndarray) -> np.ndarray:
     """``is_totally_degenerate`` for each row of a 2-D integer array."""
+    import numpy as np
+
     ordered = np.sort(rows, axis=1)
     return (ordered == -ordered[:, ::-1]).all(axis=1) & (rows.shape[1] % 2 == 0)
 
@@ -221,109 +231,31 @@ def _degenerate_total(p: int, bound: int) -> int:
             6: 120 * n * (n - 1) * (n - 2) + 180 * n * (n - 1) + 20 * n}.get(p, 0)
 
 
-def _extend(rows: np.ndarray, keys: np.ndarray, modes: np.ndarray, lo: int, hi: int):
-    """The multisets row + (n,), n no less than the row's last entry, whose
-    momentum lies in lo..hi, sorted by key: momentum + i * float sum, which
-    NumPy orders lexicographically.  ``modes`` holds the keys of the modes
-    MIN_MODE..bound.  Keys add componentwise, so each float sum is formed as
-    (lam(a_1) + lam(a_2)) + ... and keeps its bits whatever the chunk.
-    """
-    momenta = keys.real
-    first = np.searchsorted(modes.real, np.maximum(rows[:, -1], lo - momenta))
-    ri, ni = _pairs(first, np.maximum(first, np.searchsorted(modes.real, hi - momenta, "right")))
-    # max_bound keeps every mode below 2**15
-    added = (ni + MIN_MODE).astype(np.int16)[:, None]
-    keys = keys[ri] + modes[ni]
-    order = np.argsort(keys, kind="stable")
-    return np.concatenate([rows[ri], added], axis=1)[order], keys[order]
-
-
-def _pairs(lo: np.ndarray, hi: np.ndarray):
-    """Indices (i, j) that pair each i with each j in lo[i]:hi[i]."""
-    counts = hi - lo
-    i = np.repeat(np.arange(lo.shape[0]), counts)
-    # the k-th pair of i is (i, lo[i] + k)
-    return i, np.arange(i.shape[0]) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-
-
-def _window(keys: np.ndarray, partners: np.ndarray, nearest: float, among: bool):
-    """Pairs (i, j) of sorted keys and sorted partner keys of equal momentum
-    whose float sums differ by at most the nearest gap + FLOAT_MARGIN, and
-    that gap, given the gap ``nearest`` of the chunks before.
-
-    ``among`` pairs the keys with themselves, i < j, so no row meets itself.
-    Each row's nearest partner is next to it in sort order, and the gap only
-    falls, so no window is narrower than the one at the final gap: the
-    candidates do not depend on where the chunks end.
-    """
-    if among:
-        near = (np.arange(1, keys.shape[0] + 1),)
-    else:
-        at = np.searchsorted(partners, keys)
-        near = (at - 1, at)
-    for j in near:
-        ok = (j >= 0) & (j < partners.shape[0])
-        ok[ok] = partners.real[j[ok]] == keys.real[ok]
-        nearest = np.abs(keys.imag[ok] - partners.imag[j[ok]]).min(initial=nearest)
-    # complex(0, w) keeps the real parts when w is inf, as 1j * w would not
-    reach = complex(0, nearest + FLOAT_MARGIN)
-    start = near[0] if among else np.searchsorted(partners, keys - reach)
-    return (*_pairs(start, np.searchsorted(partners, keys + reach, "right")), float(nearest))
-
-
-def _exact(rows: np.ndarray) -> list:
+def _exact(rows) -> list:
     """(exact |frequency sum|, canonical tuple) of each orbit among the rows."""
     return [(abs(lambda_sum(rep)), rep) for rep in set(map(canonical_tuple, rows))]
 
 
-def _search(p: int, bound: int) -> ResonanceReport:
-    """Near-balanced multiset search, then exact confirmation.
+def _report(p: int, bound: int, found) -> ResonanceReport:
+    """The report of a search whose candidate p-tuples are ``found``.
 
-    The (q - 1)-multisets are built once, and the q-multisets a chunk at a
-    time: the whole momentum groups in which about CHUNK_ROWS rows fall,
-    sized by extending each (q - 1)-multiset of momentum m to the momenta
-    m + a_(q-1) .. m + bound.  ``_window`` pairs each row A with partners B
-    into tuples A + (-B), and the rows within FLOAT_MARGIN of the float
-    minimum so far are kept.  Every minimum is >= 0, so they hold every row
-    within FLOAT_MARGIN of zero, every exact resonance among them.
     ``tuples_scanned`` counts the ordered zero-sum p-tuples, sum over S of
-    c_q(S) * c_r(-S), where c_k, a repeated convolution of the mode
-    indicator, counts the ordered k-tuples of momentum S.
+    c_q(S) * c_r(S), where c_k counts the ordered k-tuples of momentum S: a
+    repeated convolution of the mode indicator, each term of which sums c_(k-1)
+    over the momenta S - bound .. S - 3 and S + 3 .. S + bound, read from its
+    prefix sums.  c_r is even, so c_r(S) = c_r(-S).
     """
-    q = p - p // 2
-    values = np.arange(MIN_MODE, bound + 1)
-    modes = values + 1j * dispersion_float(values)
-    rows, keys = values[:, None].astype(np.int16), modes
-    for _ in range(q - 2):
-        rows, keys = _extend(rows, keys, modes, 0, q * bound)
-    momenta = keys.real.astype(np.int64)
-    size = q * bound + 2
-    counts = np.cumsum(np.bincount(momenta + rows[:, -1], minlength=size)
-                       - np.bincount(momenta + bound + 1, minlength=size))
-    ids = (np.cumsum(counts) - counts) // CHUNK_ROWS
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    ends = np.append(starts[1:], size) - 1
-
-    nearest, found, sums = np.inf, np.empty((0, p), dtype=np.int16), np.empty(0)
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        chunk, chunk_keys = _extend(rows, keys, modes, lo, hi)
-        if p % 2:
-            first, stop = np.searchsorted(momenta, (lo, hi + 1))
-            partners, partner_keys = rows[first:stop], keys[first:stop]
-        else:
-            partners, partner_keys = chunk, chunk_keys
-        li, ri, nearest = _window(chunk_keys, partner_keys, nearest, p % 2 == 0)
-        found = np.concatenate([found, np.concatenate([chunk[li], -partners[ri]], axis=1)])
-        sums = np.concatenate([sums, np.abs(chunk_keys.imag[li] - partner_keys.imag[ri])])
-        near = sums <= nearest + FLOAT_MARGIN
-        found, sums = found[near], sums[near]
-
-    indicator = (np.abs(np.arange(-bound, bound + 1)) >= MIN_MODE).astype(np.int64)
-    ordered = [np.ones(1, dtype=np.int64)]
-    for _ in range(q):
-        ordered.append(np.convolve(ordered[-1], indicator))
+    q, r = p - p // 2, p // 2
+    # zeros on each side keep every momentum read within the prefix sums
+    pad = [0] * (2 * bound + 1)
+    counts = [[1]]
+    for k in range(1, q + 1):
+        base = (k + 1) * bound + 1
+        prefix = [0, *accumulate(pad + counts[-1] + pad)]
+        counts.append([prefix[s - 2] - prefix[s - bound] + prefix[s + bound + 1] - prefix[s + 3]
+                       for s in range(base - k * bound, base + k * bound + 1)])
     # c_q covers the momenta -q bound .. q bound, c_r the middle of them
-    edge = (q - p // 2) * bound
+    edge = (q - r) * bound
     ranked = _exact(found)
     min_value, argmin = min(ranked, default=(None, None))
     return ResonanceReport(
@@ -333,8 +265,122 @@ def _search(p: int, bound: int) -> ResonanceReport:
         argmin=argmin,
         degenerate_count=_degenerate_total(p, bound),
         exact_zero_tuples=sorted({rep for value, rep in ranked if value == 0}),
-        tuples_scanned=int(ordered[q][edge:ordered[q].shape[0] - edge] @ ordered[p // 2]),
+        tuples_scanned=sum(map(mul, counts[q][edge:len(counts[q]) - edge], counts[r])),
     )
+
+
+def _sums(k: int, total: int, low: int, lam: list) -> list:
+    """The float lam sums of the sorted k-tuples (a_1, ..., a_k) of the modes
+    low .. len(lam) - 1 that sum to ``total``, in lexicographic order;
+    ``lam`` maps a mode to its float frequency.  Each sum is lam(a_1) +
+    (lam(a_2) + ...), formed in C loops."""
+    bound = len(lam) - 1
+    if k == 1:
+        return [lam[total]] if low <= total <= bound else []
+    lo, hi = max(low, total - (k - 1) * bound), total // k
+    if k == 2:
+        # lam(a) + lam(total - a) for a = lo .. hi; total - hi - 1 >= 2
+        return list(map(add, lam[lo:hi + 1], lam[total - lo:total - hi - 1:-1]))
+    sums = []
+    for a in range(lo, hi + 1):
+        sums += map(lam[a].__add__, _sums(k - 1, total - a, a, lam))
+    return sums
+
+
+def _count(k: int, total: int, low: int, bound: int) -> int:
+    """The number of sorted k-tuples of the modes low .. bound that sum to
+    ``total``."""
+    if k == 1:
+        return int(low <= total <= bound)
+    lo, hi = max(low, total - (k - 1) * bound), total // k
+    if k == 2:
+        return max(hi - lo + 1, 0)
+    return sum(_count(k - 1, total - a, a, bound) for a in range(lo, hi + 1))
+
+
+def _multiset(k: int, total: int, low: int, bound: int, m: int) -> tuple:
+    """The m-th, from 0, in lexicographic order of the sorted k-tuples of the
+    modes low .. bound that sum to ``total``: the tuple of the m-th of
+    their ``_sums``."""
+    a = max(low, total - (k - 1) * bound)
+    if k <= 2:
+        return (total,) if k == 1 else (a + m, total - a - m)
+    while m >= (size := _count(k - 1, total - a, a, bound)):
+        m, a = m - size, a + 1
+    return (a, *_multiset(k - 1, total - a, a, bound, m))
+
+
+def _rows(k: int, total: int, bound: int, sums: list, values: list, at) -> dict:
+    """The k-multiset of momentum ``total`` at each position in ``at`` of
+    ``values``, the sorted ``sums`` of the multisets of the modes MIN_MODE ..
+    ``bound`` (``_sums``).  Equal sums keep their order in ``sums``, as a
+    stable sort would."""
+    rows = {}
+    for i in set(at):
+        m = -1
+        for _ in range(i - bisect_left(values, values[i]) + 1):
+            m = sums.index(values[i], m + 1)
+        rows[i] = _multiset(k, total, MIN_MODE, bound, m)
+    return rows
+
+
+def _window(values: list, partners: list, nearest: float, among: bool):
+    """Pairs (i, j) of one momentum group's sorted float sums ``values`` and
+    sorted partner sums that differ by at most the nearest gap +
+    FLOAT_MARGIN, and that gap, given the gap ``nearest`` of the groups
+    before.
+
+    ``among`` pairs the values with themselves, i < j, so no row meets
+    itself.  Each row's nearest partner is next to it in sort order, and the
+    gap only falls, so no window is narrower than the one at the final gap.
+    """
+    if among:
+        gaps = list(map(sub, values[1:], values[:-1]))
+    else:
+        gaps = []
+        for y in partners:
+            at = bisect_left(values, y)
+            gaps.append(min([abs(x - y) for x in values[max(at - 1, 0):at + 1]], default=inf))
+    least = min(gaps, default=inf)
+    nearest = min(nearest, least)
+    width = nearest + FLOAT_MARGIN
+    # a window holds a partner only if its nearest gap lies within it
+    near = [j for j, gap in enumerate(gaps) if gap <= width] if least <= width else []
+    if among:
+        pairs = [(i, j) for i in near
+                 for j in range(i + 1, bisect_right(values, values[i] + width))]
+    else:
+        pairs = [(i, j) for j in near for i in range(bisect_left(values, partners[j] - width),
+                                                      bisect_right(values, partners[j] + width))]
+    return pairs, nearest
+
+
+def _search(p: int, bound: int) -> ResonanceReport:
+    """The near-balanced multiset search, then exact confirmation.
+
+    Each momentum group S is searched in turn, up to q bound (even p) or
+    (p // 2) bound (odd p, where no partner lies above).  Its q-multisets'
+    float sums are sorted, and for odd p its (q - 1)-multisets' as
+    partners.  ``_window`` pairs them, and only the rows of its pairs are
+    built (``_rows``).  Of those pairs A, B, the ones within FLOAT_MARGIN of
+    the final float minimum become the tuples A + (-B) that are confirmed
+    exactly.  Every minimum is >= 0, so they hold every row within
+    FLOAT_MARGIN of zero, every exact resonance among them.
+    """
+    q, r = p - p // 2, p // 2
+    lam = [0.0] * MIN_MODE + [*map(lam_float, range(MIN_MODE, bound + 1))]
+    nearest, found = inf, []
+    for momentum in range(q * MIN_MODE, (r if p % 2 else q) * bound + 1):
+        sums = _sums(q, momentum, MIN_MODE, lam)
+        partner_sums = _sums(r, momentum, MIN_MODE, lam) if p % 2 else sums
+        values, partners = sorted(sums), sorted(partner_sums)
+        pairs, nearest = _window(values, partners, nearest, p % 2 == 0)
+        if pairs:
+            rows = _rows(q, momentum, bound, sums, values, [i for i, _ in pairs])
+            theirs = _rows(r, momentum, bound, partner_sums, partners, [j for _, j in pairs])
+            found += [(abs(values[i] - partners[j]), rows[i], theirs[j]) for i, j in pairs]
+    return _report(p, bound, [a + tuple(-n for n in b) for gap, a, b in found
+                              if gap <= nearest + FLOAT_MARGIN])
 
 
 def max_bound(p: int) -> int:
@@ -342,9 +388,10 @@ def max_bound(p: int) -> int:
     q-multisets (q = p - p // 2) stay within MAX_ROWS.
 
     That is 3164 for p = 3 and 4 and 311 for p = 5 and 6.  There, in a
-    fresh process on a 2-vCPU Xeon host, a search takes 0.72 s and peaks
-    at 31 MB resident (p = 3), 1.3 s and 33 MB (p = 4), 2.2 s and 34 MB
-    (p = 5), and 2.5 s and 34 MB (p = 6).
+    fresh ``sqglab resonance`` process on a 2-vCPU Xeon host, a search
+    takes 0.26 s and peaks at 18 MB resident (p = 3), 0.95 s and 22 MB
+    (p = 4), 0.76 s and 17 MB (p = 5), and 1.3 s and 18 MB (p = 6)
+    (medians of three).
     """
     q = p - p // 2
     # n^q / q! <= C(n + q - 1, q), so n starts at or above the answer
@@ -375,7 +422,7 @@ KNOWN_LOWER_BOUNDS = {3: Fraction(2, 5), 5: Fraction(9, 35)}
 def _check_unbalanced(report: ResonanceReport) -> None:
     """Raise unless the near-balanced minimum lies below the bound that the
     module docstring's lemma proves for every other sign split."""
-    bound = UNBALANCED_BOUNDS.get(report.p, np.inf)
+    bound = UNBALANCED_BOUNDS.get(report.p, inf)
     if not report.min_value < bound:
         raise AssertionError(f"p={report.p} minimum {report.min_value} is not below "
                              f"{bound}, the unbalanced splits' bound")
@@ -404,13 +451,13 @@ def _quartic_minima(report: ResonanceReport) -> None:
     (bound, bound - 2, 1 - bound, 1 - bound).
     """
     bound = report.bound
-    v = np.arange(MIN_MODE, bound - 1)
-    minima = lambda_sums(np.stack([v, v + 2, -v - 1, -v - 1], axis=1))
+    v = range(MIN_MODE, bound - 1)
+    minima = lambda_sums([(n, n + 2, -n - 1, -n - 1) for n in v])
     expected = (minima[-1], (bound, bound - 2, 1 - bound, 1 - bound))
     if (report.min_value, report.argmin) != expected:
         raise AssertionError(f"p=4 minimum {report.min_value} at {report.argmin} "
                              f"is not the proven {expected[0]} at {expected[1]}")
-    report.scaling_by_min = dict(zip(v.tolist(), minima))
+    report.scaling_by_min = dict(zip(v, minima))
 
 
 def min_denominator(p: int, bound: int) -> ResonanceReport:

@@ -414,6 +414,27 @@ class TestResonanceCommand:
         assert result.stdout.splitlines() == ["0 []", "0 ['sqglab.waves']"]
         assert out.exists()
 
+    def test_resonance_and_dispersion_jobs_leave_numpy_unloaded(self, tmp_path):
+        """The benchmark's four resonance jobs, a search at the largest
+        quadratic bound and a dispersion table never import NumPy."""
+        top = resonance.max_bound(3)
+        argvs = [
+            *(["resonance", "--p", str(p), "--bound", str(bound),
+               "--out", str(tmp_path / f"p{p}_b{bound}.json")]
+              for p, bound in ((3, 200), (4, 60), (5, 30), (6, 20), (3, top))),
+            ["dispersion", "--n-max", "50", "--out", str(tmp_path / "d.csv")],
+        ]
+        script = (
+            "import sys\n"
+            "import sqglab.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    print(sqglab.cli.main(argv), 'numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "False"] * 6
+
     def test_resonance_and_waves_leave_fft_unloaded(self, tmp_path):
         """Only the quadratic term imports ``numpy.fft``: neither the CLI nor a
         resonance or a waves job loads it."""

@@ -1,5 +1,6 @@
 """Exact symbol values, parity, asymptotics, and the kernel's Fourier side."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from sqglab.dispersion import (
     dispersion,
     dispersion_float,
+    lam_float,
     smoothing_kernel,
     smoothing_symbol,
     smoothing_symbol_float,
@@ -33,6 +35,32 @@ class TestExactSymbols:
             dispersion_float([3, n])
         with pytest.raises(ValueError):
             smoothing_symbol_float(n)
+
+    @pytest.mark.parametrize("symbol", [dispersion, smoothing_symbol])
+    @pytest.mark.parametrize("n", [3.5, -4.9, 7.0, True, float("nan")])
+    def test_non_integer_modes_rejected(self, symbol, n):
+        """A mode that is not an integer is named, not truncated to one."""
+        with pytest.raises(ValueError, match=f"mode {re.escape(repr(n))} is not an integer"):
+            symbol(n)
+
+    def test_numpy_and_big_integer_modes(self):
+        """NumPy integers pass, and so does an integer beyond float range:
+        the exact symbols never convert to float."""
+        assert dispersion(np.int16(7)) == Fraction(16, 15)
+        assert smoothing_symbol(np.int64(-3)) == Fraction(8, 15)
+        for big in (2**63 + 5, 10**400):
+            assert dispersion(-big) == Fraction(-(big * big - 1), big * big - 4)
+            assert smoothing_symbol(big) == Fraction(big * big - 1, big**3 - 4 * big)
+
+    def test_lam_float_is_the_rounded_frequency(self):
+        """One rounding of the exact frequency, bit for bit the vectorized
+        view's, with the exact symbols' mode rules."""
+        modes = [n for n in range(-4000, 4001) if abs(n) >= 3]
+        assert [lam_float(n) for n in modes] == [float(dispersion(n)) for n in modes]
+        assert [lam_float(n) for n in modes] == dispersion_float(modes).tolist()
+        for n in (2, 3.5, True):
+            with pytest.raises(ValueError):
+                lam_float(n)
 
     def test_parity_and_product_identity(self):
         for n in range(3, 201):

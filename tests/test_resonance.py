@@ -11,7 +11,7 @@ import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqglab import resonance as rs
-from sqglab.dispersion import dispersion, dispersion_float
+from sqglab.dispersion import dispersion, lam_float
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 CERTIFICATES = Path(__file__).resolve().parent / "certificates"
@@ -74,6 +74,32 @@ class TestLambdaSum:
     def test_lambda_sums_validation(self, bad):
         with pytest.raises(ValueError, match=re.escape(f"tuple {bad} ")):
             rs.lambda_sums(np.array([(3, 3, -6), bad]))
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: rs.check_tuple((3.9, 3, -6.9)), "has a non-integer entry 3.9"),
+            (lambda: rs.check_tuple((3.5, 3, -6.5)), "has a non-integer entry 3.5"),
+            (lambda: rs.lambda_sum((3.9, 3, -6.9)), "has a non-integer entry 3.9"),
+            (lambda: rs.lambda_sums([(3, 3, -6), (3.5, 3, -6.5)]), "has a non-integer entry 3.5"),
+            (lambda: rs.lambda_sums(np.array([(3.5, 3, -6.5)])), "has a non-integer entry 3.5"),
+            (lambda: rs.lambda_sums([(3, 3, -6), (3.0, 3, -6)]), "has a non-integer entry 3.0"),
+            (lambda: rs.lambda_sum((True, 3, -4)), "has a non-integer entry True"),
+        ],
+    )
+    def test_non_integer_entry_is_named(self, call, message):
+        """A float or boolean entry is refused, not truncated to an integer."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    def test_numpy_and_big_integers(self):
+        """NumPy integers pass; integers beyond int64, and beyond float range,
+        are summed exactly."""
+        assert rs.check_tuple(np.array([3, 3, -6], dtype=np.int16)) == (3, 3, -6)
+        assert rs.lambda_sums(np.array([(3, 3, -6)], dtype=np.int16)) == [Fraction(337, 160)]
+        for big in (2**63, 10**400):
+            expected = dispersion(3) + dispersion(big) + dispersion(-(big + 3))
+            assert rs.lambda_sum((3, big, -(big + 3))) == expected != 0
 
 
 class TestDegeneracy:
@@ -243,24 +269,25 @@ class TestSearches:
             assert rs.UNBALANCED_BOUNDS.get(p) == min(bounds, default=None)
 
     def test_quartic_search_scans_once_per_chunk(self, monkeypatch):
-        """p = 4 runs one window per chunk of pairs."""
-        monkeypatch.setattr(rs, "CHUNK_ROWS", comb(60 - 2 + 1, 2) // 8)
-        chunks, windows = [], []
-        extend, window = rs._extend, rs._window
-
-        def counted_extend(*args):
-            made = extend(*args)
-            chunks.append(made[0].shape[1])
-            return made
+        """p = 4 runs one window per momentum group, and builds the rows of
+        its pairs only."""
+        windows, rows = [], []
+        window, multiset = rs._window, rs._multiset
 
         def counted_window(*args):
-            windows.append(args)
-            return window(*args)
+            pairs, nearest = window(*args)
+            windows.append(len(pairs))
+            return pairs, nearest
 
-        monkeypatch.setattr(rs, "_extend", counted_extend)
+        def counted_multiset(*args):
+            rows.append(multiset(*args))
+            return rows[-1]
+
         monkeypatch.setattr(rs, "_window", counted_window)
+        monkeypatch.setattr(rs, "_multiset", counted_multiset)
         rs.min_denominator(4, 60)
-        assert chunks.count(2) > 4 and len(windows) == chunks.count(2)
+        assert len(windows) == 2 * 60 - 2 * 3 + 1
+        assert 0 < len(rows) <= 2 * sum(windows) < len(windows) * 4
 
     def test_invalid_requests(self):
         with pytest.raises(ValueError):
@@ -298,7 +325,7 @@ class TestSearches:
         def unexpected(*args, **kwargs):
             raise AssertionError("a multiset was built")
 
-        monkeypatch.setattr(rs, "_extend", unexpected)
+        monkeypatch.setattr(rs, "_sums", unexpected)
         for excess in (1, 10**6, 10**30):
             with pytest.raises(ValueError) as info:
                 search(p, bound + excess)
@@ -308,42 +335,60 @@ class TestSearches:
         "p,bound,share", [(4, 12, 5e-3), (4, 60, 2e-5), (5, 12, 1e-4), (6, 12, 1e-4)]
     )
     def test_each_multiset_built_once(self, monkeypatch, p, bound, share):
-        """The (q - 1)-multisets are built once from the modes, and each
-        sorted q-multiset in exactly one of about eight chunks of whole
-        momentum groups, which together hold all C(N + q - 1, q) of them.
-        The windows build few p-tuples, and no degenerate one reaches exact
-        confirmation."""
-        q = p - p // 2
-        total = comb(bound - 2 + q - 1, q)
-        monkeypatch.setattr(rs, "CHUNK_ROWS", total // 8)
-        chunks, shorter, built = [], [], []
-        extend, window, exact = rs._extend, rs._window, rs._exact
+        """Each momentum group's float sums are formed once, from the sorted
+        q-multisets that can have a partner: all C(N + q - 1, q) of them for
+        even p, those of momentum up to (p // 2) bound for odd p, whose
+        (q - 1)-multisets are summed once too.  The sums are the multisets'
+        lam sums, bit for bit, in ``_multiset`` order.  The windows build few
+        p-tuples, at most two a group; exact confirmation sees at most
+        ``share`` of the tuples scanned, and no degenerate one."""
+        q, r = p - p // 2, p // 2
+        top = (r if p % 2 else q) * bound
+        total = sum(sum(row) <= top for row in
+                    itertools.combinations_with_replacement(range(3, bound + 1), q))
+        assert (total < comb(bound - 2 + q - 1, q)) == (p % 2 == 1)
+        groups, built, confirmed, depth = [], [], [], [0]
+        sums, window, exact = rs._sums, rs._window, rs._exact
+        lam = [0.0] * 3 + [lam_float(n) for n in range(3, bound + 1)]
 
-        def counted_extend(*args):
-            made = extend(*args)
-            (chunks if made[0].shape[1] == q else shorter).append(made[0])
+        def float_sum(row):
+            return lam[row[0]] + float_sum(row[1:]) if len(row) > 1 else lam[row[0]]
+
+        def counted_sums(k, momentum, low, table):
+            depth[0] += 1
+            made = sums(k, momentum, low, table)
+            depth[0] -= 1
+            if depth[0] == 0:
+                groups.append((k, momentum, made))
             return made
 
         def counted_window(*args):
-            li, ri, nearest = window(*args)
-            built.append(li.shape[0])
-            return li, ri, nearest
+            pairs, nearest = window(*args)
+            built.append(len(pairs))
+            return pairs, nearest
 
         def nondegenerate(rows):
-            assert not rs._degenerate_rows(rows).any()
+            assert not any(map(rs.is_totally_degenerate, rows))
+            confirmed.extend(rows)
             return exact(rows)
 
-        monkeypatch.setattr(rs, "_extend", counted_extend)
+        monkeypatch.setattr(rs, "_sums", counted_sums)
         monkeypatch.setattr(rs, "_window", counted_window)
         monkeypatch.setattr(rs, "_exact", nondegenerate)
         report = search(p, bound)
-        assert [rows.shape[1] for rows in shorter] == list(range(2, q))
-        momenta = [set(rows.sum(axis=1).tolist()) for rows in chunks]
-        assert len(chunks) > 4 and sum(map(len, momenta)) == len(set().union(*momenta))
-        rows = np.concatenate(chunks)
-        assert (np.diff(rows, axis=1) >= 0).all() and rows.min() >= 3 and rows.max() <= bound
-        assert rows.shape[0] == np.unique(rows, axis=0).shape[0] == total
-        assert 0 < sum(built) <= share * report.tuples_scanned
+        for k in {q, r}:
+            mine = [(momentum, made) for size, momentum, made in groups if size == k]
+            assert [momentum for momentum, _ in mine] == list(range(3 * q, top + 1))
+            rows = [rs._multiset(k, momentum, 3, bound, m)
+                    for momentum, made in mine for m in range(len(made))]
+            assert rows == sorted((row for row in itertools.combinations_with_replacement(
+                range(3, bound + 1), k) if 3 * q <= sum(row) <= top),
+                key=lambda row: (sum(row), row))
+            assert [value for _, made in mine for value in made] == list(map(float_sum, rows))
+            if k == q:
+                assert len(rows) == total
+        assert 0 < sum(built) <= 2 * len(built)
+        assert 0 < len(confirmed) <= share * report.tuples_scanned
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_matches_reference_certificate(self, p, tmp_path):
@@ -378,37 +423,38 @@ class TestSearches:
         """The nearest partner must have the same momentum.
 
         The pair (3, 10) has momentum 13; its one nondegenerate partner is
-        (6, 7), at |frequency sum| 0.471.  In the sorted keys the pair
-        (4, 10) of momentum 14 sits next to it, at 0.350: the tuple
+        (6, 7), at |frequency sum| 0.471.  In float order the pair (4, 10)
+        of momentum 14 sits between them, at 0.350 from (3, 10): the tuple
         (3, 10, -10, -4) does not sum to zero, and taken for a partner it
-        would narrow the window and leave (3, 10, -7, -6) out.  Both windows
-        skip it: the even one, which pairs the keys among themselves, and the
-        odd one, which pairs them with a separate set of partner keys.
+        would narrow the window and leave (3, 10, -7, -6) out.  The search
+        sums each momentum group apart, so the two never meet, and both
+        windows find (6, 7): the even one, which pairs a group's sums among
+        themselves, and the odd one, which pairs them with separate partner
+        sums.
         """
-        rows = np.array([(6, 7), (3, 10), (4, 10)], dtype=np.int16)
-        keys = rows.sum(axis=1) + 1j * dispersion_float(rows).sum(axis=1)
-        assert np.all(np.diff(keys) > 0)
-        assert keys[2].imag - keys[1].imag < keys[1].imag - keys[0].imag
-        mine, theirs = ([0, 1, 2], [0, 1, 2]) if among else ([1], [0, 2])
-        li, ri, nearest = rs._window(keys[mine], keys[theirs], np.inf, among)
-        left, right = rows[mine][li], rows[theirs][ri]
-        assert sorted(left.tolist() + right.tolist()) == [[3, 10], [6, 7]]
-        assert nearest == keys[1].imag - keys[0].imag
-        tuples = np.concatenate([left, -right], axis=1)
-        assert min(rs._exact(tuples))[0] == abs(rs.lambda_sum((3, 10, -7, -6)))
+        lam = [0.0] * 3 + [lam_float(n) for n in range(3, 11)]
+        six_seven, three_ten, four_ten = (lam[a] + lam[b] for a, b in [(6, 7), (3, 10), (4, 10)])
+        assert six_seven < four_ten < three_ten
+        assert three_ten - four_ten < three_ten - six_seven
+        group = rs._sums(2, 13, 3, lam)
+        assert four_ten not in group and {six_seven, three_ten} <= set(group)
+        mine, theirs = ([six_seven, three_ten],) * 2 if among else ([three_ten], [six_seven])
+        pairs, nearest = rs._window(mine, theirs, inf, among)
+        assert pairs == [(0, 1) if among else (0, 0)]
+        assert nearest == three_ten - six_seven
+        assert min(rs._exact([(3, 10, -7, -6)]))[0] == abs(rs.lambda_sum((3, 10, -7, -6)))
 
     def test_quintic_window_reaches_nearest_partner(self, monkeypatch):
-        """Every quintic sum exceeds 9/35, so every window is wider than that,
-        with one chunk per momentum group: only the nearest partners locate
-        the minimum, and the last window is the float minimum."""
-        monkeypatch.setattr(rs, "CHUNK_ROWS", 1)
+        """Every quintic sum exceeds 9/35, so every window, one per momentum
+        group, is wider than that: only the nearest partners locate the
+        minimum, and the last window is the float minimum."""
         widths = []
         window = rs._window
 
         def recorded(*args):
-            li, ri, nearest = window(*args)
+            pairs, nearest = window(*args)
             widths.append(nearest)
-            return li, ri, nearest
+            return pairs, nearest
 
         monkeypatch.setattr(rs, "_window", recorded)
         report = rs.min_denominator(5, 10)
@@ -421,9 +467,17 @@ class TestSearches:
 
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_chunk_boundaries_keep_certificates(self, monkeypatch, tmp_path, p):
-        """With one momentum group per chunk, the certificates under
-        ``tests/certificates`` and at the reference sizes keep their bytes."""
-        monkeypatch.setattr(rs, "CHUNK_ROWS", 1)
+        """Each momentum group's window is narrowed by the gaps of the groups
+        before it.  With windows that ignore them, as if every group were
+        searched alone, the certificates under ``tests/certificates`` and at
+        the reference sizes keep their bytes."""
+        window = rs._window
+
+        def alone(values, partners, nearest, among):
+            pairs, own = window(values, partners, inf, among)
+            return pairs, min(nearest, own)
+
+        monkeypatch.setattr(rs, "_window", alone)
         expected = [*sorted(CERTIFICATES.glob(f"p{p}_b*.json")),
                     *sorted(REFERENCE.glob(f"p{p}_b*.json"))]
         for reference in expected:
@@ -435,11 +489,12 @@ class TestSearches:
         [(5, 60, 6, False), (6, 40, 5, False), (6, 150, 5, True)],
     )
     def test_peak_memory_is_one_chunk(self, p, bound, ceiling_mb, whole_exceeds):
-        """Building the q-multisets one chunk at a time bounds the peak that
-        tracemalloc sees.  At p = 6, bound 150, the whole set of 551,300
-        triples, int16 rows and complex keys, would alone exceed 5 MB."""
+        """Summing the q-multisets one momentum group at a time bounds the
+        peak that tracemalloc sees.  At p = 6, bound 150, the float sums of
+        all 551,300 triples, 32 bytes each in a list, would alone exceed
+        5 MB."""
         q = p - p // 2
-        whole = comb(bound - 2 + q - 1, q) * (2 * q + 16)
+        whole = comb(bound - 2 + q - 1, q) * 32
         assert (whole > ceiling_mb * 1e6) == whole_exceeds
         tracemalloc.start()
         try:
