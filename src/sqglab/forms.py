@@ -12,14 +12,15 @@ slot permutations so that each multiplier has one table.  A form is nothing
 but that table: properties such as parity under negating every mode are read
 from the values when asked for (``parity_defect``), not declared.  Each tuple
 space groups its tuples into permutation orbits once; symmetrization averages
-over them, and the exact frequency sum and total degeneracy that decide
-resonance come from ``sqglab.resonance``, once per orbit.
+over them, and the exact frequency sum, whose zeros are the resonant tuples,
+comes from ``sqglab.resonance``, once per orbit.
 
 The operators implemented here drive the corrected-energy construction:
 
   normal_form_divide   divide the multiplier by the frequency sum (rejects
                        nonzero values on resonant tuples);
-  degenerate_projection  restrict to totally degenerate tuples (even arity);
+  resonant_projection  restrict to the resonant tuples, the projection P of
+                       a normal form (the zero form at arity 3 and 5);
   nonlinearity_extension  arity p -> p+1 insertion of the quadratic term
                        N(f) = 2 (Kf) f' - f (Kf)' into each slot.
 
@@ -72,7 +73,7 @@ import numpy as np
 
 from .dispersion import _root_floor, dispersion_float, smoothing_symbol_float
 from .field import SpectralField, nonlinearity, sobolev_energy, sobolev_weight
-from .resonance import _degenerate_rows, lambda_sums
+from .resonance import lambda_sums
 
 #: Largest arity supported by the table representation.
 MAX_ARITY = 6
@@ -115,15 +116,13 @@ class Orbits(NamedTuple):
 
     ``inverse`` maps each row to its orbit, in the smallest unsigned dtype
     that holds the last orbit number, and ``counts`` gives orbit sizes;
-    ``frequency_sum`` (exact, rounded once to double) and ``degenerate`` (from
-    the integer rows, in one vectorised ``_degenerate_rows`` pass) come from
-    ``sqglab.resonance``.
+    ``frequency_sum`` is exact, from ``sqglab.resonance``, rounded once to
+    double.
     """
 
     inverse: np.ndarray
     counts: np.ndarray
     frequency_sum: np.ndarray
-    degenerate: np.ndarray
 
 
 class TupleSpace:
@@ -138,7 +137,7 @@ class TupleSpace:
     for and not stored.  Negating the modes maps index i to size - 1 - i,
     so row ``count - 1 - r`` holds the negation of row r.  Instances are
     immutable and not cached; the orbit table (and with it the per-orbit
-    frequency sums and degeneracy) and the prefix ids are built lazily.
+    frequency sums) and the prefix ids are built lazily.
     """
 
     def __init__(self, m: int, n_max: int, p: int):
@@ -238,7 +237,7 @@ class TupleSpace:
         inverse = inverse.astype(np.min_scalar_type(counts.shape[0] - 1))
         reps = self.modes[self.idx[first]]
         sums = [float(value) for value in lambda_sums(reps)]
-        return Orbits(inverse, counts, np.array(sums), _degenerate_rows(reps))
+        return Orbits(inverse, counts, np.array(sums))
 
     @cached_property
     def prefix(self) -> np.ndarray:
@@ -252,9 +251,15 @@ class TupleSpace:
         return self.ravel_keys(self.idx[:, :-2]).astype(np.min_scalar_type(top))
 
     @property
-    def degenerate(self) -> np.ndarray:
-        """Mask of totally degenerate tuples (all-false for odd arity)."""
-        return self.orbits.degenerate[self.orbits.inverse]
+    def resonant(self) -> np.ndarray:
+        """Mask of the resonant tuples, those with zero frequency sum.
+
+        The orbit sums are exact rationals rounded once, and the common
+        denominator of p <= 6 terms (n^2 - 1)/(n^2 - 4) with int64 modes is
+        below 2^756, so a nonzero exact sum cannot round to 0: comparing
+        with 0 finds exactly the resonant tuples.
+        """
+        return (self.orbits.frequency_sum == 0)[self.orbits.inverse]
 
 
 def tuple_space(m: int, n_max: int, p: int) -> TupleSpace:
@@ -510,32 +515,30 @@ def normal_form_divide(form: MultilinearForm) -> MultilinearForm:
 
     The divided form, scaled by i, integrates the original form along the
     linear flow; the frequency sum is odd under negating every mode, so the
-    quotient has the opposite parity.  Tuples with exactly zero frequency
-    sum must carry value zero (for even arity: project the degenerate set
-    away first), otherwise a ResonanceError names the offending tuple.  The
-    orbit sums are exact rationals rounded once, and the common denominator
-    of p <= 6 terms (n^2 - 1)/(n^2 - 4) with int64 modes is below 2^756, so
-    a nonzero exact sum cannot round to 0: comparing with 0 finds exactly
-    the resonant tuples.
+    quotient has the opposite parity.  The resonant tuples
+    (``TupleSpace.resonant``) must carry value zero (subtract
+    ``resonant_projection`` first), otherwise a ResonanceError names the
+    offending tuple.
     """
     space = form.space
     orbits = space.orbits
-    resonant = orbits.frequency_sum == 0
-    bad = resonant[orbits.inverse] & (form.values != 0)
+    resonant = space.resonant
+    bad = resonant & (form.values != 0)
     if np.any(bad):
         row = int(np.argmax(bad))
         raise ResonanceError(tuple(space.modes[space.idx[row]]))
-    denom = np.where(resonant, 1.0, orbits.frequency_sum)[orbits.inverse]
+    denom = np.where(resonant, 1.0, orbits.frequency_sum[orbits.inverse])
     return MultilinearForm(space, _Fresh(form.values / denom), form.symmetric)
 
 
-def degenerate_projection(form: MultilinearForm) -> MultilinearForm:
-    """Restrict the multiplier to totally degenerate tuples (a projection)."""
-    if form.p % 2 != 0:
-        raise ValueError("degenerate projection requires even arity")
+def resonant_projection(form: MultilinearForm) -> MultilinearForm:
+    """Restrict the multiplier to the resonant tuples (a projection, the P
+    of a normal form).  Arities 3 and 5 have no resonances, so there it is
+    the zero form; at arity 4 the resonant tuples are exactly the totally
+    degenerate ones (``sqglab.resonance``)."""
     return MultilinearForm(
         form.space,
-        _Fresh(np.where(form.space.degenerate, form.values, 0.0)),
+        _Fresh(np.where(form.space.resonant, form.values, 0.0)),
         form.symmetric,
     )
 
@@ -689,17 +692,19 @@ def build_chain(m: int, n_max: int, s: float) -> CorrectedEnergy:
 
     and d/dt (E - C3 - ... - Ck) = D_{k+1} on the diagonal, exactly for the
     truncated dynamics, where D_{k+1}(f) = -p Ck(N(f), f, ..., f) with p the
-    arity of Ck.  The degenerate projection P removes the only zero
-    denominators (arity 4); its diagonal value vanishes because D4 is odd,
-    so subtracting it changes no recorded energy.  D4 and D5 are built only
-    as inputs of C4 and C5; the sextic D6 is evaluated by insertion alone.
+    arity of Ck.  The resonant projection P keeps the only zero
+    denominators, the rows of zero frequency sum; the chain projects only at
+    arity 4, where they are the totally degenerate tuples.  P(D4) vanishes
+    on the diagonal because D4 is odd, so subtracting it changes no recorded
+    energy.  D4 and D5 are built only as inputs of C4 and C5; the sextic D6
+    is evaluated by insertion alone.
     Each extension finds its output orbits before it allocates a table, so
     the quintic sort never overlaps D5, the largest table.
     """
     d3 = build_energy_form(m, n_max, s)
     c3 = normal_form_divide(d3).scaled(1j)
     d4 = nonlinearity_extension(c3).scaled(-1.0)
-    c4 = normal_form_divide(d4.plus(degenerate_projection(d4).scaled(-1.0))).scaled(1j)
+    c4 = normal_form_divide(d4.plus(resonant_projection(d4).scaled(-1.0))).scaled(1j)
     c5 = normal_form_divide(nonlinearity_extension(c4).scaled(-1.0)).scaled(1j)
     return CorrectedEnergy(s=float(s), corrections=(c3, c4, c5), energy_derivative=d3)
 

@@ -9,7 +9,9 @@ reach of exact search:
   p = 3, 5   no resonances; the frequency sum stays above 2/5 resp. 9/35;
   p = 4      resonances are exactly the totally degenerate tuples, and the
              nondegenerate minimum decays like min(|n_j|)^-4 (a lemma in
-             ``_quartic_minima`` names the tuples that attain it);
+             ``_quartic_minima`` names the tuples that attain it); so the
+             normal form's projection onto the tuples of zero frequency sum
+             (``forms.resonant_projection``) keeps the degenerate ones;
   p = 6      open; the search below is evidence, never proof.  It finds
              no nondegenerate resonance up to bound 172, and one at bound
              174: (174, 78, 74, -68, -88, -170).
@@ -52,7 +54,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, inf
 from operator import add, mul, sub
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import _atomic
 from .dispersion import MIN_MODE, _integer, _root_floor, _whole, dispersion, lam_float
@@ -60,9 +62,6 @@ from .dispersion import MIN_MODE, _integer, _root_floor, _whole, dispersion, lam
 # the benchmark's tracer counts the calls of ``resonance.dispersion_float``;
 # the search makes none, as it forms its floats with ``lam_float``
 from .dispersion import dispersion_float  # noqa: F401
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Margin added to float pre-filters before exact confirmation.  ``lam_float``
 #: rounds lam(n) once, so it errs by at most u*|lam(n)| <= u*8/5
@@ -89,13 +88,15 @@ def check_tuple(entries: Sequence[int]) -> tuple:
     unless it is a zero-sum tuple of admissible integer modes (``_whole``:
     NumPy integers and integers of any size pass, booleans do not)."""
     entries = tuple(entries)
-    for n in entries:
-        if not _whole(n):
-            raise ValueError(f"tuple {entries} has a non-integer entry {n!r}")
-    entries = tuple(map(int, entries))
+    # a tuple of Python ints, the common case, needs no test entry by entry
+    if {*map(type, entries)} != {int}:
+        for n in entries:
+            if not _whole(n):
+                raise ValueError(f"tuple {entries} has a non-integer entry {n!r}")
+        entries = tuple(map(int, entries))
     if sum(entries) != 0:
         raise ValueError(f"tuple {entries} does not sum to zero")
-    if any(abs(n) < MIN_MODE for n in entries):
+    if min(map(abs, entries), default=MIN_MODE) < MIN_MODE:
         raise ValueError(f"tuple {entries} has an entry with |n| < {MIN_MODE}")
     return entries
 
@@ -114,11 +115,7 @@ def lambda_sums(rows) -> list:
     not a zero-sum tuple of admissible integer modes raises ``check_tuple``'s
     error.
     """
-    rows = rows.tolist() if hasattr(rows, "tolist") else rows
-    for row in rows:
-        # a float equal to an integer would share that integer's term
-        if sum(row) != 0 or min(map(abs, row)) < MIN_MODE or {*map(type, row)} != {int}:
-            check_tuple(row)
+    rows = [*map(check_tuple, rows.tolist() if hasattr(rows, "tolist") else rows)]
     terms = {}
     for n in {n for row in rows for n in row}:
         frequency = dispersion(n)
@@ -134,8 +131,9 @@ def lambda_sums(rows) -> list:
 
 
 def is_totally_degenerate(entries: Sequence[int]) -> bool:
-    """True iff the tuple splits into (k, -k) pairs (multiset test)."""
-    entries = tuple(int(n) for n in entries)
+    """True iff the tuple splits into (k, -k) pairs (multiset test); the
+    tuple must pass ``check_tuple``."""
+    entries = check_tuple(entries)
     if len(entries) % 2 != 0:
         return False
     ordered = sorted(entries)
@@ -143,8 +141,9 @@ def is_totally_degenerate(entries: Sequence[int]) -> bool:
 
 
 def canonical_tuple(entries: Sequence[int]) -> tuple:
-    """Deterministic representative of the permutation/sign-flip orbit."""
-    entries = [int(n) for n in entries]
+    """Deterministic representative of the permutation/sign-flip orbit; the
+    tuple must pass ``check_tuple``."""
+    entries = check_tuple(entries)
     a = tuple(sorted(entries, reverse=True))
     b = tuple(sorted((-n for n in entries), reverse=True))
     return max(a, b)
@@ -209,14 +208,6 @@ class ResonanceReport:
         )
 
 
-def _degenerate_rows(rows: np.ndarray) -> np.ndarray:
-    """``is_totally_degenerate`` for each row of a 2-D integer array."""
-    import numpy as np
-
-    ordered = np.sort(rows, axis=1)
-    return (ordered == -ordered[:, ::-1]).all(axis=1) & (rows.shape[1] % 2 == 0)
-
-
 def _degenerate_total(p: int, bound: int) -> int:
     """Number of ordered totally degenerate p-tuples with 3 <= |n_j| <= bound
     (none for odd p).
@@ -233,7 +224,8 @@ def _degenerate_total(p: int, bound: int) -> int:
 
 def _exact(rows) -> list:
     """(exact |frequency sum|, canonical tuple) of each orbit among the rows."""
-    return [(abs(lambda_sum(rep)), rep) for rep in set(map(canonical_tuple, rows))]
+    reps = [*set(map(canonical_tuple, rows))]
+    return list(zip(map(abs, lambda_sums(reps)), reps))
 
 
 def _report(p: int, bound: int, found) -> ResonanceReport:
@@ -476,7 +468,7 @@ def min_denominator(p: int, bound: int) -> ResonanceReport:
     known = KNOWN_LOWER_BOUNDS.get(p)
     if known is None:
         _quartic_minima(report)
-    elif not report.exact_zero_tuples and report.min_value < known:
+    elif report.min_value < known:
         raise AssertionError(
             f"p={p} minimum {report.min_value} violates the proven bound {known}"
         )

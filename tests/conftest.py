@@ -228,7 +228,6 @@ def whole_table_orbits(space):
         inverse,
         counts,
         np.array([float(rs.lambda_sum(row)) for row in reps]),
-        np.array([rs.is_totally_degenerate(row) for row in reps], dtype=bool),
     )
 
 

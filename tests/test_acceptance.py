@@ -195,9 +195,7 @@ def test_criterion_6_algebraic_identities():
             np.max(np.abs(f.coeffs)) for f in fields
         ) ** p
 
-        divisible = form
-        if p % 2 == 0:
-            divisible = form.plus(fm.degenerate_projection(form).scaled(-1.0))
+        divisible = form.plus(fm.resonant_projection(form).scaled(-1.0))
         divided = fm.normal_form_divide(divisible)
         lhs = 0.0 + 0.0j
         for j in range(p):
@@ -208,9 +206,7 @@ def test_criterion_6_algebraic_identities():
         rhs = -1j * fm.evaluate(divisible, fields)
         worst["l_identity"] = max(worst["l_identity"], abs(lhs - rhs) / scale)
 
-        divided_odd = fm.normal_form_divide(
-            odd if p % 2 else odd.plus(fm.degenerate_projection(odd).scaled(-1.0))
-        )
+        divided_odd = fm.normal_form_divide(odd.plus(fm.resonant_projection(odd).scaled(-1.0)))
         worst["parity_flip"] = max(
             worst["parity_flip"],
             fm.parity_defect(divided_odd, "even")
@@ -218,8 +214,8 @@ def test_criterion_6_algebraic_identities():
         )
 
         if p % 2 == 0:
-            once = fm.degenerate_projection(form)
-            twice = fm.degenerate_projection(once)
+            once = fm.resonant_projection(form)
+            twice = fm.resonant_projection(once)
             worst["p_idempotent"] = max(
                 worst["p_idempotent"],
                 float(np.max(np.abs(once.values - twice.values)))
@@ -230,7 +226,7 @@ def test_criterion_6_algebraic_identities():
             ) ** p
             worst["p_annihilation"] = max(
                 worst["p_annihilation"],
-                abs(fm.evaluate_diagonal(fm.degenerate_projection(odd), fields[0]))
+                abs(fm.evaluate_diagonal(fm.resonant_projection(odd), fields[0]))
                 / ann_scale,
             )
 

@@ -150,12 +150,13 @@ class TestTupleSpace:
     def test_exact_facts_row_by_row(self, m, n_max, p):
         space = fm.tuple_space(m, n_max, p)
         frequency_sum = space.orbits.frequency_sum[space.orbits.inverse]
-        degenerate = space.degenerate
+        resonant = space.resonant
         for i, row in enumerate(space.mode_values):
             exact = rs.lambda_sum(row)
             assert frequency_sum[i] == float(exact)
-            assert (frequency_sum[i] == 0) == (exact == 0)
-            assert degenerate[i] == rs.is_totally_degenerate(row)
+            assert resonant[i] == (exact == 0)
+            # the lemma that the resonant projection rests on
+            assert resonant[i] == rs.is_totally_degenerate(row)
 
     @pytest.mark.parametrize("m,n_max,p", SPACES)
     def test_symmetrize_equals_brute_force_mean(self, m, n_max, p, rng):
@@ -401,8 +402,7 @@ class TestDivision:
         # sum_j divided(M)(u_1, .., -(d/da K u_j), .., u_p) = -i M(u_1, .., u_p)
         for p in (3, 4):
             form = random_form(3, 24, p, rng)
-            if p % 2 == 0:
-                form = form.plus(fm.degenerate_projection(form).scaled(-1.0))
+            form = form.plus(fm.resonant_projection(form).scaled(-1.0))
             divided = fm.normal_form_divide(form)
             fields = [random_field(3, 24, rng) for _ in range(p)]
             lhs = 0.0 + 0.0j
@@ -450,8 +450,7 @@ class TestDivision:
     )
     def test_parity_flip_property(self, space_key, parity, seed):
         form = random_form(*space_key, np.random.default_rng(seed), parity=parity)
-        if form.p % 2 == 0:
-            form = form.plus(fm.degenerate_projection(form).scaled(-1.0))
+        form = form.plus(fm.resonant_projection(form).scaled(-1.0))
         assert fm.parity_defect(form, parity) < 1e-12
         divided = fm.normal_form_divide(form)
         assert fm.parity_defect(divided, {"even": "odd", "odd": "even"}[parity]) < 1e-12
@@ -460,13 +459,13 @@ class TestDivision:
 class TestProjection:
     def test_idempotent(self, rng):
         form = random_form(3, 24, 4, rng)
-        once = fm.degenerate_projection(form)
-        twice = fm.degenerate_projection(once)
+        once = fm.resonant_projection(form)
+        twice = fm.resonant_projection(once)
         assert np.array_equal(once.values, twice.values)
 
     def test_odd_form_annihilated_on_diagonal(self, rng):
         odd = random_form(3, 24, 4, rng, parity="odd")
-        projected = fm.degenerate_projection(odd)
+        projected = fm.resonant_projection(odd)
         for _ in range(5):
             f = random_field(3, 24, rng)
             scale = np.sum(np.abs(projected.values)) * np.max(np.abs(f.coeffs)) ** 4
@@ -474,12 +473,15 @@ class TestProjection:
 
     def test_supported_off_degenerate_set_maps_to_zero(self, rng):
         form = random_form(3, 24, 4, rng)
-        off = form.plus(fm.degenerate_projection(form).scaled(-1.0))
-        assert np.all(fm.degenerate_projection(off).values == 0)
+        off = form.plus(fm.resonant_projection(form).scaled(-1.0))
+        assert np.all(fm.resonant_projection(off).values == 0)
 
-    def test_odd_arity_rejected(self, rng):
-        with pytest.raises(ValueError):
-            fm.degenerate_projection(random_form(3, 12, 3, rng))
+    def test_odd_arity_projects_to_zero(self, rng):
+        # arities 3 and 5 have no resonant tuple
+        for space_key in [(3, 12, 3), (3, 12, 5), (4, 16, 5)]:
+            form = random_form(*space_key, rng)
+            zero = np.zeros(form.space.count, dtype=np.complex128)
+            assert_same_bits(fm.resonant_projection(form).values, zero)
 
 
 class TestExtensions:
@@ -556,7 +558,7 @@ class TestChain:
         d3 = fm.build_energy_form(m, n_max, s)
         c3 = fm.normal_form_divide(d3).scaled(1j)
         d4 = whole_table_extension(c3).scaled(-1.0)
-        c4 = fm.normal_form_divide(d4.plus(fm.degenerate_projection(d4).scaled(-1.0)))
+        c4 = fm.normal_form_divide(d4.plus(fm.resonant_projection(d4).scaled(-1.0)))
         c4 = c4.scaled(1j)
         c5 = fm.normal_form_divide(whole_table_extension(c4).scaled(-1.0)).scaled(1j)
         built = (chain.energy_derivative, *chain.corrections)

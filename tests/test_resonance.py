@@ -110,26 +110,22 @@ class TestDegeneracy:
             ((5, 3, -4, -4), False),
             ((3, -3, 3, -3), True),
             ((3, 3, -3, -3), True),
-            ((3, -3, 5), False),  # odd arity is never degenerate
+            ((3, 3, -6), False),  # odd arity is never degenerate
             ((7, -7, 9, -9, 12, -12), True),
         ],
     )
     def test_examples(self, entries, expected):
         assert rs.is_totally_degenerate(entries) is expected
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        rows=st.integers(1, 6).flatmap(
-            lambda width: st.lists(
-                st.lists(st.integers(-9, 9), min_size=width, max_size=width),
-                min_size=1, max_size=8,
-            )
-        )
+    @pytest.mark.parametrize(
+        "entries", [(3, -3, 5), (2, -2, 3, -3), (3.9, 3, -6.9), (3.5, -3, 4, -4.2)]
     )
-    @example(rows=[[0, 3, -3]])
-    def test_vectorised_test_matches_scalar(self, rows):
-        expected = [rs.is_totally_degenerate(row) for row in rows]
-        assert rs._degenerate_rows(np.array(rows)).tolist() == expected
+    def test_rejected_inputs(self, entries):
+        """What ``check_tuple`` refuses is refused, not truncated: a non-zero
+        sum, a mode below 3, a non-integer entry."""
+        for call in (rs.is_totally_degenerate, rs.canonical_tuple):
+            with pytest.raises(ValueError, match=re.escape(f"tuple {entries} ")):
+                call(entries)
 
     def test_degenerate_implies_zero_sum(self, rng):
         for _ in range(50):
@@ -244,6 +240,21 @@ class TestSearches:
         monkeypatch.setattr(rs, "_search", wrong_minimum)
         with pytest.raises(AssertionError, match="p=4 minimum"):
             rs.min_denominator(4, 60)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_exact_zero_violates_proven_bound(self, monkeypatch, p):
+        """A search that reports an exact resonance at p = 3 or 5 contradicts
+        the proven bound: it raises rather than being certified."""
+        search = rs._search
+
+        def with_zero(p, bound):
+            report = search(p, bound)
+            report.min_value, report.exact_zero_tuples = Fraction(0), [report.argmin]
+            return report
+
+        monkeypatch.setattr(rs, "_search", with_zero)
+        with pytest.raises(AssertionError, match=f"p={p} minimum 0 violates the proven bound"):
+            rs.min_denominator(p, 12)
 
     @pytest.mark.parametrize("p", [4, 5, 6])
     def test_search_at_unbalanced_bound_raises(self, monkeypatch, p):
