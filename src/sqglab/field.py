@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dispersion import _finite_real, smoothing_symbol_float
+from .dispersion import _finite_real, _whole, smoothing_symbol_float
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +61,15 @@ class SpectralField:
     def from_modes(cls, m: int, n_max: int, modes: Mapping[int, complex]) -> "SpectralField":
         """Build a field from a mode -> amplitude map.
 
-        Only nonzero multiples of m with |n| <= n_max are accepted.  Negative
-        modes may be given redundantly but must match the conjugate of the
-        positive entry.
+        Only nonzero multiples of m with |n| <= n_max are accepted, each an
+        integer (``_whole``: not a float, not a boolean).  Negative modes may
+        be given redundantly but must match the conjugate of the positive
+        entry.
         """
         coeffs = np.zeros(n_max // m, dtype=np.complex128)
         for n, value in modes.items():
+            if not _whole(n):
+                raise ValueError(f"mode {n!r} is not an integer")
             n = int(n)
             if n == 0 or n % m != 0 or abs(n) > n_max:
                 raise ValueError(
@@ -93,7 +96,10 @@ class SpectralField:
         return self.m * np.arange(1, self.num_harmonics + 1)
 
     def coeff(self, n: int) -> complex:
-        """Amplitude of mode n; zero off the symmetry lattice or beyond n_max."""
+        """Amplitude of mode n; zero off the symmetry lattice or beyond n_max.
+        A mode that is not an integer (``_whole``) is off the lattice."""
+        if not _whole(n):
+            return 0.0 + 0.0j
         n = int(n)
         if n == 0 or n % self.m != 0 or abs(n) > self.n_max:
             return 0.0 + 0.0j

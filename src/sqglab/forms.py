@@ -53,11 +53,17 @@ an extension is accumulated one block of output rows at a time, with every
 row rounded as a whole-table pass would round it.  The index table, the
 prefix ids and the orbit of each row are stored in the smallest unsigned
 dtype that holds their largest value: the index table takes one byte per
-slot up to 256 modes and two beyond.  Before they index or multiply with
-them, the diagonal product and the extension widen one ROW_BLOCK of index
-rows or prefix ids at a time to intp (``TupleSpace.rows``), and
-``evaluate`` one index column at a time: a product of narrow indices would
-wrap, and a gather through them is slower.  Nothing caches a tuple space:
+slot up to 256 modes and two beyond.  The extension multiplies with them,
+so it widens one ROW_BLOCK of index rows at a time to intp
+(``TupleSpace.rows``): a product of narrow indices would wrap.  The
+evaluations only gather through them, straight through the narrow prefix
+ids and index columns into buffers allocated once per call, with
+``mode="clip"``: the indices lie in range by construction, and in its
+default mode ``take`` writes through a buffer of its own.  Over the 303
+records of the benchmark's ``normalform`` sweep (one process, 2-vCPU
+host), that cut the CPU time of ``levels`` from 0.19-0.22 s to 0.14-0.15 s
+and of the measured derivatives from 0.17-0.19 s to 0.09 s, against
+widening each block or column first.  Nothing caches a tuple space:
 ``tuple_space`` builds one at each call, and a table lives exactly as long
 as the forms over it.  An extension builds its output space and finds its
 orbits before it allocates a table, so the sort overlaps no table.
@@ -71,7 +77,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dispersion import _root_floor, dispersion_float, smoothing_symbol_float
+from .dispersion import (
+    _finite_real,
+    _integer,
+    _root_floor,
+    dispersion_float,
+    smoothing_symbol_float,
+)
 from .field import SpectralField, nonlinearity, sobolev_energy, sobolev_weight
 from .resonance import lambda_sums
 
@@ -141,8 +153,13 @@ class TupleSpace:
     """
 
     def __init__(self, m: int, n_max: int, p: int):
-        if p < 3 or p > MAX_ARITY:
-            raise ValueError(f"arity {p} outside supported range 3..{MAX_ARITY}")
+        # the lattice rules of ``evolve.config_problems``
+        if not (_integer(m) and m >= 3):
+            raise ValueError(f"m={m!r}: must be an integer >= 3")
+        if not (_integer(n_max) and n_max >= m and n_max % m == 0):
+            raise ValueError(f"n_max={n_max!r}: must be a positive multiple of m={m}")
+        if not (_integer(p) and 3 <= p <= MAX_ARITY):
+            raise ValueError(f"arity {p!r} outside supported range 3..{MAX_ARITY}")
         self.m = m
         self.n_max = n_max
         self.p = p
@@ -212,11 +229,11 @@ class TupleSpace:
             keys += idx[:, j]
         return keys
 
-    def rows(self, block: slice, columns: slice | int = slice(None)) -> np.ndarray:
-        """``idx[block, columns]`` widened to intp, the form in which a
-        block of the index table indexes and is multiplied: a product of
-        narrow indices would wrap, and a gather through them is slower."""
-        return self.idx[block, columns].astype(np.intp)
+    def rows(self, block: slice) -> np.ndarray:
+        """``idx[block]`` widened to intp, the form in which the extension
+        multiplies a block of the index table: a product of narrow indices
+        would wrap.  A gather takes the narrow columns as they are."""
+        return self.idx[block].astype(np.intp)
 
     # -- derived per-tuple data ---------------------------------------------
 
@@ -381,7 +398,8 @@ def _direct_rows(space: TupleSpace, amplitudes, form: MultilinearForm | None = N
     """
     parts = np.abs(np.concatenate(amplitudes).view(np.float64))
     low, high = MIRROR_RANGE
-    if np.all((parts >= low) & (parts <= high)) and (
+    # a NaN part makes the minimum NaN, which fails the comparison
+    if low <= parts.min() and parts.max() <= high and (
         form is None or form.conjugate_symmetric
     ):
         return space.count // 2
@@ -422,8 +440,9 @@ def evaluate(form: MultilinearForm, fields: Sequence[SpectralField]) -> complex:
     prod = np.empty(space.count, dtype=np.complex128)
     head = prod[:rows]
     head[:] = form.values[:rows]
+    gathered = np.empty(rows, dtype=np.complex128)
     for j, amp in enumerate(amplitudes):
-        head *= amp.take(space.rows(slice(rows), j))
+        head *= amp.take(space.idx[:rows, j], out=gathered, mode="clip")
     _mirror(prod, rows)
     return complex(prod.sum())
 
@@ -461,9 +480,9 @@ def evaluate_diagonal(form: MultilinearForm, f: SpectralField) -> complex:
     field outside that range takes the product of every row.  The values
     still multiply the whole product, and one sum adds it all up, so the
     summation order and every output bit stay those of the whole-table
-    product.  At n_max 24 (35,700 quintic rows, 2-vCPU host) a C5 call takes
-    0.54 ms against 0.85 ms for the whole table, and a C5 ``evaluate`` with
-    N(f) inserted 0.38 ms against 0.57 ms.
+    product.  At n_max 24 (35,700 quintic rows, 2-vCPU host, best of five
+    processes) a C5 call takes 0.37 ms against 0.56 ms for the whole table,
+    and a C5 ``evaluate`` with N(f) inserted 0.22 ms against 0.83 ms.
     """
     amp = _mode_amplitudes(f, form.space)
     prod = _diagonal_product(form.space, amp)
@@ -476,10 +495,11 @@ def evaluate_diagonal(form: MultilinearForm, f: SpectralField) -> complex:
 def _diagonal_product(space: TupleSpace, amp: np.ndarray) -> np.ndarray:
     """Per-row amp[n_1] ... amp[n_p] from the prefix table (see above).
 
-    The last two multiplies run ROW_BLOCK rows at a time.  Each row's
-    operations are the same, so are its bits; but the temporaries stay in
-    cache, and small enough that the allocator does not hand them back to
-    the system and fault them in again at every call.
+    The last two multiplies run ROW_BLOCK rows at a time, gathered through
+    the narrow prefix ids and index columns into one set of block buffers,
+    and the last one is written straight into the product.  Each row's
+    operations are those of ``_times``, in the same order, so are its bits;
+    but no arithmetic allocates, and the buffers stay in cache.
     """
     ar, ai = amp.real.copy(), amp.imag.copy()
     tr, ti = _times(1.0, 0.0, ar, ai)
@@ -488,13 +508,27 @@ def _diagonal_product(space: TupleSpace, amp: np.ndarray) -> np.ndarray:
         tr, ti = tr.ravel(), ti.ravel()
     product = np.empty(space.count, dtype=np.complex128)
     direct = _direct_rows(space, [amp])
+    buffers = np.empty((5, min(ROW_BLOCK, direct)))
     for start in range(0, direct, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, direct))
-        prefix = space.prefix[rows].astype(np.intp)
-        re, im = tr.take(prefix), ti.take(prefix)
-        for column in space.rows(rows, slice(-2, None)).T:
-            re, im = _times(re, im, ar.take(column), ai.take(column))
-        product.real[rows], product.imag[rows] = re, im
+        re, im, br, bi, t = buffers[:, : rows.stop - start]
+        tr.take(space.prefix[rows], out=re, mode="clip")
+        ti.take(space.prefix[rows], out=im, mode="clip")
+        for j in (-2, -1):
+            column = space.idx[rows, j]
+            ar.take(column, out=br, mode="clip")
+            ai.take(column, out=bi, mode="clip")
+            last = j == -1
+            # (re + i im)(br + i bi) = (re br - im bi) + i (re bi + im br),
+            # as ``_times`` rounds it; each buffer is overwritten once read,
+            # and the result lands in (t, im), at the last column in product
+            np.multiply(re, br, out=t)
+            np.multiply(im, br, out=br)
+            np.multiply(im, bi, out=im)
+            np.subtract(t, im, out=product.real[rows] if last else t)
+            np.multiply(re, bi, out=bi)
+            np.add(bi, br, out=product.imag[rows] if last else im)
+            re, t = t, re
     _mirror(product, direct)
     return product
 
@@ -610,10 +644,12 @@ def build_energy_form(m: int, n_max: int, s: float) -> MultilinearForm:
 
     Pairing the quadratic term against the field in H^s gives the symmetrized
     multiplier of i <n_3>^{2s} (2 n_1 sigma(n_2) - n_2 sigma(n_2)) on
-    zero-sum triples; it is odd, so the energy derivative is real.
+    zero-sum triples; it is odd, so the energy derivative is real.  The
+    lattice follows the rules of ``TupleSpace``, and s those of
+    ``evolve.config_problems``: a finite number >= 0, not a boolean.
     """
-    if s < 0:
-        raise ValueError("Sobolev index s must be >= 0")
+    if not (_finite_real(s) and s >= 0):
+        raise ValueError(f"s={s!r}: Sobolev index must be a finite number >= 0")
     space = tuple_space(m, n_max, 3)
     mv = space.mode_values.astype(np.float64)
     sig = smoothing_symbol_float(space.mode_values)

@@ -70,6 +70,23 @@ class TestConstruction:
         assert f.coeff(0) == 0
         assert f.coeff(15) == 0  # beyond truncation
 
+    @pytest.mark.parametrize("modes", [
+        {3.9: 0.5},
+        {3: 0.5, -3.5: 0.5},  # the reality check reads the negative key
+        {True: 0.5},
+        {6.0: 0.5},
+    ])
+    def test_from_modes_rejects_non_integer_modes(self, modes):
+        bad = next(n for n in modes if type(n) is not int)
+        with pytest.raises(ValueError, match=f"mode {bad!r} is not an integer"):
+            SpectralField.from_modes(3, 12, modes)
+
+    def test_coeff_of_non_integer_mode_is_zero(self):
+        f = SpectralField.from_modes(3, 12, {3: 0.5, 6: 0.25})
+        for n in (3.7, 3.0, -6.5, True):
+            assert f.coeff(n) == 0
+        assert f.coeff(np.int64(-6)) == 0.25
+
     def test_immutable(self):
         f = SpectralField.zero(3, 12)
         with pytest.raises(ValueError):

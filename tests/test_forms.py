@@ -218,16 +218,29 @@ class TestNarrowIndices:
         product = reduction_product(space, fm._mode_amplitudes(f, space))
         assert_same_bits(fm.evaluate_diagonal(form, f), complex((form.values * product).sum()))
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("block", [1, 2, 3, 1000, 4096])
     def test_row_blocks_round_as_the_whole_table(self, monkeypatch, block):
-        """Blocks of any size, one row included, widen their indices and give
-        the bits of a whole-table pass."""
+        """Blocks of any size, one row included, with a last block shorter
+        than the rest (C5 has 1,015 rows in its half table and 2,030 in all),
+        give the bits of a whole-table pass, over half the rows and over all
+        of them."""
         chain = fm.build_chain(3, 12, 2.0)
-        f = drawn_field(3, 12, np.random.default_rng(block), 4, 0.0)
-        monkeypatch.setattr(fm, "ROW_BLOCK", block)
         c4, c5 = chain.corrections[1:]
-        amp = fm._mode_amplitudes(f, c5.space)
-        assert_same_bits(fm._diagonal_product(c5.space, amp), reduction_product(c5.space, amp))
+        monkeypatch.setattr(fm, "ROW_BLOCK", block)
+        calls = mirror_calls(monkeypatch)
+        f = drawn_field(3, 12, np.random.default_rng(block), 4, 0.0)
+        coeffs = f.coeffs.copy()
+        coeffs.imag[1] = 0.0  # an exact-zero component: every row is computed
+        for g in (f, f.with_coeffs(coeffs)):
+            amp = fm._mode_amplitudes(g, c5.space)
+            product = reduction_product(c5.space, amp)
+            assert_same_bits(fm._diagonal_product(c5.space, amp), product)
+            np.multiply(c5.values, product, out=product)
+            assert_same_bits(fm.evaluate_diagonal(c5, g), complex(product.sum()))
+            args = [nonlinearity(g)] + [g] * 4
+            assert_same_bits(fm.evaluate(c5, args), whole_table_evaluate(c5, args))
+        count = c5.space.count
+        assert calls == [(count, count // 2)] * 3 + [(count, count)] * 3
         assert_same_bits(fm.nonlinearity_extension(c4).values,
                          whole_table_extension(c4).values)
 
@@ -606,6 +619,60 @@ class TestChain:
             tracemalloc.stop()
         del chain
         assert held <= 6.5e6
+
+    def test_record_evaluation_holds_nothing(self):
+        # one record of a sweep: the levels and the measured derivatives.
+        # Widened index blocks and a fresh array for every operation of the
+        # diagonal product peaked at 1.36 MB in ``levels``; the derivatives
+        # peak at 1.00 MB, mostly the product over C5's table.
+        chain = fm.build_chain(3, 24, 3.0)
+        f = ev.initial_state(ev.SimConfig(m=3, n_max=24, s=3.0, epsilon=0.1))
+        inserted = nonlinearity(f)
+        forms = list(chain.corrections) + [chain.energy_derivative]
+        spaces = list({id(form.space): form.space for form in forms}.values())
+        steps = [
+            ("levels", lambda: chain.levels(f), 1.1e6),
+            ("derivatives",
+             lambda: chain._derivatives(f, ev._MEASURED_LEVELS, inserted), 1.1e6),
+        ]
+        attributes = [set(vars(item)) for item in spaces + forms]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _, call, _ in steps:
+                call()
+            first = tracemalloc.get_traced_memory()[0] - start
+            for name, call, bound in steps:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                call()
+                held, peak = (value - start for value in tracemalloc.get_traced_memory())
+                assert held < 1e3, (name, held)
+                assert peak <= bound, (name, peak)
+        finally:
+            tracemalloc.stop()
+        # the first record builds the prefix ids and decides conjugate
+        # symmetry; it keeps nothing else
+        added = [set(vars(item)) - had for item, had in zip(spaces + forms, attributes)]
+        assert all(new <= {"prefix"} for new in added[:len(spaces)])
+        assert all(new <= {"conjugate_symmetric"} for new in added[len(spaces):])
+        assert first - sum(space.prefix.nbytes for space in spaces) < 4e3
+
+    @pytest.mark.parametrize("args,name", [
+        ((3, 12, float("nan")), "s"),
+        ((3, 12, float("inf")), "s"),
+        ((3, 12, True), "s"),
+        ((3, 12, -1.0), "s"),
+        ((3, 13, 3.0), "n_max"),
+        ((3, 0, 3.0), "n_max"),
+        ((3, 12.0, 3.0), "n_max"),
+        ((3.5, 12, 3.0), "m"),
+        ((2, 12, 3.0), "m"),
+        ((True, 12, 3.0), "m"),
+    ])
+    def test_bad_arguments_rejected_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name}="):
+            fm.build_chain(*args)
 
     def test_lifespan_experiment_builds_no_sextic_space(self, monkeypatch):
         tuple_space, arities = fm.tuple_space, []
