@@ -12,10 +12,11 @@ A run config (``evolve``, ``normalform``) is a JSON object, read once by
 the subcommand's own field and rejects every other key (and a sweep's
 ``epsilon``); the manifest digests the bytes it parsed.  Every rule on the
 values lives in ``evolve.config_problems``, which ``SimConfig`` enforces
-for library callers too.  The rules of a ``normalform`` sweep live in
-``evolve.sweep_problems``, which ``lifespan_experiment`` enforces.  The
-arguments of ``waves`` and ``resonance`` are checked by the library
-functions they call, with the same number rules; ``dispersion`` bounds its
+for library callers too; the lattice and Sobolev index rules have one place,
+``dispersion.lattice_problems`` and ``index_problems``.  The rules of a
+``normalform`` sweep live in ``evolve.sweep_problems``, which
+``lifespan_experiment`` enforces.  ``waves`` and ``resonance`` arguments are
+checked by the library functions they call; ``dispersion`` bounds its
 ``n_max`` by ``dispersion.MAX_TABLE_MODE``.  An ``evolve`` restart state
 (``initial_state``) must be a ``SpectralField.to_dict`` on the configured
 lattice.  Exit code 2 means a bad config, restart state, arguments or

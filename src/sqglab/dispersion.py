@@ -27,6 +27,11 @@ number.  ``dispersion_float``, ``smoothing_symbol_float`` and
 each imports NumPy on first use, so a job that needs only the exact symbols
 (``dispersion``, ``resonance``) never loads it.  ``lam_float``, one mode's
 float frequency in pure Python, is the resonance search's float pre-filter.
+
+The lattice and Sobolev index rules are written once, here:
+``lattice_problems`` and ``index_problems`` return the rules their input
+breaks as ``"<name>: <rule>"``, and the run config, the tuple spaces, the
+energy form, the fields, their norms and the wave solver all ask them.
 """
 
 from __future__ import annotations
@@ -66,6 +71,36 @@ def _whole(value) -> bool:
     """True for an integer of any size, the rule of the exact layer, which
     never converts to float; booleans are not numbers."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def lattice_problems(m, n_max) -> list:
+    """The rules of the m-fold lattice truncated at n_max that the two break,
+    each as ``"<name>: <rule>"``: m is an integer >= 3 and n_max a positive
+    multiple of m, asked only of a valid m."""
+    if not (_integer(m) and m >= 3):
+        return ["m: must be an integer >= 3"]
+    if not (_integer(n_max) and n_max >= m and n_max % m == 0):
+        return [f"n_max: must be a positive multiple of m={m}"]
+    return []
+
+
+def index_problems(s, n_max=None) -> list:
+    """The rules of the Sobolev index s that it breaks, as ``lattice_problems``:
+    a finite number >= 0, not a boolean, and on a valid lattice's n_max at most
+    900 / log2(1 + n_max^2), past which the normal-form chain overflows."""
+    if not (_finite_real(s) and s >= 0):
+        return ["s: must be a finite number >= 0"]
+    if n_max is not None:
+        most = 900 / math.log2(1 + n_max * n_max)
+        if s > most:
+            return [f"s: must be at most {most:.4g} for n_max={n_max}"]
+    return []
+
+
+def _reject(problems: list) -> None:
+    """Raise one ValueError naming every broken rule, if there is any."""
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def _root_floor(limit: int, k: int) -> int:

@@ -62,7 +62,9 @@ from typing import Sequence
 import numpy as np
 
 from . import forms
-from .dispersion import _finite_real, _integer, dispersion_float
+from .dispersion import (
+    _finite_real, _integer, _reject, dispersion_float, index_problems, lattice_problems
+)
 from .field import (
     SpectralField,
     _hs_norms,
@@ -132,12 +134,9 @@ def config_problems(values) -> list:
             problems.append(f"{name}: {rule}")
 
     m, n_max, s, dt, t_end = (values[k] for k in ("m", "n_max", "s", "dt", "t_end"))
-    m_ok = _integer(m) and m >= 3
-    check("m", m_ok, "must be an integer >= 3")
-    n_max_ok = m_ok and _integer(n_max) and n_max >= m and n_max % m == 0
-    if m_ok:
-        check("n_max", n_max_ok, f"must be a positive multiple of m={m}")
-    if n_max_ok:
+    lattice = lattice_problems(m, n_max)
+    problems += lattice + index_problems(s, None if lattice else n_max)
+    if not lattice:
         most, why = MAX_N_MAX, ""
         if values["corrected_energies"] is True:
             # the chain's largest tuple table must fit forms.MAX_TABLE_ROWS
@@ -145,11 +144,6 @@ def config_problems(values) -> list:
             if tables < most:
                 most, why = tables, f" for m={m} with corrected energies"
         check("n_max", n_max <= most, f"must be at most {most}{why}")
-    check("s", _finite_real(s) and s >= 0, "must be a finite number >= 0")
-    if _finite_real(s) and n_max_ok:
-        # a largest H^s weight (1 + n_max^2)^s past 2^900 overflows the chain
-        most = 900 / math.log2(1 + n_max * n_max)
-        check("s", s <= most, f"must be at most {most:.4g} for n_max={n_max}")
     dt_ok = _finite_real(dt) and dt > 0
     check("dt", dt_ok, "must be a finite number > 0")
     t_end_ok = _finite_real(t_end) and (not dt_ok or t_end >= dt)
@@ -226,9 +220,7 @@ class SimConfig:
     corrected_energies: bool = True
 
     def __post_init__(self):
-        problems = config_problems(vars(self))
-        if problems:
-            raise ValueError("; ".join(sorted(problems)))
+        _reject(sorted(config_problems(vars(self))))
         for name in ("s", "dt", "t_end", "epsilon"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -795,9 +787,7 @@ def lifespan_experiment(eps_list: Sequence[float], cfg: SimConfig) -> LifespanRe
     ``sweep_problems``.
     """
     eps_list = list(eps_list)
-    problems = sweep_problems(eps_list, cfg.corrected_energies, cfg.linear_only)
-    if problems:
-        raise ValueError("; ".join(problems))
+    _reject(sweep_problems(eps_list, cfg.corrected_energies, cfg.linear_only))
     eps_list = [float(e) for e in eps_list]
 
     trajectories = _sweep([replace(cfg, epsilon=eps) for eps in eps_list])

@@ -21,7 +21,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .dispersion import _finite_real, _whole, smoothing_symbol_float
+from .dispersion import (
+    _finite_real, _reject, _whole, index_problems, lattice_problems, smoothing_symbol_float
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,12 +40,7 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.m < 3:
-            raise ValueError(f"symmetry order m={self.m}: need m >= 3")
-        if self.n_max < self.m or self.n_max % self.m != 0:
-            raise ValueError(
-                f"truncation n_max={self.n_max} must be a positive multiple of m={self.m}"
-            )
+        _reject(lattice_problems(self.m, self.n_max))
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if coeffs.shape != (self.n_max // self.m,):
             raise ValueError(
@@ -55,35 +52,31 @@ class SpectralField:
 
     @classmethod
     def zero(cls, m: int, n_max: int) -> "SpectralField":
+        _reject(lattice_problems(m, n_max))  # before n_max // m sizes the table
         return cls(m, n_max, np.zeros(n_max // m, dtype=np.complex128))
 
     @classmethod
     def from_modes(cls, m: int, n_max: int, modes: Mapping[int, complex]) -> "SpectralField":
         """Build a field from a mode -> amplitude map.
 
-        Only nonzero multiples of m with |n| <= n_max are accepted, each an
-        integer (``_whole``: not a float, not a boolean).  Negative modes may
-        be given redundantly but must match the conjugate of the positive
-        entry.
+        Only integer multiples n of m with 0 < |n| <= n_max are accepted
+        (``_slot``).  Negative modes may be given redundantly but must match
+        the conjugate of the positive entry.
         """
-        coeffs = np.zeros(n_max // m, dtype=np.complex128)
+        field = cls.zero(m, n_max)
+        coeffs = np.zeros_like(field.coeffs)
         for n, value in modes.items():
-            if not _whole(n):
-                raise ValueError(f"mode {n!r} is not an integer")
-            n = int(n)
-            if n == 0 or n % m != 0 or abs(n) > n_max:
+            k = field._slot(n)
+            if k is None:
                 raise ValueError(
-                    f"mode {n} not admissible for m={m}, n_max={n_max}"
+                    f"mode {n!r} is not an integer multiple of m={m} with 0 < |n| <= {n_max}"
                 )
             if n > 0:
-                coeffs[n // m - 1] += complex(value)
+                coeffs[k] += complex(value)
         for n, value in modes.items():
-            if n < 0:
-                stored = coeffs[-n // m - 1]
-                if not np.isclose(stored, np.conj(value), rtol=1e-12, atol=1e-300):
-                    raise ValueError(
-                        f"mode {n}: value {value} violates reality against mode {-n}"
-                    )
+            stored = coeffs[field._slot(n)]
+            if n < 0 and not np.isclose(stored, np.conj(value), rtol=1e-12, atol=1e-300):
+                raise ValueError(f"mode {n}: value {value} violates reality against mode {-n}")
         return cls(m, n_max, coeffs)
 
     @property
@@ -95,15 +88,19 @@ class SpectralField:
         """Positive stored modes m, 2m, ..., n_max."""
         return self.m * np.arange(1, self.num_harmonics + 1)
 
-    def coeff(self, n: int) -> complex:
-        """Amplitude of mode n; zero off the symmetry lattice or beyond n_max.
-        A mode that is not an integer (``_whole``) is off the lattice."""
+    def _slot(self, n) -> int | None:
+        """Index k - 1 where mode n = +-k m, 0 < k m <= n_max, is stored; None
+        for any other n, one that is not ``_whole`` included."""
         if not _whole(n):
+            return None
+        k, off = divmod(abs(int(n)), self.m)
+        return k - 1 if off == 0 and 0 < k <= self.num_harmonics else None
+
+    def coeff(self, n: int) -> complex:
+        """Amplitude of mode n; zero for a mode ``_slot`` does not place."""
+        k = self._slot(n)
+        if k is None:
             return 0.0 + 0.0j
-        n = int(n)
-        if n == 0 or n % self.m != 0 or abs(n) > self.n_max:
-            return 0.0 + 0.0j
-        k = abs(n) // self.m - 1
         return complex(self.coeffs[k]) if n > 0 else complex(np.conj(self.coeffs[k]))
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
@@ -122,9 +119,9 @@ class SpectralField:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectralField":
-        """Inverse of ``to_dict``: ``m``, ``n_max`` and each mode must be
-        JSON integers, so that no value is rounded to one; each mode appears
-        once, and its parts are finite numbers."""
+        """Inverse of ``to_dict``: ``m`` and ``n_max`` must be JSON integers,
+        so that no value is rounded to one, and each mode a positive one that
+        ``_slot`` places, given once, with finite parts."""
         m, n_max = data["m"], data["n_max"]
         if type(m) is not int or type(n_max) is not int:
             raise ValueError(f"m={m!r} and n_max={n_max!r} must be integers")
@@ -132,15 +129,16 @@ class SpectralField:
         coeffs = np.zeros_like(field.coeffs)
         seen = set()
         for n, re, im in data["modes"]:
-            if type(n) is not int or n <= 0 or n % field.m != 0 or n > field.n_max:
+            k = field._slot(n)
+            if k is None or n < 0:
                 raise ValueError(f"serialized mode {n!r} not admissible")
-            if n in seen:
+            if k in seen:
                 raise ValueError(f"serialized mode {n} appears twice")
             if not (_finite_real(re) and _finite_real(im)):
                 raise ValueError(f"serialized mode {n}: each part must be a finite number")
-            seen.add(n)
-            coeffs[n // field.m - 1] = complex(re, im)
-        return cls(field.m, field.n_max, coeffs)
+            seen.add(k)
+            coeffs[k] = complex(re, im)
+        return cls(m, n_max, coeffs)
 
 
 def smooth(f: SpectralField) -> SpectralField:
@@ -173,8 +171,7 @@ def _hs_norms(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def hs_norm(f: SpectralField, s: float) -> float:
     """Sobolev norm sqrt(sum_n (1+n^2)^s |fhat(n)|^2) over both mode signs."""
-    if s < 0:
-        raise ValueError("Sobolev index s must be >= 0")
+    _reject(index_problems(s))
     return float(_hs_norms(f.coeffs, sobolev_weight(f.modes, s)))
 
 

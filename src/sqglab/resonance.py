@@ -57,7 +57,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from . import _atomic
-from .dispersion import MIN_MODE, _integer, _root_floor, _whole, dispersion, lam_float
+from .dispersion import MIN_MODE, _integer, _reject, _root_floor, _whole, dispersion, lam_float
 
 # the benchmark's tracer counts the calls of ``resonance.dispersion_float``;
 # the search makes none, as it forms its floats with ``lam_float``
@@ -403,8 +403,7 @@ def _check_request(p, bound, arities: tuple) -> None:
         problems.append("bound: must be an integer >= 9")
     elif p_ok and bound > max_bound(p):
         problems.append(f"bound: must be at most {max_bound(p)} for p={p}")
-    if problems:
-        raise ValueError("; ".join(problems))
+    _reject(problems)
 
 
 #: Proven lower bounds for the nondegenerate frequency-sum minimum.

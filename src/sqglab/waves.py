@@ -30,10 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dispersion import (
-    _finite_real,
-    _integer,
-    dispersion,
-    dispersion_float,
+    _finite_real, _integer, _reject, dispersion, dispersion_float, lattice_problems,
     smoothing_symbol_float,
 )
 
@@ -283,9 +280,8 @@ def default_harmonics(m: int) -> int:
 def _solver_problems(m, num_harmonics, tol, max_iter) -> list:
     """The rules on the arguments that ``newton_solve`` and
     ``continue_branch`` share, each broken one as ``"<argument>: <rule>"``."""
-    problems = []
-    if not (_integer(m) and m >= 3):
-        problems.append("m: must be an integer >= 3")
+    # a wave's harmonics are multiples of m, so only m's rule can break
+    problems = lattice_problems(m, m)
     # below four harmonics the tail of three holds the fundamental, so the
     # resolution gate would pass no point
     if num_harmonics is not None and not (
@@ -336,8 +332,7 @@ def newton_solve(
         problems.append("guess_speed: must be a finite number")
     if guess_coeffs is not None and not _finite_vector(guess_coeffs):
         problems.append("guess_coeffs: must be a 1-D array of finite reals")
-    if problems:
-        raise ValueError("; ".join(problems))
+    _reject(problems)
     if num_harmonics is None:
         num_harmonics = default_harmonics(m)
     k = num_harmonics
@@ -415,8 +410,7 @@ def continue_branch(
         problems.append("xi_max: must be a finite number > 0")
     if not (_integer(steps) and steps >= 1):
         problems.append("steps: must be an integer >= 1")
-    if problems:
-        raise ValueError("; ".join(problems))
+    _reject(problems)
     if num_harmonics is None:
         num_harmonics = default_harmonics(m)
     provenance = {

@@ -158,6 +158,14 @@ def coefficient_array(shape, seed, specials):
     return coeffs
 
 
+def make_form(m, n_max, p, multiplier):
+    """A symmetrized form from a vectorized multiplier, which receives the
+    (count, p) array of mode values and returns the per-tuple values."""
+    space = fm.tuple_space(m, n_max, p)
+    values = np.asarray(multiplier(space.mode_values), dtype=np.complex128)
+    return fm.symmetrize(fm.MultilinearForm(space, values))
+
+
 def reduction_product(space, amp):
     """Per-row product of the amplitudes as a reduction over a row-major gather.
 

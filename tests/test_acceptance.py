@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_field
+from conftest import make_form, random_field
 from sqglab import evolve as ev
 from sqglab import forms as fm
 from sqglab import resonance as rs
@@ -184,7 +184,7 @@ def test_criterion_6_algebraic_identities():
         p = 3 if trial % 2 == 0 else 4
         space = fm.tuple_space(m, n_max, p)
         raw = rng.normal(size=space.count) + 1j * rng.normal(size=space.count)
-        form = fm.make_form(m, n_max, p, lambda mv: raw)
+        form = make_form(m, n_max, p, lambda mv: raw)
         # row count-1-r holds the negated modes of row r
         assert np.array_equal(space.idx[::-1], space.modes.shape[0] - 1 - space.idx)
         odd = fm.MultilinearForm(

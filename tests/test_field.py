@@ -48,6 +48,16 @@ class TestConstruction:
             SpectralField(3, 25, np.zeros(8, complex))
         with pytest.raises(ValueError):
             SpectralField(3, 12, np.zeros(3, complex))
+        # a float lattice would write a state that ``from_dict`` refuses
+        with pytest.raises(ValueError, match="^m: "):
+            SpectralField(3.0, 12, np.zeros(4, complex))
+        with pytest.raises(ValueError, match="^n_max: "):
+            SpectralField(3, 12.0, np.zeros(4, complex))
+        # the constructors that size the table from the lattice ask first
+        with pytest.raises(ValueError, match="^m: "):
+            SpectralField.from_modes(3.0, 12, {3: 1.0})
+        with pytest.raises(ValueError, match="^m: "):
+            SpectralField.zero(0, 12)
 
     def test_from_modes_rejects_off_lattice(self):
         for bad in (0, 2, 4, 27, -4):
@@ -186,6 +196,13 @@ class TestNorms:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             hs_norm(SpectralField.zero(3, 12), -1.0)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, True, -1.0])
+    @pytest.mark.parametrize("norm", [hs_norm, sobolev_energy])
+    def test_bad_index_rejected_by_name(self, norm, s):
+        # nan read nan, and True the s = 1 norm
+        with pytest.raises(ValueError, match="^s: must be a finite number >= 0$"):
+            norm(SpectralField.from_modes(3, 12, {3: 1.0}), s)
 
 
 class TestSampling:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_same_bits,
     brute_nonlinearity,
+    make_form,
     random_field,
     reduction_product,
     whole_table_evaluate,
@@ -30,7 +31,7 @@ from sqglab.field import SpectralField, differentiate, nonlinearity, smooth
 def random_form(m, n_max, p, rng, parity=None):
     space = fm.tuple_space(m, n_max, p)
     values = rng.normal(size=space.count) + 1j * rng.normal(size=space.count)
-    form = fm.make_form(m, n_max, p, lambda mv: values)
+    form = make_form(m, n_max, p, lambda mv: values)
     if parity is None:
         return form
     # project onto the requested parity sector, keeping the table symmetric:
@@ -278,7 +279,7 @@ class TestEvaluate:
         # f = cos 3a + cos 6a: the six orderings of (+-3, +-3, -+6) each give
         # (1/2)^3, so the unit trilinear form evaluates to 6/8
         f = SpectralField.from_modes(3, 12, {3: 0.5, 6: 0.5})
-        one = fm.make_form(3, 12, 3, lambda mv: np.ones(mv.shape[0]))
+        one = make_form(3, 12, 3, lambda mv: np.ones(mv.shape[0]))
         assert fm.evaluate_diagonal(one, f) == pytest.approx(0.75, rel=1e-14)
 
     def test_homogeneity(self, rng):
@@ -428,7 +429,7 @@ class TestDivision:
 
     def test_rejects_degenerate_support(self, rng):
         space = fm.tuple_space(3, 12, 4)
-        form = fm.make_form(3, 12, 4, lambda mv: np.ones(mv.shape[0]))
+        form = make_form(3, 12, 4, lambda mv: np.ones(mv.shape[0]))
         with pytest.raises(fm.ResonanceError) as info:
             fm.normal_form_divide(form)
         assert sum(info.value.resonant_tuple) == 0
@@ -499,7 +500,7 @@ class TestProjection:
 
 class TestExtensions:
     def test_zero_form_maps_to_zero(self):
-        zero = fm.make_form(3, 12, 3, lambda mv: np.zeros(mv.shape[0]))
+        zero = make_form(3, 12, 3, lambda mv: np.zeros(mv.shape[0]))
         assert np.all(fm.nonlinearity_extension(zero).values == 0)
 
     @pytest.mark.parametrize("p", [3, 4, 5])
@@ -620,6 +621,29 @@ class TestChain:
         del chain
         assert held <= 6.5e6
 
+    def test_whole_table_evaluate_peak_memory(self):
+        # the product, one gather buffer of half the rows and the intp copy
+        # that ``take`` makes of one block's narrow index column; a
+        # full-length buffer and block peaked at 1.43 MB, and glibc mapped
+        # the product and the buffer afresh at every call
+        c5 = fm.build_chain(3, 24, 3.0).corrections[2]
+        f = ev.initial_state(ev.SimConfig(m=3, n_max=24, s=3.0, epsilon=0.1))
+        coeffs = f.coeffs.copy()
+        coeffs.imag[1] = 0.0  # an exact-zero component: every row is computed
+        g = f.with_coeffs(coeffs)
+        args = [nonlinearity(g)] + [g] * 4
+        count = c5.space.count
+        amplitudes = [fm._mode_amplitudes(h, c5.space) for h in args]
+        assert fm._direct_rows(c5.space, amplitudes, c5) == count
+        fm.evaluate(c5, args)
+        tracemalloc.start()
+        try:
+            fm.evaluate(c5, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * 16 + (count + 1) // 2 * (16 + 8) + 4096
+
     def test_record_evaluation_holds_nothing(self):
         # one record of a sweep: the levels and the measured derivatives.
         # Widened index blocks and a fresh array for every operation of the
@@ -669,10 +693,18 @@ class TestChain:
         ((3.5, 12, 3.0), "m"),
         ((2, 12, 3.0), "m"),
         ((True, 12, 3.0), "m"),
+        # (1 + 24^2)^200 is past 2^900, where the chain overflows
+        ((3, 24, 200.0), "s"),
+        ((3, 12, 126.0), "s"),
     ])
-    def test_bad_arguments_rejected_by_name(self, args, name):
-        with pytest.raises(ValueError, match=f"^{name}="):
-            fm.build_chain(*args)
+    def test_bad_arguments_rejected_by_name(self, args, name, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a tuple table was built")
+
+        monkeypatch.setattr(fm, "tuple_space", no_table)
+        for build in (fm.build_chain, fm.build_energy_form):
+            with pytest.raises(ValueError, match=f"^{name}: "):
+                build(*args)
 
     def test_lifespan_experiment_builds_no_sextic_space(self, monkeypatch):
         tuple_space, arities = fm.tuple_space, []
