@@ -6,7 +6,7 @@ degenerate tuple (one that splits into (k, -k) pairs) resonates; the
 interesting question is whether any other tuple does.  Known answers within
 reach of exact search:
 
-  p = 3, 5   no resonances; the frequency sum stays above 2/5 resp. 9/35;
+  p = 3, 5   no resonances; the frequency sum stays above 1 resp. 9/35;
   p = 4      resonances are exactly the totally degenerate tuples, and the
              nondegenerate minimum decays like min(|n_j|)^-4 (a lemma in
              ``_quartic_minima`` names the tuples that attain it); so the
@@ -34,6 +34,10 @@ entries, is searched:
 Zero momentum needs r' >= 1, so p = 3 has no other split; the others give
 7/5 (3+1), 12/5 (4+1), 4/5 (4+2) and 17/5 (5+1).  ``UNBALANCED_BOUNDS``
 keeps the least for each p, and the searched minimum must fall below it.
+
+  Lemma (p = 3).  Up to order and sign a triple is (a, b, -(a + b)), so
+  Lambda = 1 + g(a) + g(b) - g(a + b) > 1, as g is positive and falls for
+  x >= 3.  The infimum 1 is approached as a, b grow and never attained.
 
 The search meets in the middle (Horowitz & Sahni, J. ACM 21(2), 1974) over
 multisets.  A q-multiset's partners B share its momentum: for even p they
@@ -406,8 +410,9 @@ def _check_request(p, bound, arities: tuple) -> None:
     _reject(problems)
 
 
-#: Proven lower bounds for the nondegenerate frequency-sum minimum.
-KNOWN_LOWER_BOUNDS = {3: Fraction(2, 5), 5: Fraction(9, 35)}
+#: Proven strict lower bounds for the nondegenerate frequency-sum minimum;
+#: p = 3's is its infimum over all modes (the module docstring's lemma).
+KNOWN_LOWER_BOUNDS = {3: Fraction(1), 5: Fraction(9, 35)}
 
 
 def _check_unbalanced(report: ResonanceReport) -> None:
@@ -454,10 +459,10 @@ def _quartic_minima(report: ResonanceReport) -> None:
 def min_denominator(p: int, bound: int) -> ResonanceReport:
     """Exact nondegenerate minimum of |frequency sum| over |n_j| <= bound.
 
-    For p = 3, 5 the result is checked against the proven constants 2/5 and
-    9/35, for p = 4 against the proven minimizer (a violation raises), which
-    also gives the exact minimum for each value of min |n_j|, exhibiting the
-    fourth-power decay.
+    For p = 3, 5 the result is checked to exceed the proven constants 1
+    (sharp) and 9/35, for p = 4 against the proven minimizer (a violation
+    raises), which also gives the exact minimum for each value of min |n_j|,
+    exhibiting the fourth-power decay.
     Raises ValueError unless p is one of 3, 4, 5 and bound an integer from 9
     to ``max_bound(p)``, naming each offending argument as ``"<name>: <rule>"``.
     """
@@ -467,7 +472,7 @@ def min_denominator(p: int, bound: int) -> ResonanceReport:
     known = KNOWN_LOWER_BOUNDS.get(p)
     if known is None:
         _quartic_minima(report)
-    elif report.min_value < known:
+    elif report.min_value <= known:
         raise AssertionError(
             f"p={p} minimum {report.min_value} violates the proven bound {known}"
         )

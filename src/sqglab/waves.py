@@ -18,8 +18,9 @@ All products are short real convolutions of cosine/sine series truncated to
 the working harmonics, i.e. exact Galerkin (alias-free) arithmetic.  The
 Newton Jacobian is assembled in closed form (``jacobian_matrix``): in each
 slot the Jacobian of a sine-cosine product is a Toeplitz plus a Hankel
-matrix in the other factor's coefficients.  ``jacobian_apply`` is the
-matrix-free directional derivative it reproduces column by column.
+matrix in the other factor's coefficients, read as strided views of one
+zero-padded copy of them, so no index table is built.  ``jacobian_apply``
+is the matrix-free directional derivative it reproduces column by column.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .dispersion import (
 
 
 #: Most harmonics ``continue_branch`` accepts.  Each Newton iteration
-#: assembles the dense K x K Jacobian (8 MiB at this bound) from about a dozen
-#: K x K index and gather arrays and solves it in O(K^3): one solve at this
-#: bound peaks near 90 MB above the module's import and takes about 0.6 s on a
+#: assembles the dense K x K Jacobian (8 MiB at this bound) from strided views
+#: of padded coefficient vectors and solves it in O(K^3): one solve at this
+#: bound peaks near 56 MB above the module's import and takes about 0.5 s on a
 #: 2-vCPU Xeon host; doubling K quadruples the memory and octuples the solve.
 MAX_HARMONICS = 1024
 
@@ -201,47 +202,40 @@ def jacobian_apply(
     )
 
 
-def _shift_indices(k: int) -> tuple:
-    """Where v[n-c], v[c-n] and v[n+c] sit in a zero-padded v, for n, c = 1..k.
+def _shifted_views(v: np.ndarray) -> tuple:
+    """v[n-c], v[c-n] and v[n+c] for n, c = 1..k, as read-only strided views.
 
-    Rows are the output harmonic n, columns the perturbed harmonic c; the
-    padding (index 0 and k+1..2k) supplies the zeros off harmonics 1..k.
+    Rows are the output harmonic n, columns the perturbed harmonic c.  v_j
+    sits at index k + j of a zero vector of length 3k + 1, whose zeros supply
+    v_j off j = 1..k.  Its length-k window r starts at index r, so window n
+    reversed holds v[n-c] and window k + 1 + n holds v[n+c].
     """
-    n = np.arange(1, k + 1)[:, None]
-    c = n.T
-    return np.maximum(n - c, 0), np.maximum(c - n, 0), n + c
-
-
-def _shifted_gathers(v: np.ndarray, shifts: tuple):
-    """v[n-c], v[c-n] and v[n+c] at the indices of ``_shift_indices``."""
     k = v.shape[0]
-    padded = np.zeros(2 * k + 1)
-    padded[1 : k + 1] = v
-    return tuple(padded[index] for index in shifts)
+    padded = np.zeros(3 * k + 1)
+    padded[k + 1 : 2 * k + 1] = v
+    windows = np.lib.stride_tricks.sliding_window_view(padded, k)
+    toeplitz = windows[1 : k + 1, ::-1]
+    return toeplitz, toeplitz.T, windows[k + 2 : 2 * k + 2]
 
 
-def _sin_factor_jacobian(
-    sin_scale: np.ndarray, cos_coeffs: np.ndarray, shifts: tuple
-) -> np.ndarray:
+def _sin_factor_jacobian(sin_scale: np.ndarray, cos_coeffs: np.ndarray) -> np.ndarray:
     """Jacobian of ``_sin_cos_product(a, b)`` in a, where a_c = sin_scale[c] * w_c.
 
     Column c is ``_sin_cos_product(sin_scale * e_c, cos_coeffs)``: output n
     gets h*b_{n-c} + h*b_{c-n} - h*b_{c+n} with h = 0.5*sin_scale[c].
     """
     half = 0.5 * sin_scale
-    toeplitz, hankel_low, hankel_high = _shifted_gathers(cos_coeffs, shifts)
+    toeplitz, hankel_low, hankel_high = _shifted_views(cos_coeffs)
     return half * toeplitz + half * hankel_low - half * hankel_high
 
 
-def _cos_factor_jacobian(
-    sin_coeffs: np.ndarray, cos_scale: np.ndarray, shifts: tuple
-) -> np.ndarray:
+def _cos_factor_jacobian(sin_coeffs: np.ndarray, cos_scale: np.ndarray) -> np.ndarray:
     """Jacobian of ``_sin_cos_product(a, b)`` in b, where b_c = cos_scale[c] * w_c.
 
     Column c is ``_sin_cos_product(sin_coeffs, cos_scale * e_c)``: output n
     gets h_{n-c}*s - h_{c-n}*s + h_{n+c}*s with h = 0.5*a and s = cos_scale[c].
     """
-    toeplitz, hankel_low, hankel_high = _shifted_gathers(0.5 * sin_coeffs, shifts)
+    toeplitz, hankel_low, hankel_high = _shifted_views(0.5 * sin_coeffs)
     return toeplitz * cos_scale - hankel_low * cos_scale + hankel_high * cos_scale
 
 
@@ -255,14 +249,13 @@ def jacobian_matrix(cos_coeffs: np.ndarray, speed: float, m: int) -> np.ndarray:
     combine left to right as in ``jacobian_apply``.
     """
     u, modes, freq, sig, du, ku, kdu = _symbols(cos_coeffs, m)
-    shifts = _shift_indices(u.shape[0])
     linear = np.diag(freq - speed * modes)
     return (
         linear
-        + 2.0 * _sin_factor_jacobian(-modes, ku, shifts)
-        + 2.0 * _cos_factor_jacobian(du, sig, shifts)
-        - _cos_factor_jacobian(kdu, np.ones(u.shape[0]), shifts)
-        - _sin_factor_jacobian(-freq, u, shifts)
+        + 2.0 * _sin_factor_jacobian(-modes, ku)
+        + 2.0 * _cos_factor_jacobian(du, sig)
+        - _cos_factor_jacobian(kdu, np.ones(u.shape[0]))
+        - _sin_factor_jacobian(-freq, u)
     )
 
 

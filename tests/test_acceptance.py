@@ -80,7 +80,7 @@ def test_criterion_2_kernel_multiplier_consistency():
 def test_criterion_3_resonance_bounds():
     started = time.perf_counter()
     p3 = rs.min_denominator(3, 200)
-    ok3 = p3.min_value >= Fraction(2, 5) and not p3.exact_zero_tuples
+    ok3 = p3.min_value > 1 and not p3.exact_zero_tuples
     p5 = rs.min_denominator(5, 30)
     ok5 = p5.min_value >= Fraction(9, 35) and not p5.exact_zero_tuples
     p4 = rs.min_denominator(4, 60)
@@ -97,7 +97,7 @@ def test_criterion_3_resonance_bounds():
         "C3",
         "resonance bounds",
         ok3 and ok5 and ok4,
-        f"p=3 min {p3.min_value} >= 2/5, p=5 min {p5.min_value} >= 9/35, "
+        f"p=3 min {p3.min_value} > 1, p=5 min {p5.min_value} >= 9/35, "
         f"p=4 fitted constant {fitted:.3g} > 0",
         time.perf_counter() - started,
         budget=300.0,

@@ -437,7 +437,7 @@ class TestDivision:
     def test_cubic_never_resonates(self, rng):
         form = random_form(3, 24, 3, rng)
         divided = fm.normal_form_divide(form)
-        # denominators at arity 3 stay above 2/5
+        # denominators at arity 3 stay above 1
         assert np.max(np.abs(divided.values)) <= 2.5 * np.max(np.abs(form.values))
 
     def test_parity_flip(self, rng):

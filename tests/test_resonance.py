@@ -194,7 +194,7 @@ class TestSearches:
 
     def test_p3_bound(self):
         report = rs.min_denominator(3, 50)
-        assert report.min_value >= Fraction(2, 5)
+        assert report.min_value > 1
         assert report.exact_zero_tuples == []
         assert report.degenerate_count == 0
 
@@ -255,6 +255,21 @@ class TestSearches:
         monkeypatch.setattr(rs, "_search", with_zero)
         with pytest.raises(AssertionError, match=f"p={p} minimum 0 violates the proven bound"):
             rs.min_denominator(p, 12)
+
+    @pytest.mark.parametrize("minimum", [Fraction(1), Fraction(1, 2)], ids=["at_1", "below_1"])
+    def test_cubic_minimum_at_or_below_one_raises(self, monkeypatch, minimum):
+        """Every triple's |frequency sum| exceeds 1, so a p = 3 report at 1,
+        the infimum, or below it is rejected."""
+        search = rs._search
+
+        def low(p, bound):
+            report = search(p, bound)
+            report.min_value = minimum
+            return report
+
+        monkeypatch.setattr(rs, "_search", low)
+        with pytest.raises(AssertionError, match=f"p=3 minimum {minimum} violates"):
+            rs.min_denominator(3, 12)
 
     @pytest.mark.parametrize("p", [4, 5, 6])
     def test_search_at_unbalanced_bound_raises(self, monkeypatch, p):

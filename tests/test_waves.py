@@ -1,6 +1,7 @@
 """Travelling-wave residual, Newton continuation, and branch diagnostics."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,39 @@ from sqglab import waves as wv
 from sqglab.field import SpectralField
 
 
+def sin_cos_product_in_order(a, b):
+    """``_sin_cos_product`` in pure Python, adding in the order that fixes its
+    bits.  From +0.0, each term (0.5*a_j)*b_l goes first to harmonic j + l,
+    over the pairs (j, l) in row-major order with j + l <= k; then to
+    harmonic |j - l|, signed as j - l (+ for j >= l), over every pair in
+    row-major order.  Harmonic 0 is dropped."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    k = len(a)
+    out = [0.0] * (k + 1)
+    pairs = [(j, l) for j in range(1, k + 1) for l in range(1, k + 1)]
+    for j, l in pairs:
+        if j + l <= k:
+            out[j + l] += (0.5 * a[j - 1]) * b[l - 1]
+    for j, l in pairs:
+        term = (0.5 * a[j - 1]) * b[l - 1]
+        out[abs(j - l)] += term if j >= l else -term
+    return np.array(out[1:])
+
+
 class TestProducts:
+    @pytest.mark.parametrize("inputs", ["random", "exact_zeros", "all_negative"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 64])
+    def test_sin_cos_product_summation_order(self, k, inputs, rng):
+        for _ in range(3):
+            a = 10.0 ** rng.uniform(-3, 3, size=k) * rng.normal(size=k)
+            b = 10.0 ** rng.uniform(-3, 3, size=k) * rng.normal(size=k)
+            if inputs == "exact_zeros":
+                a[rng.random(k) < 0.5] = 0.0
+                b[rng.random(k) < 0.5] = -0.0
+            elif inputs == "all_negative":
+                a, b = -np.abs(a), -np.abs(b)
+            assert_same_bits(wv._sin_cos_product(a, b), sin_cos_product_in_order(a, b))
+
     def test_sin_cos_product_against_grid(self, rng):
         k = 9
         a, b = rng.normal(size=k), rng.normal(size=k)
@@ -70,8 +103,9 @@ def jacobian_by_columns(cos_coeffs, speed, m):
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("m", [3, 4, 5])
-    @pytest.mark.parametrize("k", [1, 2, 16, 64])
+    @pytest.mark.parametrize(
+        "k,m", [(k, m) for k in (1, 2, 16, 64) for m in (3, 4, 5)] + [(127, 3)]
+    )
     def test_matrix_equals_column_build(self, m, k, rng):
         for _ in range(3):
             c = 10.0 ** rng.uniform(-3, 0) * rng.normal(size=k)
@@ -82,6 +116,20 @@ class TestJacobian:
         assert_same_bits(
             wv.jacobian_matrix(zero, v_m, m), jacobian_by_columns(zero, v_m, m)
         )
+
+    def test_assembly_peaks_below_six_k_by_k_arrays(self, rng):
+        """The shifted factors are strided views of one padded vector, so one
+        assembly at K = 256 allocates no index tables and no gathered copies."""
+        k = 256
+        c = rng.normal(size=k)
+        wv.jacobian_matrix(c, 0.5, 3)
+        tracemalloc.start()
+        try:
+            wv.jacobian_matrix(c, 0.5, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * k * k * 8
 
     def test_matches_finite_differences(self, rng):
         m, k = 3, 12
